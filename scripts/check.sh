@@ -11,11 +11,13 @@
 #               (any UB aborts the test), full ctest suite.
 #   4. tsan     ThreadSanitizer over the concurrency suite (thread pool,
 #               synchronized Distribution, striped caches, sharded metrics,
-#               parallel campaign driver) plus the ServerDaemon e2e suite —
-#               the racy paths the parallel batch driver and the measurement
-#               daemon actually exercise. REVTR_CHECK_TSAN=0 skips the
-#               stage; REVTR_CHECK_TSAN=full runs the whole ctest suite
-#               under TSan.
+#               parallel campaign driver, probes executing outside the
+#               scheduler lock, lazily built routing tables and the AS cone
+#               table under concurrent readers) plus the ServerDaemon and
+#               agent e2e suites — the racy paths the parallel batch driver
+#               and the measurement daemon actually exercise.
+#               REVTR_CHECK_TSAN=0 skips the stage; REVTR_CHECK_TSAN=full
+#               runs the whole ctest suite under TSan.
 #
 # Both gates also run an observability smoke: a small instrumented campaign
 # through revtr_cli, whose Prometheus snapshot must parse and contain the
@@ -362,7 +364,7 @@ case "${REVTR_CHECK_TSAN:-1}" in
         echo "==> [tsan] build"
         cmake --build --preset tsan -j "$JOBS"
         echo "==> [tsan] concurrency suite"
-        ctest --preset tsan -R 'ThreadPool|Distribution|StripedMap|ShardedMetrics|ParallelCampaign|Atlas|Ingress|ServerDaemon|AgentSplit'
+        ctest --preset tsan -R 'ThreadPool|Distribution|StripedMap|ShardedMetrics|ParallelCampaign|Atlas|Ingress|ServerDaemon|AgentSplit|SchedConcurrency|RoutingConcurrency|AsmapConcurrency'
         ;;
 esac
 

@@ -105,8 +105,9 @@ bool AgentDaemon::send_frame(const Message& message) {
   const auto frame = server::encode_frame(message);
   std::size_t written = 0;
   while (written < frame.size()) {
-    const ssize_t n =
-        write(fd_, frame.data() + written, frame.size() - written);
+    // MSG_NOSIGNAL: a controller that hung up fails the send, not the process.
+    const ssize_t n = send(fd_, frame.data() + written,
+                           frame.size() - written, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
@@ -297,31 +298,29 @@ bool AgentDaemon::run() {
       clean = true;
       break;
     }
-    if (!message.has_value()) {
-      // Timeout (or a drain signal interrupted the wait).
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_beat >= std::chrono::milliseconds(heartbeat_ms)) {
-        std::uint64_t executed = 0;
-        {
-          const util::MutexLock lock(mu_);
-          ++counters_.heartbeats;
-          executed = counters_.executed;
-        }
-        if (!send_frame(AgentHeartbeat{0, executed})) break;
-        last_beat = now;
+    // A timeout (or a drain signal interrupting the wait) yields no message.
+    if (message.has_value()) {
+      if (const AgentProbe* probe = std::get_if<AgentProbe>(&*message)) {
+        if (!handle_assignment(*probe)) break;
+      } else if (std::holds_alternative<AgentDrain>(*message)) {
+        draining = true;
+      } else {
+        break;  // Anything else from the controller is a protocol error.
       }
-      continue;
     }
-    if (const AgentProbe* probe = std::get_if<AgentProbe>(&*message)) {
-      if (!handle_assignment(*probe)) break;
-      continue;
+    // Heartbeat every interval, busy or idle: an agent that always has an
+    // assignment waiting never times out its read.
+    const auto now = std::chrono::steady_clock::now();
+    if (now - last_beat >= std::chrono::milliseconds(heartbeat_ms)) {
+      std::uint64_t executed = 0;
+      {
+        const util::MutexLock lock(mu_);
+        ++counters_.heartbeats;
+        executed = counters_.executed;
+      }
+      if (!send_frame(AgentHeartbeat{0, executed})) break;
+      last_beat = now;
     }
-    if (std::holds_alternative<AgentDrain>(*message)) {
-      draining = true;
-      continue;
-    }
-    // Anything else from the controller is a protocol error.
-    break;
   }
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;

@@ -61,7 +61,7 @@ bool IpToAs::has_unmappable_hop(std::span<const net::Ipv4Addr> hops) const {
 }
 
 AsRelationships::AsRelationships(const topology::Topology& topo)
-    : topo_(topo) {
+    : topo_(topo), cone_sizes_(topo.num_ases(), 0) {
   for (const auto& node : topo.ases()) {
     for (const auto customer : node.customers) {
       relations_[pair_key(node.asn, customer)] = Rel::kProvider;
@@ -70,6 +70,27 @@ AsRelationships::AsRelationships(const topology::Topology& topo)
     for (const auto peer : node.peers) {
       relations_[pair_key(node.asn, peer)] = Rel::kPeer;
     }
+  }
+  // One DFS down customer links per AS. Cones can share sub-cones, so each
+  // walk counts distinct ASes; `seen` holds the root index that last
+  // visited an AS, which spares clearing it between walks.
+  const std::size_t n = topo.num_ases();
+  std::vector<std::size_t> seen(n, n);
+  std::vector<topology::AsIndex> stack;
+  for (std::size_t root = 0; root < n; ++root) {
+    std::uint32_t count = 0;
+    stack.assign(1, static_cast<topology::AsIndex>(root));
+    while (!stack.empty()) {
+      const topology::AsIndex current = stack.back();
+      stack.pop_back();
+      if (seen[current] == root) continue;
+      seen[current] = root;
+      ++count;
+      for (const auto customer : topo.as_at(current).customers) {
+        stack.push_back(topo.index_of(customer));
+      }
+    }
+    cone_sizes_[root] = count;
   }
 }
 
@@ -80,26 +101,7 @@ AsRelationships::Rel AsRelationships::relation(topology::Asn a,
 }
 
 std::size_t AsRelationships::customer_cone_size(topology::Asn asn) const {
-  const auto cached = cone_cache_.find(asn);
-  if (cached != cone_cache_.end()) return cached->second;
-  // Iterative DFS down customer links; cones can share sub-cones, so track
-  // visited set per query (cone = set of distinct ASes).
-  std::vector<topology::Asn> stack = {asn};
-  std::unordered_map<topology::Asn, bool> visited;
-  std::size_t count = 0;
-  while (!stack.empty()) {
-    const auto current = stack.back();
-    stack.pop_back();
-    auto& seen = visited[current];
-    if (seen) continue;
-    seen = true;
-    ++count;
-    for (const auto customer : topo_.as_node(current).customers) {
-      stack.push_back(customer);
-    }
-  }
-  cone_cache_[asn] = count;
-  return count;
+  return cone_sizes_[topo_.index_of(asn)];
 }
 
 std::size_t AsRelationships::provider_count(topology::Asn asn) const {

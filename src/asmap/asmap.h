@@ -65,7 +65,8 @@ class AsRelationships {
   }
 
   // |customer cone|: the AS itself plus all ASes reachable downward through
-  // customer links (CAIDA's definition).
+  // customer links (CAIDA's definition). Every cone is sized at
+  // construction, so this is a plain read, safe from any thread.
   std::size_t customer_cone_size(topology::Asn asn) const;
   std::size_t provider_count(topology::Asn asn) const;
 
@@ -85,7 +86,7 @@ class AsRelationships {
  private:
   const topology::Topology& topo_;
   std::unordered_map<std::uint64_t, Rel> relations_;
-  mutable std::unordered_map<topology::Asn, std::size_t> cone_cache_;
+  std::vector<std::uint32_t> cone_sizes_;  // By AS index.
 };
 
 }  // namespace revtr::asmap

@@ -14,11 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "topology/topology.h"
+#include "util/lazy_slots.h"
 
 namespace revtr::routing {
 
@@ -31,6 +31,10 @@ enum class RouteClass : std::uint8_t {
   kOrigin = 4,
 };
 
+// Lookups are safe from any number of threads at once: each column is built
+// on first use and published once (util::LazySlots). The policy setters
+// (set_no_export, clear_no_export, set_epoch) drop cached columns and must
+// not race any lookup.
 class BgpTable {
  public:
   explicit BgpTable(const topology::Topology& topo);
@@ -61,7 +65,7 @@ class BgpTable {
                                      topology::AsIndex dest) const;
 
   // Number of columns computed so far (for tests / memory awareness).
-  std::size_t computed_columns() const noexcept { return computed_; }
+  std::size_t computed_columns() const noexcept { return columns_.built(); }
 
   // --- Announcement policies (§6.1 traffic engineering). ---
   // Suppresses the origin's announcement toward specific neighbors — the
@@ -85,8 +89,7 @@ class BgpTable {
                          topology::Asn dest) const;
 
   const topology::Topology& topo_;
-  mutable std::vector<std::unique_ptr<Column>> columns_;
-  mutable std::size_t computed_ = 0;
+  util::LazySlots<Column> columns_;
   std::uint32_t epoch_ = 0;
   std::uint32_t flip_per_million_ = 0;
   std::unordered_map<topology::AsIndex, std::vector<topology::Asn>>

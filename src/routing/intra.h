@@ -9,13 +9,15 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "topology/topology.h"
+#include "util/lazy_slots.h"
 
 namespace revtr::routing {
 
+// Per-AS matrices are built on first use (util::LazySlots), so lookups are
+// safe from any number of threads at once.
 class IntraRouting {
  public:
   explicit IntraRouting(const topology::Topology& topo);
@@ -56,7 +58,7 @@ class IntraRouting {
 
   const topology::Topology& topo_;
   std::vector<std::uint32_t> local_index_;  // RouterId -> index within AS.
-  mutable std::vector<std::unique_ptr<AsMatrix>> matrices_;
+  util::LazySlots<AsMatrix> matrices_;
 };
 
 }  // namespace revtr::routing

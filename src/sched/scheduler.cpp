@@ -1,6 +1,7 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "util/check.h"
@@ -161,6 +162,7 @@ void ProbeScheduler::submit(TaskId task, std::size_t owner,
     Pending& pending = pending_[pending_id];
     pending.demand = std::move(demand);
     pending.key = key;
+    pending.owner = owner;
     pending.waiters.push_back(Waiter{set_id, slot});
     queue_.push_back(pending_id);
     if (options_.coalesce && !pending.demand.offline()) {
@@ -199,21 +201,52 @@ void ProbeScheduler::deliver_locked(std::uint64_t set_id, std::size_t slot,
   if (--set.remaining == 0) ready_.push_back(set_id);
 }
 
-ProbeScheduler::Pending ProbeScheduler::detach_pending_locked(
-    std::uint64_t pending_id) {
+std::vector<std::uint64_t> ProbeScheduler::claim_round_locked(
+    std::size_t owner, bool wire_only, std::size_t limit) {
+  // One pass over the queue in FIFO order. Demands this claimer may not take
+  // are skipped before the VP check, so they spend no tokens; demands over a
+  // VP's window or bucket are throttled and stay queued for a later round.
+  std::vector<std::uint64_t> claimed;
+  std::deque<std::uint64_t> deferred;
+  bool counted = false;
+  for (const std::uint64_t pending_id : queue_) {
+    const Pending& pending = pending_.at(pending_id);
+    if ((owner != kAnyOwner && pending.owner != owner) ||
+        (wire_only && pending.demand.offline()) || claimed.size() >= limit) {
+      deferred.push_back(pending_id);
+      continue;
+    }
+    if (!counted) {
+      counted = true;
+      ++round_;
+      ++stats_.rounds;
+    }
+    if (!issuable_locked(pending)) {
+      ++stats_.throttled;
+      if (metrics_ != nullptr) metrics_->throttled->add();
+      deferred.push_back(pending_id);
+      continue;
+    }
+    claimed.push_back(pending_id);
+  }
+  queue_ = std::move(deferred);
+  if (metrics_ != nullptr) {
+    metrics_->queue_depth->set(static_cast<std::int64_t>(queue_.size()));
+  }
+  return claimed;
+}
+
+void ProbeScheduler::account_and_deliver_locked(std::uint64_t pending_id,
+                                                ProbeOutcome outcome,
+                                                std::uint64_t issue_round,
+                                                PumpResult& result) {
   Pending pending = std::move(pending_.at(pending_id));
   pending_.erase(pending_id);
   if (const auto it = in_flight_.find(pending.key);
       it != in_flight_.end() && it->second == pending_id) {
     in_flight_.erase(it);
   }
-  return pending;
-}
 
-void ProbeScheduler::account_and_deliver_locked(Pending pending,
-                                                ProbeOutcome outcome,
-                                                PumpResult& result,
-                                                std::uint64_t issue_round) {
   const std::uint64_t issue_id = next_issue_++;
   const std::uint64_t digest = outcome.digest();
   if (pending.demand.offline()) {
@@ -248,94 +281,125 @@ void ProbeScheduler::account_and_deliver_locked(Pending pending,
                  std::move(outcome));
 }
 
-void ProbeScheduler::issue_locked(probing::ProbeTransport& transport,
-                                  std::uint64_t pending_id,
-                                  PumpResult& result) {
-  Pending pending = detach_pending_locked(pending_id);
-  ProbeOutcome outcome = execute_demand(transport, pending.demand);
-  account_and_deliver_locked(std::move(pending), std::move(outcome), result,
-                             round_);
+namespace {
+
+// A demand claimed by a local pump, copied out of the scheduler so it can
+// execute without the lock, and the outcome it measured.
+struct Claim {
+  std::uint64_t pending_id = 0;
+  ProbeDemand demand;
+  ProbeOutcome outcome;
+  std::size_t group = 0;  // Spoofed-RR ingress group, 1-based; 0 otherwise.
+};
+
+bool spoofed(const ProbeDemand& demand) {
+  return !demand.offline() &&
+         demand.type == probing::ProbeType::kSpoofedRecordRoute;
 }
 
-void ProbeScheduler::issue_spoof_batch_locked(
-    probing::ProbeTransport& transport, std::span<const std::uint64_t> batch,
-    PumpResult& result) {
-  batch_pendings_.clear();
-  batch_items_.clear();
-  for (const std::uint64_t pending_id : batch) {
-    Pending pending = detach_pending_locked(pending_id);
-    batch_items_.push_back(probing::RrBatchItem{
-        pending.demand.from, pending.demand.target, pending.demand.spoof_as});
-    batch_pendings_.push_back(std::move(pending));
+// Puts claims in issue order: offline jobs and non-spoofed probes in FIFO
+// order, then spoofed-RR demands grouped by expected ingress (groups in
+// first-seen order, FIFO within a group), so requests that share an ingress
+// fill the same 3-probe batches.
+void order_for_issue(std::vector<Claim>& claims) {
+  util::FlatMap<std::uint64_t, std::size_t> groups;
+  for (Claim& claim : claims) {
+    if (!spoofed(claim.demand)) continue;
+    claim.group = groups
+                      .try_emplace(claim.demand.batch_ingress.value(),
+                                   groups.size() + 1)
+                      .first->second;
   }
-  // The whole batch steps through the simulator in one pass; outcomes are
-  // byte-identical to issuing each probe alone (Prober::rr_ping_batch).
-  transport.execute_batch(batch_items_, batch_results_);
-  for (std::size_t i = 0; i < batch_pendings_.size(); ++i) {
-    probing::RrProbeResult& probe = batch_results_[i];
-    ProbeOutcome outcome;
-    outcome.responded = probe.responded;
-    outcome.slots = std::move(probe.slots);
-    outcome.duration_us = probe.duration_us;
-    outcome.packets = 1;
-    account_and_deliver_locked(std::move(batch_pendings_[i]),
-                               std::move(outcome), result, round_);
-  }
+  std::stable_sort(claims.begin(), claims.end(),
+                   [](const Claim& a, const Claim& b) {
+                     return a.group < b.group;
+                   });
 }
 
-ProbeScheduler::PumpResult ProbeScheduler::pump(probing::Prober& prober) {
+// The execute step of a local pump. Runs with no scheduler lock held and
+// touches nothing but the claims and the caller's transport. Claims must be
+// in issue order; each same-ingress run of spoofed demands goes out in
+// batches of `batch_size` through the transport's batch path, which is
+// outcome-equivalent to issuing each probe alone (Prober::rr_ping_batch).
+// Returns the number of spoofed-RR wire batches.
+std::size_t execute_claims(probing::ProbeTransport& transport,
+                           std::vector<Claim>& claims,
+                           std::size_t batch_size) {
+  std::size_t batches = 0;
+  std::vector<probing::RrBatchItem> items;
+  std::vector<probing::RrProbeResult> replies;
+  for (std::size_t begin = 0; begin < claims.size();) {
+    const ProbeDemand& head = claims[begin].demand;
+    if (!spoofed(head)) {
+      claims[begin].outcome = execute_demand(transport, head);
+      ++begin;
+      continue;
+    }
+    std::size_t end = begin;
+    items.clear();
+    while (end < claims.size() && end - begin < batch_size &&
+           spoofed(claims[end].demand) &&
+           claims[end].demand.batch_ingress == head.batch_ingress) {
+      const ProbeDemand& demand = claims[end].demand;
+      items.push_back(
+          probing::RrBatchItem{demand.from, demand.target, demand.spoof_as});
+      ++end;
+    }
+    transport.execute_batch(items, replies);
+    ++batches;
+    for (std::size_t i = begin; i < end; ++i) {
+      probing::RrProbeResult& reply = replies[i - begin];
+      ProbeOutcome& outcome = claims[i].outcome;
+      outcome.responded = reply.responded;
+      outcome.slots = std::move(reply.slots);
+      outcome.duration_us = reply.duration_us;
+      outcome.packets = 1;
+    }
+    begin = end;
+  }
+  return batches;
+}
+
+}  // namespace
+
+ProbeScheduler::PumpResult ProbeScheduler::pump(probing::Prober& prober,
+                                                std::size_t owner) {
   probing::LocalProbeTransport transport(prober);
-  return pump(transport);
+  return pump(transport, owner);
 }
 
 ProbeScheduler::PumpResult ProbeScheduler::pump(
-    probing::ProbeTransport& transport) {
-  const util::MutexLock lock(mu_);
+    probing::ProbeTransport& transport, std::size_t owner) {
+  // Claim. The demands are copied out; their pending entries stay behind,
+  // so identical demands keep coalescing onto them while they execute.
+  std::vector<Claim> claims;
+  std::uint64_t round = 0;
+  {
+    const util::MutexLock lock(mu_);
+    const auto claimed =
+        claim_round_locked(owner, /*wire_only=*/false, SIZE_MAX);
+    claims.resize(claimed.size());
+    for (std::size_t i = 0; i < claimed.size(); ++i) {
+      claims[i].pending_id = claimed[i];
+      claims[i].demand = pending_.at(claimed[i]).demand;
+    }
+    round = round_;
+  }
   PumpResult result;
-  if (queue_.empty()) return result;
-  ++round_;
-  ++stats_.rounds;
+  if (claims.empty()) return result;
 
-  // One pass over the queue in FIFO order: offline jobs and non-spoofed
-  // probes issue immediately; spoofed-RR demands gather into per-ingress
-  // groups so requests sharing an ingress fill the same 3-probe batches.
-  // Demands over a VP's window or bucket stay queued for the next round.
-  std::deque<std::uint64_t> deferred;
-  std::vector<net::Ipv4Addr> group_order;
-  util::FlatMap<std::uint64_t, std::vector<std::uint64_t>> groups;
-  for (const std::uint64_t pending_id : queue_) {
-    const Pending& pending = pending_.at(pending_id);
-    if (!issuable_locked(pending)) {
-      ++stats_.throttled;
-      if (metrics_ != nullptr) metrics_->throttled->add();
-      deferred.push_back(pending_id);
-      continue;
-    }
-    if (!pending.demand.offline() &&
-        pending.demand.type == probing::ProbeType::kSpoofedRecordRoute) {
-      const std::uint64_t group_key = pending.demand.batch_ingress.value();
-      auto& group = groups[group_key];
-      if (group.empty()) group_order.push_back(pending.demand.batch_ingress);
-      group.push_back(pending_id);
-      continue;
-    }
-    issue_locked(transport, pending_id, result);
-  }
-  for (const net::Ipv4Addr ingress : group_order) {
-    const auto& group = groups.at(ingress.value());
-    for (std::size_t start = 0; start < group.size();
-         start += options_.spoof_batch_size) {
-      ++stats_.wire_batches;
-      if (metrics_ != nullptr) metrics_->spoof_batches->add();
-      const std::size_t len =
-          std::min(options_.spoof_batch_size, group.size() - start);
-      issue_spoof_batch_locked(
-          transport, std::span(group).subspan(start, len), result);
-    }
-  }
-  queue_ = std::move(deferred);
-  if (metrics_ != nullptr) {
-    metrics_->queue_depth->set(static_cast<std::int64_t>(queue_.size()));
+  // Execute, with no lock held.
+  order_for_issue(claims);
+  const std::size_t batches =
+      execute_claims(transport, claims, options_.spoof_batch_size);
+
+  // Deliver, to the original demanders and every rider.
+  const util::MutexLock lock(mu_);
+  stats_.wire_batches += batches;
+  if (metrics_ != nullptr) metrics_->spoof_batches->add(batches);
+  for (Claim& claim : claims) {
+    account_and_deliver_locked(claim.pending_id, std::move(claim.outcome),
+                               round, result);
   }
   return result;
 }
@@ -407,42 +471,33 @@ std::vector<ProbeScheduler::Assignment> ProbeScheduler::next_assignments(
   if (agent_it == agents_.end() || queue_.empty()) return out;
   AgentState& state = agent_it->second;
   if (state.inflight >= state.window) return out;
-  ++round_;
-  ++stats_.rounds;
 
-  // One FIFO pass with the same eligibility rules as a local pump round
-  // (each dispatch call IS a round — the audit records it, so I7's
-  // per-round VP window check is exactly as strict as in the monolith).
-  // Offline jobs never cross the wire (run_offline_jobs steals them) and
-  // the agent-window check comes first so a full agent costs no VP tokens.
-  std::deque<std::uint64_t> deferred;
-  for (const std::uint64_t pending_id : queue_) {
-    const Pending& pending = pending_.at(pending_id);
-    if (pending.demand.offline() || state.inflight >= state.window) {
-      deferred.push_back(pending_id);
-      continue;
-    }
-    if (!issuable_locked(pending)) {
-      ++stats_.throttled;
-      if (metrics_ != nullptr) metrics_->throttled->add();
-      deferred.push_back(pending_id);
-      continue;
-    }
+  // The local pump's claim step with the agent as executor: each dispatch
+  // call IS a round — the audit records it, so I7's per-round VP window
+  // check is exactly as strict as in the monolith. Offline jobs never cross
+  // the wire (run_offline_jobs steals them), and the agent's free window
+  // caps the claim before any VP token is spent.
+  for (const std::uint64_t pending_id : claim_round_locked(
+           kAnyOwner, /*wire_only=*/true, state.window - state.inflight)) {
     const std::uint64_t ticket = next_ticket_++;
     assigned_[ticket] = Assigned{pending_id, agent, round_};
     ++state.inflight;
-    out.push_back(Assignment{ticket, spec_of(pending.demand)});
-  }
-  queue_ = std::move(deferred);
-  if (metrics_ != nullptr) {
-    metrics_->queue_depth->set(static_cast<std::int64_t>(queue_.size()));
+    out.push_back(Assignment{ticket, spec_of(pending_.at(pending_id).demand)});
   }
   return out;
 }
 
 bool ProbeScheduler::deliver_assignment(AgentId agent, std::uint64_t ticket,
-                                        const probing::ProbeReply& reply) {
+                                        const probing::ProbeReply& reply,
+                                        std::int64_t now_us) {
   const util::MutexLock lock(mu_);
+  const auto agent_it = agents_.find(agent);
+  if (agent_it != agents_.end()) {
+    // A result proves the agent alive as well as a heartbeat does: a busy
+    // agent must not be expired while it is answering.
+    agent_it->second.last_heartbeat_us =
+        std::max(agent_it->second.last_heartbeat_us, now_us);
+  }
   const auto it = assigned_.find(ticket);
   if (it == assigned_.end() || it->second.agent != agent) {
     // Requeued off a detached agent (or already delivered): dropping the
@@ -452,14 +507,13 @@ bool ProbeScheduler::deliver_assignment(AgentId agent, std::uint64_t ticket,
   }
   const Assigned assigned = it->second;
   assigned_.erase(ticket);
-  if (const auto agent_it = agents_.find(agent); agent_it != agents_.end()) {
+  if (agent_it != agents_.end()) {
     REVTR_CHECK(agent_it->second.inflight > 0);
     --agent_it->second.inflight;
   }
-  Pending pending = detach_pending_locked(assigned.pending_id);
   PumpResult ignored;
-  account_and_deliver_locked(std::move(pending), outcome_of(reply), ignored,
-                             assigned.round);
+  account_and_deliver_locked(assigned.pending_id, outcome_of(reply),
+                             assigned.round, ignored);
   return true;
 }
 
@@ -471,12 +525,11 @@ std::size_t ProbeScheduler::run_offline_jobs(std::size_t max_jobs) {
     const std::uint64_t pending_id = queue_.front();
     queue_.pop_front();
     if (run < max_jobs && pending_.at(pending_id).demand.offline()) {
-      Pending pending = detach_pending_locked(pending_id);
       ProbeOutcome outcome;
-      outcome.offline_probes = pending.demand.offline_work();
+      outcome.offline_probes = pending_.at(pending_id).demand.offline_work();
       PumpResult ignored;
-      account_and_deliver_locked(std::move(pending), std::move(outcome),
-                                 ignored, round_);
+      account_and_deliver_locked(pending_id, std::move(outcome), round_,
+                                 ignored);
       ++run;
     } else {
       keep.push_back(pending_id);

@@ -5,19 +5,21 @@
 // suspends. This layer turns demand sets from many in-flight requests into
 // wire probes:
 //
-//   * Coalescing: two pending demands with identical content (same probe
-//     type, vantage point, target, spoof source, prespec list) share one
-//     wire probe; the outcome fans out to every waiter. The paper's RR-atlas
-//     exists to avoid re-measuring what another request already learned —
-//     coalescing applies the same idea at in-flight granularity.
+//   * Coalescing: two demands with identical content (same probe type,
+//     vantage point, target, spoof source, prespec list) share one wire
+//     probe while the first is queued *or executing*; the outcome fans out
+//     to every waiter. The paper's RR-atlas exists to avoid re-measuring
+//     what another request already learned — coalescing applies the same
+//     idea at in-flight granularity.
 //   * Per-VP windows: at most `vp_window` probes issue from one vantage
 //     point per pump round, plus a token bucket refilled every round, so no
 //     VP is hammered no matter how many requests want it (§5.2.4's rate
 //     concerns). Deferred demands stay queued; refill guarantees progress.
 //   * Spoofed-RR batching: spoofed demands that expect the same ingress are
-//     issued in the paper's 3-probe batches *across* requests (§4.3), not
-//     just within one; batching changes issue order and the batch metric
-//     only — each request still charges its own spoof-batch timeout.
+//     issued in the paper's 3-probe batches *across* requests (§4.3) — all
+//     that one executor claims in a round — not just within one; batching
+//     changes issue order and the batch metric only — each request still
+//     charges its own spoof-batch timeout.
 //
 // Determinism: simulated probe outcomes are content-addressed (stateless
 // ECMP salt, endpoint-derived flow ids — DESIGN.md §8), so a demand answered
@@ -32,7 +34,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -173,12 +174,23 @@ struct SchedulerAudit {
 
 // Collects demand sets from resumable requests, issues deduplicated wire
 // probes under the per-VP limits, and hands each task its completed outcome
-// set in demand order. Thread-safe: campaign workers submit and pump
-// concurrently; one mutex guards all state (probing is simulated — the
-// critical section is the work, not a bottleneck around it).
+// set in demand order. Thread-safe: workers submit and pump concurrently.
+// One mutex guards the bookkeeping, never the probing: every wire probe goes
+// through the same three steps, whoever executes it.
+//
+//   1. Claim (under mu_): one scheduler round takes eligible demands out of
+//      the FIFO under the per-VP window and token rules. A claimed demand
+//      stays in the coalescing tables, so an identical demand submitted
+//      while it is in flight rides on it instead of probing again.
+//   2. Execute (no lock): a pumping worker runs its claims through its own
+//      transport; a remote agent runs its assignments in its own process.
+//   3. Deliver (under mu_): the outcome is audited against the claim round
+//      and fans out to every waiter, riders that attached mid-flight included.
 class ProbeScheduler {
  public:
   using TaskId = std::uint64_t;
+  // pump() owner filter meaning "claim every owner's demands".
+  static constexpr std::size_t kAnyOwner = SIZE_MAX;
 
   struct Ready {
     TaskId task = 0;
@@ -204,19 +216,26 @@ class ProbeScheduler {
   // One set per task at a time: submit again only after its Ready arrived.
   void submit(TaskId task, std::size_t owner, std::vector<ProbeDemand> demands);
 
-  // Issues eligible queued demands on `prober` (any worker's — outcomes are
-  // content-addressed, so who issues is irrelevant) and fans results out.
-  // The transport overload is the seam remote mode shares; the Prober
-  // overload wraps a LocalProbeTransport and is bit-for-bit the old path.
-  PumpResult pump(probing::Prober& prober);
-  PumpResult pump(probing::ProbeTransport& transport);
+  // One local round with the calling thread as executor: claims `owner`'s
+  // eligible demands (kAnyOwner: everyone's, offline jobs included),
+  // executes them on `transport` with no lock held — spoofed-RR claims in
+  // same-ingress batches of `spoof_batch_size` — and delivers the outcomes.
+  // A worker passes its own owner index, so the demands it submitted run on
+  // its own stack; outcomes are content-addressed, so the executor never
+  // changes a result. The transport may call back into the scheduler. The
+  // Prober overload wraps a LocalProbeTransport.
+  PumpResult pump(probing::Prober& prober, std::size_t owner = kAnyOwner)
+      REVTR_EXCLUDES(mu_);
+  PumpResult pump(probing::ProbeTransport& transport,
+                  std::size_t owner = kAnyOwner) REVTR_EXCLUDES(mu_);
 
   // ---- Distributed dispatch (DESIGN.md §15) ----------------------------
   //
   // In remote mode the scheduler is a dispatcher: wire probes leave as
   // ticketed assignments to registered VP agents instead of executing on
-  // the pumping worker's prober. A pending demand keeps its place in the
-  // coalescing tables while assigned, so cross-request coalescing — and
+  // the pumping worker's prober. Dispatch is the local pump's claim and
+  // deliver with an agent as the executor: an assigned demand keeps its
+  // place in the coalescing tables, so cross-request coalescing — and
   // invariant I7 over the audit — hold across process boundaries. Offline
   // jobs never cross the wire; any controller worker steals them via
   // run_offline_jobs().
@@ -260,13 +279,17 @@ class ProbeScheduler {
   // already delivered), so a slow agent's late duplicate can never fan out
   // twice or double-charge a request. The audit Issue records the round the
   // assignment was dispatched in, keeping I7's per-round window check exact.
+  // Any result, stale or not, is liveness: a still-attached agent's
+  // heartbeat clock advances to `now_us`.
   bool deliver_assignment(AgentId agent, std::uint64_t ticket,
-                          const probing::ProbeReply& reply)
-      REVTR_EXCLUDES(mu_);
+                          const probing::ProbeReply& reply,
+                          std::int64_t now_us = 0) REVTR_EXCLUDES(mu_);
 
   // Runs up to `max_jobs` queued offline closures on the calling thread
   // (work stealing: atlas-refresh jobs run on whichever controller worker
-  // gets here first). Returns the number run.
+  // gets here first). Returns the number run. The closures run under mu_:
+  // a stolen closure probes on its requesting worker's stack, which two
+  // stealing workers must not share at once.
   std::size_t run_offline_jobs(std::size_t max_jobs = SIZE_MAX)
       REVTR_EXCLUDES(mu_);
 
@@ -293,6 +316,7 @@ class ProbeScheduler {
   struct Pending {
     ProbeDemand demand;
     std::uint64_t key = 0;
+    std::size_t owner = 0;        // The original demander's owner.
     std::vector<Waiter> waiters;  // First waiter is the original demander.
   };
   struct DemandSet {
@@ -320,25 +344,25 @@ class ProbeScheduler {
 
   // All private helpers run with mu_ held (declared by REVTR_REQUIRES).
   bool issuable_locked(const Pending& pending) REVTR_REQUIRES(mu_);
-  void issue_locked(probing::ProbeTransport& transport,
-                    std::uint64_t pending_id, PumpResult& result)
+  // The claim step shared by local pumps and agent dispatch: one scheduler
+  // round over the FIFO. Takes up to `limit` demands of `owner` (kAnyOwner:
+  // any), skipping offline jobs when `wire_only`; each must also pass the
+  // per-VP window and token bucket. Skipped and deferred demands keep their
+  // queue order and cost no tokens. Claimed demands leave the queue but stay
+  // in pending_ and in_flight_ until delivered. The round is counted only
+  // if some demand was eligible.
+  std::vector<std::uint64_t> claim_round_locked(std::size_t owner,
+                                                bool wire_only,
+                                                std::size_t limit)
       REVTR_REQUIRES(mu_);
-  // Issues a whole same-ingress spoofed-RR batch through the transport's
-  // batch path. Equivalent to issue_locked per id in order (same issue ids,
-  // same outcomes, same deliveries) — the batch only shares simulator
-  // scratch.
-  void issue_spoof_batch_locked(probing::ProbeTransport& transport,
-                                std::span<const std::uint64_t> batch,
-                                PumpResult& result) REVTR_REQUIRES(mu_);
-  // Detaches the pending entry from the tables (erase + in-flight cleanup).
-  Pending detach_pending_locked(std::uint64_t pending_id) REVTR_REQUIRES(mu_);
-  // Accounting, audit, and waiter fan-out for one issued wire probe.
-  // `issue_round` is the round the probe was issued/assigned in (remote
-  // delivery happens rounds later; the audit must record the dispatch round
-  // for I7's per-round window check).
-  void account_and_deliver_locked(Pending pending, ProbeOutcome outcome,
-                                  PumpResult& result, std::uint64_t issue_round)
-      REVTR_REQUIRES(mu_);
+  // The deliver step shared by every executor: removes the claimed pending
+  // entry, accounts and audits its wire probe (or offline job), and fans the
+  // outcome out to every waiter. `issue_round` is the round the demand was
+  // claimed in — the audit records it for I7's per-round window check.
+  void account_and_deliver_locked(std::uint64_t pending_id,
+                                  ProbeOutcome outcome,
+                                  std::uint64_t issue_round,
+                                  PumpResult& result) REVTR_REQUIRES(mu_);
   void deliver_locked(std::uint64_t set_id, std::size_t slot,
                       ProbeOutcome outcome) REVTR_REQUIRES(mu_);
   // Requeues every assignment in flight on `agent` (detach/expiry path).
@@ -383,10 +407,6 @@ class ProbeScheduler {
   std::uint64_t next_agent_ REVTR_GUARDED_BY(mu_) = 1;
   std::uint64_t next_ticket_ REVTR_GUARDED_BY(mu_) = 1;
   SchedulerStats stats_ REVTR_GUARDED_BY(mu_);
-  // issue_spoof_batch_locked scratch, reused across batches.
-  std::vector<Pending> batch_pendings_ REVTR_GUARDED_BY(mu_);
-  std::vector<probing::RrBatchItem> batch_items_ REVTR_GUARDED_BY(mu_);
-  std::vector<probing::RrProbeResult> batch_results_ REVTR_GUARDED_BY(mu_);
 };
 
 }  // namespace revtr::sched

@@ -50,8 +50,9 @@ bool DaemonClient::send_frame(const Message& message) {
   const auto frame = encode_frame(message);
   std::size_t written = 0;
   while (written < frame.size()) {
-    const ssize_t n =
-        write(fd_, frame.data() + written, frame.size() - written);
+    // MSG_NOSIGNAL: a daemon that hung up fails the send, not the process.
+    const ssize_t n = send(fd_, frame.data() + written,
+                           frame.size() - written, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;

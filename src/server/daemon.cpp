@@ -522,8 +522,9 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
   if (const AgentProbeResult* res = std::get_if<AgentProbeResult>(&message)) {
     if (conn.is_agent) {
       // Stale tickets (requeued off an expired agent) are dropped inside
-      // deliver_assignment; nothing to do here either way.
-      scheduler_->deliver_assignment(conn.agent, res->ticket, res->reply);
+      // deliver_assignment; either way the result counts as liveness.
+      scheduler_->deliver_assignment(conn.agent, res->ticket, res->reply,
+                                     now_us());
       work_cv_.notify_all();
       return;
     }
@@ -572,8 +573,10 @@ void ServerDaemon::net_loop() {
   const auto try_flush = [](Conn& conn) {
     std::size_t written = 0;
     while (written < conn.out.size()) {
-      const ssize_t n = write(conn.fd, conn.out.data() + written,
-                              conn.out.size() - written);
+      // MSG_NOSIGNAL: a peer that hung up (a crashed agent, a vanished
+      // client) closes its connection, not the daemon by SIGPIPE.
+      const ssize_t n = send(conn.fd, conn.out.data() + written,
+                             conn.out.size() - written, MSG_NOSIGNAL);
       if (n > 0) {
         written += static_cast<std::size_t>(n);
         continue;
@@ -898,7 +901,8 @@ void ServerDaemon::worker_loop(std::size_t w) {
     if (options_.remote_probing) {
       pumped.issued = dispatch_to_agents();
     } else {
-      pumped = scheduler_->pump(stack.prober);
+      // This worker executes the demands it submitted, on its own stack.
+      pumped = scheduler_->pump(stack.prober, w);
     }
     auto ready = scheduler_->collect_ready(w);
     for (auto& resolved : ready) {
@@ -915,9 +919,9 @@ void ServerDaemon::worker_loop(std::size_t w) {
       scheduler_->submit(resolved.task, w, {demands.begin(), demands.end()});
     }
     if (ready.empty() && pumped.issued == 0) {
-      // Our outcomes are in another worker's pump or throttled until the
-      // next round's token refill (remote mode: in flight on an agent).
-      // Yield rather than spin hot.
+      // Our outcomes ride on another worker's in-flight probe or are
+      // throttled until the next round's token refill (remote mode: in
+      // flight on an agent). Yield rather than spin hot.
       std::this_thread::yield();
     }
   }

@@ -19,8 +19,10 @@
 //   workers       mirror service/parallel.cpp's staged pump loop: each owns
 //                 a private Network + Prober + RevtrEngine stack, pops
 //                 queued requests, multiplexes them as resumable
-//                 core::RequestTasks over the shared scheduler, and pushes
-//                 encoded RESULT frames back through the completion queue.
+//                 core::RequestTasks over the shared scheduler, executes
+//                 the probes its own requests demanded on its own stack
+//                 (outside the scheduler lock), and pushes encoded RESULT
+//                 frames back through the completion queue.
 //   caller        start() / request_drain() / wait_until_drained() / stop().
 //
 // mu_ (lock rank 110, above every library mutex) guards the submission

@@ -118,8 +118,9 @@ ParallelCampaignReport ParallelCampaignDriver::run(
     // One scheduler shared by every worker: coalescing and per-VP windows
     // apply across the whole campaign, not per worker. Each worker loop
     // multiplexes the requests it owns (input index ≡ worker mod workers)
-    // as resumable tasks; any worker's pump may issue any queued probe
-    // (outcomes are content-addressed, so who issues is irrelevant).
+    // as resumable tasks and pumps only its own demands, executing them on
+    // its own stack outside the scheduler lock; a demand identical to one
+    // in flight on another worker rides on that probe.
     sched::ProbeScheduler scheduler(options_.sched);
     std::optional<sched::SchedMetrics> sched_metrics;
     if (options_.metrics != nullptr) {
@@ -180,7 +181,7 @@ ParallelCampaignReport ParallelCampaignDriver::run(
       }
 
       while (outstanding > 0) {
-        const auto pumped = scheduler.pump(stack.prober);
+        const auto pumped = scheduler.pump(stack.prober, w);
         auto ready = scheduler.collect_ready(w);
         for (auto& resolved : ready) {
           const auto it = active.find(resolved.task);
@@ -204,9 +205,9 @@ ParallelCampaignReport ParallelCampaignDriver::run(
               static_cast<double>(pumped.round_duration_us) * 1e-6 *
               options_.pacing_scale));
         } else if (ready.empty() && pumped.issued == 0) {
-          // Nothing issued, nothing resumed: our outcomes are in another
-          // worker's pump or our demands are throttled until the next
-          // round's token refill. Yield rather than spin hot.
+          // Nothing issued, nothing resumed: our outcomes ride on another
+          // worker's in-flight probe or our demands are throttled until the
+          // next round's token refill. Yield rather than spin hot.
           std::this_thread::yield();
         }
       }

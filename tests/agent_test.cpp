@@ -247,5 +247,66 @@ TEST(AgentSplit, AgentDeathMidCampaignReassignsWithoutDoubleDelivery) {
                                   << violations.front().detail;
 }
 
+TEST(AgentSplit, BusyAgentStaysAliveOnResultsAlone) {
+  constexpr std::size_t kRequests = 6;
+  constexpr std::int64_t kTimeoutUs = 500'000;
+
+  // The controller expires an agent silent for 0.5 s. The agent would
+  // heartbeat only once a minute, and its wall-clock pacing keeps it busy
+  // for several timeouts: the results it streams back are its only sign of
+  // life, and they must be enough.
+  auto options = controller_options("busy");
+  options.remote_probing = true;
+  options.agent_timeout_us = kTimeoutUs;
+  auto busy = agent_options(options, "vp-busy", 2);
+  busy.heartbeat_interval_ms = 60'000;
+  busy.probes_per_sec = 20;
+  agent::AgentDaemon agent(busy);
+
+  bool clean = false;
+  sched::SchedulerStats stats;
+  std::chrono::steady_clock::duration busy_for{};
+  {
+    server::ServerDaemon daemon(options);
+    ASSERT_TRUE(daemon.start());
+    std::thread thread([&] { clean = agent.run(); });
+    while (agent.agent_id() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    server::DaemonClient client;
+    ASSERT_TRUE(client.connect(options.socket_path));
+    ASSERT_TRUE(client.hello("demo-key").has_value());
+    const auto begin = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      server::Submit request;
+      request.request_id = 300 + i;
+      request.dest_index = static_cast<std::uint32_t>(i);
+      ASSERT_TRUE(client.submit(request)) << "request " << i;
+    }
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      std::optional<server::Result> result;
+      ASSERT_EQ(client.next_result_for(result, /*timeout_ms=*/30'000),
+                server::DaemonClient::WaitStatus::kOk)
+          << "requests stranded on an expired agent";
+      EXPECT_FALSE(result->shed);
+    }
+    busy_for = std::chrono::steady_clock::now() - begin;
+
+    daemon.request_drain();
+    daemon.wait_until_drained();
+    thread.join();
+    stats = daemon.sched_stats();
+    daemon.stop();
+  }
+
+  // The campaign outlasted the timeout, so expiry had every chance to fire.
+  EXPECT_GT(busy_for, std::chrono::microseconds(2 * kTimeoutUs));
+  EXPECT_EQ(agent.counters().heartbeats, 0u);
+  EXPECT_EQ(stats.agents_expired, 0u);
+  EXPECT_EQ(stats.reassigned, 0u);
+  EXPECT_TRUE(clean);
+}
+
 }  // namespace
 }  // namespace revtr

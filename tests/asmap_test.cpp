@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
+#include <latch>
 #include <memory>
+#include <set>
+#include <thread>
+#include <vector>
 
 #include "asmap/asmap.h"
 #include "asmap/bdrmap.h"
@@ -253,6 +257,46 @@ TEST_F(AsmapFixture, AdjacentLinksNeverSuspicious) {
       EXPECT_FALSE(rel_->suspicious_link(customer, node.asn));
     }
   }
+}
+
+// Concurrent queries (run under TSan by scripts/check.sh).
+class AsmapConcurrency : public AsmapFixture {};
+
+TEST_F(AsmapConcurrency, TwoThreadsQueryConesOfAFreshTable) {
+  // Both daemon workers ask for cones at once (RequestTask::finalize_flags
+  // -> suspicious_links_in -> is_small) on a table no one has queried yet.
+  const AsRelationships rel(*topo_);
+  std::latch start(2);
+  std::vector<std::size_t> cones[2];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (const auto& node : topo_->ases()) {
+        cones[t].push_back(rel.customer_cone_size(node.asn));
+        (void)rel.is_small(node.asn);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  // The oracle: count the distinct ASes below each AS directly.
+  std::vector<std::size_t> expected;
+  for (const auto& node : topo_->ases()) {
+    std::set<Asn> cone;
+    std::vector<Asn> stack = {node.asn};
+    while (!stack.empty()) {
+      const Asn current = stack.back();
+      stack.pop_back();
+      if (!cone.insert(current).second) continue;
+      for (const Asn customer : topo_->as_node(current).customers) {
+        stack.push_back(customer);
+      }
+    }
+    expected.push_back(cone.size());
+  }
+  EXPECT_EQ(cones[0], expected);
+  EXPECT_EQ(cones[1], expected);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 #include <memory>
 
 #include <algorithm>
+#include <latch>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "routing/bgp.h"
 #include "routing/forwarding.h"
@@ -358,6 +361,64 @@ TEST_F(RoutingFixture, SourceSensitivityOnlyAffectsFlaggedAses) {
     ASSERT_GE(r2.size(), 2u);
     EXPECT_EQ(r1[1], r2[1]) << "AS " << node.asn;
   }
+}
+
+// --------------------------------------------------------------------------
+// Concurrent lookups over cold tables (run under TSan by scripts/check.sh)
+// --------------------------------------------------------------------------
+
+class RoutingConcurrency : public RoutingFixture {};
+
+// Every lookup both tables answer, in one fixed order: BGP next hops for
+// every (destination, AS) pair, then intra next hops and distances for
+// every router pair of every AS.
+std::vector<std::uint32_t> all_lookups(const Topology& topo,
+                                       const BgpTable& bgp,
+                                       const IntraRouting& intra) {
+  std::vector<std::uint32_t> out;
+  for (AsIndex dest = 0; dest < topo.num_ases(); ++dest) {
+    for (AsIndex from = 0; from < topo.num_ases(); ++from) {
+      out.push_back(bgp.next_hop(dest, from));
+      out.push_back(bgp.alt_next_hop(dest, from));
+    }
+  }
+  for (const auto& node : topo.ases()) {
+    for (const auto from : node.routers) {
+      for (const auto to : node.routers) {
+        const auto hops = intra.next_hops(from, to);
+        out.push_back(hops.primary);
+        out.push_back(hops.alternate);
+        out.push_back(intra.distance(from, to));
+      }
+    }
+  }
+  return out;
+}
+
+TEST_F(RoutingConcurrency, TwoThreadsFillColdTablesIdentically) {
+  // Fresh tables: every column and matrix is first built while two threads
+  // race to read it, the way two daemon workers probe at once.
+  const BgpTable bgp(*topo_);
+  const IntraRouting intra(*topo_);
+  ASSERT_EQ(bgp.computed_columns(), 0u);
+
+  std::latch start(2);
+  std::vector<std::uint32_t> seen[2];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[t] = all_lookups(*topo_, bgp, intra);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  // Both threads saw exactly what a single-threaded table answers, and each
+  // column was published once, whoever built it.
+  const auto expected = all_lookups(*topo_, *bgp_, *intra_);
+  EXPECT_EQ(seen[0], expected);
+  EXPECT_EQ(seen[1], expected);
+  EXPECT_EQ(bgp.computed_columns(), topo_->num_ases());
 }
 
 }  // namespace

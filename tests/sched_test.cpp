@@ -1,11 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
+#include <thread>
+#include <utility>
 
 #include "analysis/invariants.h"
 #include "eval/harness.h"
 #include "obs/metrics.h"
 #include "sched/scheduler.h"
+#include "sim/network.h"
 
 namespace revtr::sched {
 namespace {
@@ -22,9 +32,14 @@ topology::TopologyConfig tiny_config() {
   return config;
 }
 
+constexpr std::uint64_t kLabSeed = 7;
+
 class SchedFixture : public ::testing::Test {
  protected:
-  void SetUp() override { lab_ = std::make_unique<eval::Lab>(tiny_config()); }
+  void SetUp() override {
+    lab_ = std::make_unique<eval::Lab>(
+        tiny_config(), core::EngineConfig::revtr2(), kLabSeed);
+  }
 
   ProbeDemand ping_demand(std::size_t vp_index, std::size_t host_index) {
     ProbeDemand demand;
@@ -32,6 +47,12 @@ class SchedFixture : public ::testing::Test {
     demand.from = lab_->topo.vantage_points()[vp_index];
     demand.target =
         lab_->topo.host(lab_->topo.probe_hosts()[host_index]).addr;
+    return demand;
+  }
+
+  ProbeDemand rr_demand(std::size_t vp_index, std::size_t host_index) {
+    ProbeDemand demand = ping_demand(vp_index, host_index);
+    demand.type = probing::ProbeType::kRecordRoute;
     return demand;
   }
 
@@ -268,6 +289,274 @@ TEST_F(SchedFixture, AuditSatisfiesI7AndCatchesTampering) {
   SchedOptions narrow;
   narrow.vp_window = 2;
   EXPECT_FALSE(analysis::check_scheduler(overdriven, narrow).empty());
+}
+
+TEST_F(SchedFixture, OwnerScopedPumpLeavesOtherOwnersQueued) {
+  SchedOptions options;
+  options.vp_tokens_per_round = 1;
+  options.vp_token_burst = 1;
+  ProbeScheduler scheduler(options);
+  scheduler.submit(1, 0, {ping_demand(0, 0)});
+  scheduler.submit(2, 1, {ping_demand(0, 1)});
+  // Owner 1 rides on owner 0's still-queued probe.
+  scheduler.submit(3, 1, {ping_demand(0, 0)});
+
+  // Owner 1's round claims only owner 1's demand, and owner 0's queued
+  // demand spends none of the VP's single token.
+  EXPECT_EQ(scheduler.pump(lab_->prober, 1).issued, 1u);
+  EXPECT_TRUE(scheduler.collect_ready(0).empty());
+  auto ready = scheduler.collect_ready(1);
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_EQ(ready[0].task, 2u);
+  EXPECT_FALSE(scheduler.idle());
+
+  // Nothing of owner 1's is queued any more: its pump is not a round.
+  const std::uint64_t rounds = scheduler.stats().rounds;
+  EXPECT_EQ(scheduler.pump(lab_->prober, 1).issued, 0u);
+  EXPECT_EQ(scheduler.stats().rounds, rounds);
+
+  // Owner 0 executes its own demand; the outcome reaches owner 1's rider.
+  EXPECT_EQ(scheduler.pump(lab_->prober, 0).issued, 1u);
+  ready = scheduler.collect_ready(0);
+  ASSERT_EQ(ready.size(), 1u);
+  EXPECT_FALSE(ready[0].outcomes[0].coalesced);
+  auto rider = scheduler.collect_ready(1);
+  ASSERT_EQ(rider.size(), 1u);
+  EXPECT_EQ(rider[0].task, 3u);
+  EXPECT_TRUE(rider[0].outcomes[0].coalesced);
+  EXPECT_EQ(rider[0].outcomes[0].digest(), ready[0].outcomes[0].digest());
+  EXPECT_TRUE(scheduler.idle());
+}
+
+// --- Probes executing outside the scheduler lock. --------------------------
+
+// The concurrency suite: run under TSan by scripts/check.sh.
+class SchedConcurrency : public SchedFixture {};
+
+// A transport that submits `rider` as task 2 of owner 1 from inside its
+// first execute(): a demand arriving while the probe is on the wire.
+class ReentrantTransport final : public probing::ProbeTransport {
+ public:
+  ReentrantTransport(probing::Prober& prober, ProbeScheduler& scheduler,
+                     ProbeDemand rider)
+      : inner_(prober), scheduler_(scheduler), rider_(std::move(rider)) {}
+
+  probing::ProbeReply execute(const probing::ProbeSpec& spec) override {
+    ++probes;
+    if (rider_.has_value()) {
+      scheduler_.submit(2, 1, {*std::exchange(rider_, std::nullopt)});
+    }
+    return inner_.execute(spec);
+  }
+
+  void execute_batch(std::span<const probing::RrBatchItem> items,
+                     std::vector<probing::RrProbeResult>& out) override {
+    probes += items.size();
+    inner_.execute_batch(items, out);
+  }
+
+  std::size_t probes = 0;
+
+ private:
+  probing::LocalProbeTransport inner_;
+  ProbeScheduler& scheduler_;
+  std::optional<ProbeDemand> rider_;
+};
+
+// Aborts the test binary if its scope is still running after `limit`: a
+// deadlock must fail the suite, not hang it.
+class Watchdog {
+ public:
+  explicit Watchdog(std::chrono::seconds limit)
+      : thread_([this, limit] {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: deadlock, aborting\n");
+            std::abort();
+          }
+        }) {}
+
+  ~Watchdog() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+TEST_F(SchedConcurrency, DemandSubmittedMidProbeRidesTheInFlightProbe) {
+  SchedOptions options;
+  ProbeScheduler scheduler(options);
+  SchedulerAudit audit;
+  scheduler.set_audit(&audit);
+  scheduler.submit(1, 0, {rr_demand(0, 0)});
+  ReentrantTransport transport(lab_->prober, scheduler, rr_demand(0, 0));
+
+  // Probing under the scheduler lock would deadlock on the re-entrant
+  // submit.
+  ProbeScheduler::PumpResult pumped;
+  {
+    const Watchdog watchdog(std::chrono::seconds(30));
+    pumped = scheduler.pump(transport, 0);
+  }
+
+  // One wire probe served both demands.
+  EXPECT_EQ(pumped.issued, 1u);
+  EXPECT_EQ(transport.probes, 1u);
+  const auto stats = scheduler.stats();
+  EXPECT_EQ(stats.demanded, 2u);
+  EXPECT_EQ(stats.issued, 1u);
+  EXPECT_EQ(stats.coalesced, 1u);
+
+  auto first = scheduler.collect_ready(0);
+  auto rider = scheduler.collect_ready(1);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(rider.size(), 1u);
+  const ProbeOutcome& issued = first[0].outcomes[0];
+  const ProbeOutcome& copy = rider[0].outcomes[0];
+  EXPECT_FALSE(issued.coalesced);
+  EXPECT_TRUE(copy.coalesced);
+  EXPECT_EQ(copy.responded, issued.responded);
+  EXPECT_EQ(copy.slots, issued.slots);
+  EXPECT_EQ(copy.duration_us, issued.duration_us);
+  EXPECT_EQ(copy.packets, issued.packets);
+  EXPECT_EQ(copy.digest(), issued.digest());
+  EXPECT_TRUE(scheduler.idle());
+
+  ASSERT_EQ(audit.issues.size(), 1u);
+  ASSERT_EQ(audit.deliveries.size(), 1u);
+  EXPECT_TRUE(analysis::check_scheduler(audit, options).empty());
+}
+
+// Drives every task of `owner` through three demand sets, pumping only that
+// owner's demands on `prober`, and records each outcome digest by (task,
+// set). Demands overlap across tasks and owners, so some ride on probes the
+// other owner has in flight.
+class OwnerLoop {
+ public:
+  static constexpr std::size_t kTasks = 24;
+  static constexpr std::size_t kSets = 3;
+
+  using Digests = std::map<std::pair<std::uint64_t, std::size_t>,
+                           std::vector<std::uint64_t>>;
+
+  OwnerLoop(const eval::Lab& lab, std::size_t owner)
+      : lab_(lab), owner_(owner) {}
+
+  std::vector<ProbeDemand> demands(std::uint64_t task, std::size_t set) const {
+    const auto vp = [&](std::size_t i) {
+      return lab_.topo.vantage_points()[i % lab_.topo.vantage_points().size()];
+    };
+    const auto host = [&](std::size_t i) {
+      return lab_.topo.host(lab_.topo.probe_hosts()[i % 8]).addr;
+    };
+    const net::Ipv4Addr ingress((task + set) % 2 == 0 ? 0x0a000001
+                                                      : 0x0a000002);
+    std::vector<ProbeDemand> out(3);
+    out[0].type = probing::ProbeType::kPing;
+    out[0].from = vp(task % 3);
+    out[0].target = host(task + set);
+    out[1].type = probing::ProbeType::kRecordRoute;
+    out[1].from = vp(set);
+    out[1].target = host(task / 2);
+    out[2].type = probing::ProbeType::kSpoofedRecordRoute;
+    out[2].from = vp(1 + task % 2);
+    out[2].target = host(task + 2 * set);
+    out[2].spoof_as = lab_.topo.host(vp(0)).addr;
+    out[2].batch_ingress = ingress;
+    return out;
+  }
+
+  // Runs `owner`'s tasks to completion: submit, pump, collect, resubmit.
+  void run(ProbeScheduler& scheduler, probing::Prober& prober,
+           std::size_t owners) {
+    std::map<std::uint64_t, std::size_t> next_set;
+    for (std::uint64_t task = owner_; task < kTasks; task += owners) {
+      scheduler.submit(task, owner_, demands(task, 0));
+      next_set[task] = 1;
+    }
+    while (!next_set.empty()) {
+      const auto pumped = scheduler.pump(prober, owner_);
+      auto ready = scheduler.collect_ready(owner_);
+      for (auto& resolved : ready) {
+        const std::size_t set = next_set.at(resolved.task);
+        auto& digests = digests_[{resolved.task, set - 1}];
+        for (const ProbeOutcome& outcome : resolved.outcomes) {
+          digests.push_back(outcome.digest());
+        }
+        if (set == kSets) {
+          next_set.erase(resolved.task);
+          continue;
+        }
+        scheduler.submit(resolved.task, owner_, demands(resolved.task, set));
+        next_set[resolved.task] = set + 1;
+      }
+      if (ready.empty() && pumped.issued == 0) std::this_thread::yield();
+    }
+  }
+
+  const Digests& digests() const { return digests_; }
+
+ private:
+  const eval::Lab& lab_;
+  const std::size_t owner_;
+  Digests digests_;
+};
+
+TEST_F(SchedConcurrency, ConcurrentOwnerPumpsMatchOneThreadAndKeepI7) {
+  // Reference: one thread runs both owners' tasks in turn.
+  ProbeScheduler reference;
+  OwnerLoop::Digests expected;
+  for (std::size_t owner = 0; owner < 2; ++owner) {
+    OwnerLoop loop(*lab_, owner);
+    loop.run(reference, lab_->prober, 2);
+    expected.insert(loop.digests().begin(), loop.digests().end());
+  }
+  ASSERT_EQ(expected.size(), OwnerLoop::kTasks * OwnerLoop::kSets);
+
+  // Two workers, each with its own Network and Prober over the same
+  // simulated world, pump their own owners at once over one scheduler.
+  SchedOptions options;
+  options.vp_window = 4;  // Small enough that rounds defer demands.
+  ProbeScheduler scheduler(options);
+  SchedulerAudit audit;
+  scheduler.set_audit(&audit);
+  struct Worker {
+    sim::Network network;
+    probing::Prober prober;
+    OwnerLoop loop;
+    Worker(const eval::Lab& lab, std::size_t owner)
+        : network(lab.topo, lab.plane, kLabSeed),
+          prober(network),
+          loop(lab, owner) {}
+  };
+  Worker w0(*lab_, 0);
+  Worker w1(*lab_, 1);
+  std::thread t0([&] { w0.loop.run(scheduler, w0.prober, 2); });
+  std::thread t1([&] { w1.loop.run(scheduler, w1.prober, 2); });
+  t0.join();
+  t1.join();
+  EXPECT_TRUE(scheduler.idle());
+
+  OwnerLoop::Digests got = w0.loop.digests();
+  got.insert(w1.loop.digests().begin(), w1.loop.digests().end());
+  EXPECT_EQ(got, expected);
+
+  const auto stats = scheduler.stats();
+  EXPECT_EQ(stats.demanded, stats.issued + stats.coalesced);
+  EXPECT_GT(stats.coalesced, 0u);
+  EXPECT_EQ(audit.issues.size(), stats.issued);
+  const auto violations = analysis::check_scheduler(audit, options);
+  EXPECT_TRUE(violations.empty()) << violations.size() << " violations, e.g. "
+                                  << violations.front().detail;
 }
 
 // --- Remote dispatcher (controller/agent split, DESIGN.md §15). ------------
