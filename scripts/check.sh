@@ -25,8 +25,9 @@
 # plus a scheduler smoke: a staged campaign with overlapping destinations
 # whose revtr_probes_coalesced_total sample must come out positive. The full
 # gate adds a serverd smoke: an in-process 1k-request replay through
-# revtr_replay (BENCH_serverd.json schema + zero deadline misses +
-# revtr_server_requests_total > 0), then an external revtr_serverd serving
+# revtr_replay (BENCH_serverd.json schema, start-up phase timings in its
+# STATS object + zero deadline misses + revtr_server_requests_total > 0),
+# then an external revtr_serverd serving
 # one revtr_cli client over its AF_UNIX socket and draining cleanly on
 # SIGTERM — and an agent smoke: the same client requests through a
 # controller (--remote-probing) plus two revtr_agentd processes must print
@@ -205,6 +206,10 @@ serverd_smoke() {
     require_bench_fields build/BENCH_serverd.json \
         requests accepted completed replay_requests_per_second \
         wall_p50_us wall_p99_us wall_p999_us peak_rss_bytes
+    # The artifact's "server" object is the daemon's STATS reply: start-up
+    # must be attributed to its phases (lab, ingress survey, atlas).
+    require_bench_fields build/BENCH_serverd.json \
+        startup_lab_s startup_survey_s startup_atlas_s
     if ! grep -q '"deadline_missed": *0[,}]' build/BENCH_serverd.json; then
         echo "serverd smoke: deadline misses in a hot-cache closed-loop" \
              "replay with 30s budgets" >&2

@@ -1,5 +1,7 @@
 #include "eval/harness.h"
 
+#include "util/thread_pool.h"
+
 namespace revtr::eval {
 
 Lab::Lab(const topology::TopologyConfig& topo_config,
@@ -25,9 +27,8 @@ void Lab::bootstrap_source(topology::HostId source, std::size_t atlas_size) {
 
 void Lab::precompute_ingresses(
     std::span<const topology::PrefixId> prefixes) {
-  for (const auto prefix : prefixes) {
-    ingress.discover(prefix, topo.vantage_points(), rng);
-  }
+  ingress.discover_all(prefixes, topo.vantage_points(), rng,
+                       util::available_cpus());
 }
 
 void Lab::precompute_all_ingresses() {

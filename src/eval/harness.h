@@ -29,8 +29,9 @@ class Lab {
   // Builds the atlas (Q1) and RR alias index (Q2) for a source.
   void bootstrap_source(topology::HostId source, std::size_t atlas_size);
 
-  // Runs the offline ingress survey (Q3) for the given prefixes, leaving
-  // probe counters untouched so online accounting stays clean.
+  // Runs the offline ingress survey (Q3) for the given prefixes on every
+  // CPU the process may use (IngressDiscovery::discover_all). Its probes
+  // count as offline, so online accounting stays clean.
   void precompute_ingresses(std::span<const topology::PrefixId> prefixes);
   void precompute_all_ingresses();
 

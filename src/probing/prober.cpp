@@ -94,6 +94,14 @@ std::vector<Ipv4Addr> TracerouteResult::responsive_hops() const {
 
 Prober::Prober(sim::Network& network) : network_(network) {}
 
+void Prober::absorb(const Prober& other) {
+  counters_ += other.counters_;
+  offline_counters_ += other.offline_counters_;
+  // Ids wrap at 16 bits, so sequential sends and sends split across probers
+  // land on the same next id.
+  sequence_ = static_cast<std::uint16_t>(sequence_ + other.sequence_);
+}
+
 void Prober::charge(ProbeType type) {
   const auto bump = [type](ProbeCounters& c) {
     switch (type) {

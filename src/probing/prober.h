@@ -53,6 +53,7 @@ struct ProbeCounters {
   }
   ProbeCounters& operator+=(const ProbeCounters& other);
   ProbeCounters operator-(const ProbeCounters& other) const;
+  bool operator==(const ProbeCounters&) const = default;
 };
 
 // One probe as emitted by the Prober, with its observed outcome. This is the
@@ -73,6 +74,8 @@ struct ProbeEvent {
   std::vector<bool> stamped;           // TS stamps observed.
   std::vector<net::Ipv4Addr> tr_hops;  // Traceroute responsive hops in order.
   bool tr_reached = false;
+
+  bool operator==(const ProbeEvent&) const = default;
 };
 
 // Passive tap on every probe the Prober emits. Observers must not issue
@@ -221,6 +224,19 @@ class Prober {
   void set_fault_policy(FaultPolicy policy) {
     fault_policy_ = std::move(policy);
   }
+  const ProbeMetrics* metrics() const noexcept { return metrics_; }
+  // True when an observer or a fault policy sees this prober's probes one
+  // by one, in the order they are sent.
+  bool observed() const noexcept {
+    return observer_ != nullptr || static_cast<bool>(fault_policy_);
+  }
+
+  // Folds the probes `other` sent into this prober, as if this prober had
+  // sent them: counters() and offline_counters() add up (overflow-checked)
+  // and the packet-id sequence advances by as many ids as `other` drew.
+  // `other` must have started fresh. The offline ingress survey fans its
+  // probes out over private probers and absorbs them here at the join.
+  void absorb(const Prober& other);
 
   sim::Network& network() noexcept { return network_; }
   const topology::Topology& topo() const noexcept { return network_.topo(); }

@@ -76,6 +76,10 @@ const BgpTable::Column& BgpTable::column(AsIndex dest) const {
                       [&](Column& column) { compute_column(dest, column); });
 }
 
+void BgpTable::build_all() const {
+  for (AsIndex dest = 0; dest < topo_.num_ases(); ++dest) (void)column(dest);
+}
+
 Asn BgpTable::next_hop(AsIndex dest, AsIndex from) const {
   return column(dest).next[from];
 }

@@ -53,6 +53,12 @@ class BgpTable {
 
   const Column& column(topology::AsIndex dest) const;
 
+  // Computes every column now, on the calling thread. A full ingress survey
+  // crosses every column anyway (every AS originates a surveyed prefix), so
+  // it builds them all up front before fanning probes out to threads
+  // (util::LazySlots explains why).
+  void build_all() const;
+
   // Preferred next-hop ASN from `from` toward destination AS `dest`;
   // 0 when unreachable.
   topology::Asn next_hop(topology::AsIndex dest, topology::AsIndex from) const;

@@ -18,6 +18,11 @@ ForwardingPlane::ForwardingPlane(const topology::Topology& topo,
                                  const IntraRouting& intra)
     : topo_(topo), bgp_(bgp), intra_(intra) {}
 
+void ForwardingPlane::build_all() const {
+  bgp_.build_all();
+  intra_.build_all();
+}
+
 RouterId ForwardingPlane::origin_router(HostId host) const {
   return topo_.host(host).attachment;
 }

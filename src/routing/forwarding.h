@@ -69,6 +69,10 @@ class ForwardingPlane {
   // Convenience for single-shot queries: resolve + decide.
   Decision decide(topology::RouterId current, const PacketContext& ctx) const;
 
+  // Builds every routing table the plane consults (BgpTable::build_all,
+  // IntraRouting::build_all) on the calling thread.
+  void build_all() const;
+
   // The first router a packet from this host traverses.
   topology::RouterId origin_router(topology::HostId host) const;
 

@@ -25,6 +25,10 @@ const IntraRouting::AsMatrix& IntraRouting::matrix(
   return matrices_.get(as, [&](AsMatrix& m) { compute(as, m); });
 }
 
+void IntraRouting::build_all() const {
+  for (topology::AsIndex as = 0; as < topo_.num_ases(); ++as) (void)matrix(as);
+}
+
 void IntraRouting::compute(topology::AsIndex as, AsMatrix& m) const {
   const auto& routers = topo_.as_at(as).routers;
   const std::size_t n = routers.size();

@@ -42,6 +42,12 @@ class IntraRouting {
   // UINT16_MAX when disconnected).
   std::uint16_t distance(topology::RouterId from, topology::RouterId to) const;
 
+  // Computes every AS's matrix now, on the calling thread. A full ingress
+  // survey touches nearly all of them (every AS a probe crosses), so it
+  // builds them up front before fanning probes out to threads
+  // (util::LazySlots explains why).
+  void build_all() const;
+
  private:
   struct AsMatrix {
     // local_index(from) * size + local_index(to) -> NextHops / distance.

@@ -124,12 +124,21 @@ bool ServerDaemon::start() {
                   std::chrono::steady_clock::now().time_since_epoch())
                   .count();
 
+  using Clock = std::chrono::steady_clock;
+  const auto seconds_since = [](Clock::time_point begin) {
+    return std::chrono::duration<double>(Clock::now() - begin).count();
+  };
+
   // --- Measurement stack: built once, hot for the daemon's lifetime. ---
+  Clock::time_point phase = Clock::now();
   lab_ = std::make_unique<eval::Lab>(options_.topo, options_.engine,
                                      options_.seed);
+  startup_.lab_s = seconds_since(phase);
   // Every ingress plan is surveyed now so no worker ever triggers an
   // on-demand discovery mid-request (same rule as the campaign driver).
+  phase = Clock::now();
   lab_->precompute_all_ingresses();
+  startup_.survey_s = seconds_since(phase);
 
   service_metrics_ = std::make_unique<service::ServiceMetrics>(registry_);
   engine_metrics_ = std::make_unique<core::EngineMetrics>(registry_);
@@ -137,6 +146,7 @@ bool ServerDaemon::start() {
   sched_metrics_ = std::make_unique<sched::SchedMetrics>(registry_);
   lab_->prober.set_metrics(&*probe_metrics_);
 
+  phase = Clock::now();
   service_ = std::make_unique<service::RevtrService>(lab_->engine, lab_->atlas,
                                                      lab_->prober, lab_->topo);
   service_->set_metrics(&*service_metrics_);
@@ -150,6 +160,7 @@ bool ServerDaemon::start() {
       source_hosts_.push_back(vps[i]);
     }
   }
+  startup_.atlas_s = seconds_since(phase);
   if (source_hosts_.empty()) {
     std::fprintf(stderr, "revtr_serverd: no vantage point bootstrapped\n");
     return false;
@@ -326,6 +337,9 @@ std::string ServerDaemon::build_stats_json() {
   json["inflight"] = static_cast<std::uint64_t>(inflight);
   json["draining"] = draining;
   json["drained"] = drained;
+  json["startup_lab_s"] = startup_.lab_s;
+  json["startup_survey_s"] = startup_.survey_s;
+  json["startup_atlas_s"] = startup_.atlas_s;
   if (const auto* wall =
           snapshot.find_histogram("revtr_server_request_wall_us")) {
     json["wall_count"] = wall->count;

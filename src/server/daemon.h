@@ -24,6 +24,9 @@
 //                 (outside the scheduler lock), and pushes encoded RESULT
 //                 frames back through the completion queue.
 //   caller        start() / request_drain() / wait_until_drained() / stop().
+//   survey        transient: start() fans the offline ingress survey out
+//                 over the process's CPUs (IngressDiscovery::discover_all)
+//                 and joins those threads before the others exist.
 //
 // mu_ (lock rank 110, above every library mutex) guards the submission
 // queue, the admission controller, the quota service, the counters, and the
@@ -106,6 +109,14 @@ struct ServerOptions {
   sched::SchedulerAudit* sched_audit = nullptr;
 };
 
+// Wall time of start()'s three phases, in seconds. The STATS reply carries
+// them as startup_lab_s / startup_survey_s / startup_atlas_s.
+struct StartupTimings {
+  double lab_s = 0;     // eval::Lab: topology, routing, simulator.
+  double survey_s = 0;  // Offline ingress survey of every prefix (Q3).
+  double atlas_s = 0;   // Source bootstrap: atlas + RR alias index (Q1/Q2).
+};
+
 // Lifetime totals, copied out under the daemon mutex. The same numbers back
 // the STATS reply and the Prometheus counters; this plain struct is for
 // tests and the replayer's artifact.
@@ -131,6 +142,8 @@ class ServerDaemon {
   // tenants and sources, binds the socket, and spawns the net thread and
   // workers. False on socket errors (message on stderr).
   bool start();
+  // Phase wall times of the last start(); zeros before it.
+  StartupTimings startup_timings() const noexcept { return startup_; }
 
   // Begins a graceful drain. Async-signal-safe: an atomic flag plus a
   // write() to the self-pipe; the net thread does the actual transition.
@@ -265,6 +278,7 @@ class ServerDaemon {
   int wake_pipe_[2] = {-1, -1};  // lint: lock-free(set at start)
   // steady_clock at start().
   std::int64_t epoch_ns_ = 0;  // lint: lock-free(set once at start)
+  StartupTimings startup_;  // lint: lock-free(set once at start)
 
   // Set by request_drain() (possibly from a signal handler); the net thread
   // converts it into the guarded draining_ transition.

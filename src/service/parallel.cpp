@@ -46,22 +46,24 @@ ParallelCampaignDriver::ParallelCampaignDriver(const CampaignDeps& deps,
     : deps_(deps), options_(options) {}
 
 void ParallelCampaignDriver::precompute_ingress_plans() {
-  util::Rng rng(util::mix_hash(options_.seed, 0x1a9e55ULL));
+  std::vector<topology::PrefixId> unplanned;
   for (const auto& prefix : deps_.topo.prefixes()) {
     if (deps_.ingress.plan_for(prefix.id) == nullptr) {
-      deps_.ingress.discover(prefix.id, deps_.topo.vantage_points(), rng);
+      unplanned.push_back(prefix.id);
     }
   }
+  util::Rng rng(util::mix_hash(options_.seed, 0x1a9e55ULL));
+  deps_.ingress.discover_all(unplanned, deps_.topo.vantage_points(), rng,
+                             util::available_cpus());
 }
 
 ParallelCampaignReport ParallelCampaignDriver::run(
     std::span<const std::pair<topology::HostId, topology::HostId>> pairs) {
   const auto wall_begin = std::chrono::steady_clock::now();
 
-  // Every prefix gets its ingress plan now, on this thread, through the
-  // ingress module's own prober. Workers then only ever *read* plans, and a
-  // plan pointer held across a spoofed batch cannot be invalidated by a
-  // concurrent on-demand survey.
+  // Every prefix gets its ingress plan now, before any worker starts.
+  // Workers then only ever *read* plans, and a plan pointer held across a
+  // spoofed batch cannot be invalidated by a concurrent on-demand survey.
   precompute_ingress_plans();
 
   const std::size_t workers = std::max<std::size_t>(options_.workers, 1);

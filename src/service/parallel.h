@@ -132,9 +132,9 @@ class ParallelCampaignDriver {
       std::span<const std::pair<topology::HostId, topology::HostId>> pairs);
 
  private:
-  // Surveys every prefix that has no ingress plan yet, through the
-  // ingress module's own control prober, so workers never hit the
-  // on-demand discovery path concurrently.
+  // Surveys every prefix that has no ingress plan yet
+  // (IngressDiscovery::discover_all, fanned out over the process's CPUs),
+  // so workers never hit the on-demand discovery path concurrently.
   void precompute_ingress_plans();
 
   CampaignDeps deps_;

@@ -106,6 +106,7 @@ class Network {
   std::uint64_t probes_injected() const noexcept { return probes_injected_; }
 
   const topology::Topology& topo() const noexcept { return topo_; }
+  const routing::ForwardingPlane& plane() const noexcept { return plane_; }
 
  private:
   // One forwarding pass: from `origin` router until delivery/drop. Returns

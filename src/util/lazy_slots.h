@@ -10,6 +10,14 @@
 // the other frees its copy and returns the published one. The builder must
 // therefore be deterministic — any thread's value must be the value.
 //
+// Laziness pays only when some slots stay cold. A caller that is about to
+// touch every slot from several threads (the full offline ingress survey
+// crosses every BGP column and almost every intra-AS matrix) fills them all
+// from one thread first — BgpTable::build_all() / IntraRouting::build_all().
+// Otherwise the threads race to build the same cold slots, throwing the
+// losers' copies away, and the published values land scattered over the
+// threads' malloc arenas, which inflates the process's resident set.
+//
 // reset() and reset_all() free published values; they must not race get().
 #pragma once
 

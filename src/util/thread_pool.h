@@ -34,6 +34,11 @@
 
 namespace revtr::util {
 
+// CPUs this process may run on (its sched_getaffinity mask, what nproc
+// prints); at least 1. Fan-outs size themselves with it rather than with an
+// option, since their output never depends on the thread count.
+std::size_t available_cpus();
+
 class ThreadPool {
  public:
   static constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);

@@ -1,7 +1,12 @@
 #include "vpselect/ingress.h"
 
 #include <algorithm>
+#include <future>
 #include <map>
+#include <optional>
+
+#include "sim/network.h"
+#include "util/check.h"
 
 namespace revtr::vpselect {
 
@@ -101,28 +106,24 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::plan_for(
   return it == plans_.end() ? nullptr : it->second;
 }
 
-std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
-    PrefixId prefix, std::span<const HostId> vps, util::Rng& rng,
-    std::span<const HostId> exclude) {
-  // Surveys go through the shared control-plane prober, so serializing the
-  // whole survey (not just the map insert) is required for correctness, not
-  // merely convenience.
-  const util::ExclusiveLock lock(mu_);
-  // Built fresh and swapped in, never rebuilt in place: holders of the old
-  // snapshot keep a consistent plan across a re-discovery.
-  const auto snapshot = std::make_shared<PrefixPlan>();
-  PrefixPlan& plan = *snapshot;
-  plans_[prefix] = snapshot;
-  plan.prefix = prefix;
-  if (const IngressMetrics* metrics = metrics_.load(std::memory_order_acquire);
-      metrics != nullptr) {
-    metrics->surveys->add();
-    metrics->plans->set(static_cast<std::int64_t>(plans_.size()));
-  }
+struct IngressDiscovery::Survey {
+  // One VP with ingress candidates on every responding path.
+  struct Reached {
+    HostId vp;
+    std::vector<Ipv4Addr> candidates;  // Intersection across destinations.
+    std::vector<Ipv4Addr> slots_d1;    // For candidate distances.
+  };
 
-  // The survey is offline measurement (Q3): its probes must never appear in
-  // a request's online budget, whichever caller triggers it.
-  const probing::Prober::OfflineScope offline(prober_);
+  PrefixId prefix = topology::kInvalidId;
+  std::vector<PrefixPlan::VpInfo> vp_info;  // One per VP, in VP order.
+  std::vector<Reached> reached;
+};
+
+IngressDiscovery::Survey IngressDiscovery::probe(
+    PrefixId prefix, std::span<const HostId> vps,
+    std::span<const HostId> exclude, probing::Prober& prober) const {
+  Survey survey;
+  survey.prefix = prefix;
 
   // Pick survey destinations: ping-responsive hosts of the prefix (the
   // hitlist view), excluding any caller-reserved hosts. Infrastructure
@@ -149,25 +150,18 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
       dests.push_back(addr);
     }
   }
-  if (dests.empty()) return snapshot;
+  if (dests.empty()) return survey;
 
   const net::Ipv4Prefix& bgp_prefix = topo_.prefix(prefix).prefix;
 
   // Probe every VP toward each destination; collect reach + candidates.
-  struct VpSurvey {
-    HostId vp;
-    std::vector<Ipv4Addr> candidates;  // Intersection across destinations.
-    std::vector<Ipv4Addr> slots_d1;    // For candidate distances.
-  };
-  std::vector<VpSurvey> surveys;
-
   for (const HostId vp : vps) {
     PrefixPlan::VpInfo info;
     info.vp = vp;
     std::vector<std::vector<Ipv4Addr>> candidate_sets;
     std::vector<Ipv4Addr> first_slots;
     for (std::size_t d = 0; d < dests.size(); ++d) {
-      const auto result = prober_.rr_ping(vp, dests[d]);
+      const auto result = prober.rr_ping(vp, dests[d]);
       if (!result.responded) continue;
       const auto analysis =
           analyze_reach(result.slots, bgp_prefix,
@@ -182,7 +176,7 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
       }
       candidate_sets.push_back(analysis.candidates);
     }
-    plan.vp_info.push_back(info);
+    survey.vp_info.push_back(info);
     if (candidate_sets.empty()) continue;
 
     // Ingress candidates must appear on every responding path.
@@ -198,10 +192,22 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
       common = std::move(next);
     }
     if (!common.empty()) {
-      surveys.push_back(VpSurvey{vp, std::move(common),
-                                 std::move(first_slots)});
+      survey.reached.push_back(
+          Survey::Reached{vp, std::move(common), std::move(first_slots)});
     }
   }
+  return survey;
+}
+
+std::shared_ptr<const PrefixPlan> IngressDiscovery::commit_locked(
+    Survey survey, util::Rng& rng) {
+  // Built fresh and swapped in, never rebuilt in place: holders of the old
+  // snapshot keep a consistent plan across a re-discovery.
+  const auto snapshot = std::make_shared<PrefixPlan>();
+  PrefixPlan& plan = *snapshot;
+  plan.prefix = survey.prefix;
+  plan.vp_info = std::move(survey.vp_info);
+  const std::vector<Survey::Reached>& surveys = survey.reached;
 
   // Greedy set cover: ingress candidates covering the most uncovered VPs
   // win; ties break randomly (§4.3).
@@ -255,11 +261,103 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
                    [](const Ingress& a, const Ingress& b) {
                      return a.vps.size() > b.vps.size();
                    });
+
+  plans_[plan.prefix] = snapshot;
   if (const IngressMetrics* metrics = metrics_.load(std::memory_order_acquire);
-      metrics != nullptr && plan.has_ingresses()) {
-    metrics->prefixes_covered->add();
+      metrics != nullptr) {
+    metrics->surveys->add();
+    metrics->plans->set(static_cast<std::int64_t>(plans_.size()));
+    if (plan.has_ingresses()) metrics->prefixes_covered->add();
   }
   return snapshot;
+}
+
+std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
+    PrefixId prefix, std::span<const HostId> vps, util::Rng& rng,
+    std::span<const HostId> exclude) {
+  // Surveys go through the shared control-plane prober, so serializing the
+  // whole survey (not just the map insert) is required for correctness, not
+  // merely convenience.
+  const util::ExclusiveLock lock(mu_);
+  // The survey is offline measurement (Q3): its probes must never appear in
+  // a request's online budget, whichever caller triggers it.
+  const probing::Prober::OfflineScope offline(prober_);
+  return commit_locked(probe(prefix, vps, exclude, prober_), rng);
+}
+
+void IngressDiscovery::discover_all(std::span<const PrefixId> prefixes,
+                                    std::span<const HostId> vps,
+                                    util::Rng& rng, std::size_t threads) {
+  // One private Network + Prober per fan-out thread. An RR ping's path is a
+  // pure function of the salt seed and its endpoints (Network::forward_pass),
+  // never of the packet ids a prober drew before it, so a copy of the
+  // discovery network gets the same replies the discovery prober would.
+  struct Lane {
+    sim::Network network;
+    probing::Prober prober;
+
+    Lane(const sim::Network& discovery, const probing::ProbeMetrics* metrics)
+        : network(discovery), prober(network) {
+      prober.set_metrics(metrics);
+    }
+  };
+  std::vector<std::unique_ptr<Lane>> lanes;
+  {
+    const util::ExclusiveLock lock(mu_);
+    // Stay serial when the outcome depends on wire order: loss draws come
+    // from one stream per Network, and an observer or a fault policy sees
+    // each probe in the order it is sent.
+    const bool wire_order = prober_.network().loss_rate() > 0.0 ||
+                            prober_.observed();
+    const std::size_t lane_count = std::min(threads, prefixes.size());
+    if (lane_count > 1 && !wire_order) {
+      for (std::size_t t = 0; t < lane_count; ++t) {
+        lanes.push_back(
+            std::make_unique<Lane>(prober_.network(), prober_.metrics()));
+      }
+    }
+  }
+  if (lanes.empty()) {
+    for (const PrefixId prefix : prefixes) discover(prefix, vps, rng);
+    return;
+  }
+  // The survey crosses every routing table anyway; building them here keeps
+  // the lanes from racing to build the same cold slots.
+  lanes.front()->network.plane().build_all();
+
+  std::atomic<std::size_t> next{0};
+  // A finished survey waits here until every earlier prefix is committed.
+  std::vector<std::optional<Survey>> finished(prefixes.size());
+  std::size_t committed = 0;
+  const auto run = [&](probing::Prober& prober) {
+    const probing::Prober::OfflineScope offline(prober);
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= prefixes.size()) return;
+      Survey done = probe(prefixes[i], vps, {}, prober);
+      const util::ExclusiveLock lock(mu_);
+      finished[i] = std::move(done);
+      // Whoever holds the lock commits the run of consecutive finished
+      // prefixes, so `rng` is drawn in prefix order.
+      for (; committed < finished.size() && finished[committed].has_value();
+           ++committed) {
+        commit_locked(std::move(*finished[committed]), rng);
+        finished[committed].reset();
+      }
+    }
+  };
+  std::vector<std::future<void>> helpers;
+  for (std::size_t t = 1; t < lanes.size(); ++t) {
+    helpers.push_back(std::async(std::launch::async, run,
+                                 std::ref(lanes[t]->prober)));
+  }
+  run(lanes.front()->prober);
+  // Joins the helpers, rethrowing the first failure.
+  for (auto& helper : helpers) helper.get();
+
+  const util::ExclusiveLock lock(mu_);
+  REVTR_CHECK(committed == prefixes.size());
+  for (const auto& lane : lanes) prober_.absorb(lane->prober);
 }
 
 std::vector<Attempt> attempt_plan(const PrefixPlan& plan,

@@ -67,11 +67,15 @@ ReachAnalysis analyze_reach(std::span<const net::Ipv4Addr> slots,
 struct VpDistance {
   topology::HostId vp = topology::kInvalidId;
   int distance = 0;  // RR slots to the ingress (or to the destination).
+
+  bool operator==(const VpDistance&) const = default;
 };
 
 struct Ingress {
   net::Ipv4Addr addr;
   std::vector<VpDistance> vps;  // Closest first.
+
+  bool operator==(const Ingress&) const = default;
 };
 
 struct PrefixPlan {
@@ -89,9 +93,11 @@ struct PrefixPlan {
       if (dist_d1 >= 0 && dist_d2 >= 0) return (dist_d1 + dist_d2) / 2.0;
       return dist_d1 >= 0 ? dist_d1 : dist_d2;
     }
+    bool operator==(const VpInfo&) const = default;
   };
   std::vector<VpInfo> vp_info;
 
+  bool operator==(const PrefixPlan&) const = default;
   bool has_ingresses() const noexcept { return !ingresses.empty(); }
   // VPs within 8 RR hops ranked by mean distance (fallback ordering).
   std::vector<VpDistance> fallback_ranking() const;
@@ -129,21 +135,62 @@ class IngressDiscovery {
   // e.g. the evaluation destination, via `exclude`). Re-discovering an
   // already-surveyed prefix re-runs the survey and replaces its plan.
   //
-  // Thread safety: discover() serializes on an internal mutex; plan_for()
-  // takes it shared, so concurrent campaign workers can read plans freely.
-  // Both return an immutable snapshot: a re-discovery of the same prefix
-  // builds a fresh plan and swaps the map entry, so holders of an earlier
-  // snapshot keep reading a consistent (if stale) plan instead of racing
-  // an in-place rebuild.
+  // A survey has two phases: the probe phase RR-pings the destinations
+  // from every VP and intersects each VP's ingress candidates; the commit
+  // phase runs the greedy set cover (the only consumer of `rng`) and
+  // publishes the plan and the revtr_ingress_* metrics.
+  //
+  // Thread safety: discover() runs both phases on the discovery prober
+  // under an internal mutex; plan_for() takes it shared, so concurrent
+  // campaign workers can read plans freely. Both return an immutable
+  // snapshot: a re-discovery of the same prefix builds a fresh plan and
+  // swaps the map entry, so holders of an earlier snapshot keep reading a
+  // consistent (if stale) plan instead of racing an in-place rebuild.
   std::shared_ptr<const PrefixPlan> discover(
       topology::PrefixId prefix, std::span<const topology::HostId> vps,
       util::Rng& rng, std::span<const topology::HostId> exclude = {});
+
+  // Surveys every prefix of `prefixes` (no exclusions). The plans, the
+  // draws taken from `rng` and the discovery prober's counters and
+  // packet-id sequence come out exactly as from calling discover() on each
+  // prefix in order, for any `threads`.
+  //
+  // Thread safety: with `threads` > 1 (capped at the number of prefixes)
+  // the probe phases fan out over that many threads, the caller included.
+  // Each probes on a private copy of the discovery prober's Network (same
+  // topology, plane and salt seed) through its own Prober, claiming
+  // prefixes from an atomic index, and never touches the discovery prober.
+  // Finished surveys are committed under the internal mutex strictly in
+  // prefix order, by whichever thread holds it; no thread waits for its
+  // turn. The helpers are joined before discover_all() returns, and their
+  // probers are then absorbed into the discovery prober. The routing
+  // tables are all built on the calling thread first. When the outcome
+  // depends on wire order — network loss is on, or an observer or fault
+  // policy is attached to the discovery prober — and when `threads` <= 1,
+  // discover_all() is the plain discover() loop on the calling thread.
+  void discover_all(std::span<const topology::PrefixId> prefixes,
+                    std::span<const topology::HostId> vps, util::Rng& rng,
+                    std::size_t threads);
 
   std::shared_ptr<const PrefixPlan> plan_for(topology::PrefixId prefix) const;
 
   const Options& options() const noexcept { return options_; }
 
  private:
+  // One prefix's probe-phase outcome, ready for the set cover.
+  struct Survey;
+
+  // Probe phase: picks the destinations and RR-pings them from every VP
+  // through `prober`. Takes no lock; the caller owns `prober`.
+  Survey probe(topology::PrefixId prefix,
+               std::span<const topology::HostId> vps,
+               std::span<const topology::HostId> exclude,
+               probing::Prober& prober) const;
+  // Commit phase: set cover, then publication of the plan and metrics.
+  std::shared_ptr<const PrefixPlan> commit_locked(Survey survey,
+                                                  util::Rng& rng)
+      REVTR_REQUIRES(mu_);
+
   probing::Prober& prober_;
   const topology::Topology& topo_;
   const Options options_;

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/probe_log.h"
 #include "eval/harness.h"
 #include "obs/metrics.h"
 #include "service/parallel.h"
@@ -499,6 +500,174 @@ TEST(IngressConcurrency, RediscoveryRacingPlanReadersIsSafe) {
   }
   surveyor.join();
   for (auto& t : readers) t.join();
+}
+
+// --- IngressDiscovery::discover_all (fan-out survey) -----------------------
+
+topology::TopologyConfig survey_config() {
+  topology::TopologyConfig config;
+  config.seed = 83;
+  config.num_ases = 150;
+  config.num_vps = 8;
+  config.num_vps_2016 = 4;
+  config.num_probe_hosts = 50;
+  return config;
+}
+
+std::vector<topology::PrefixId> all_prefixes(const eval::Lab& lab) {
+  std::vector<topology::PrefixId> prefixes;
+  for (const auto& prefix : lab.topo.prefixes()) prefixes.push_back(prefix.id);
+  return prefixes;
+}
+
+// The reference survey: one discover() per prefix, in order.
+void survey_loop(eval::Lab& lab) {
+  for (const auto prefix : all_prefixes(lab)) {
+    lab.ingress.discover(prefix, lab.topo.vantage_points(), lab.rng);
+  }
+}
+
+// Everything a survey leaves behind.
+struct SurveyOutcome {
+  std::vector<vpselect::PrefixPlan> plans;
+  std::uint64_t next_draw = 0;
+  probing::ProbeCounters counters;
+  probing::ProbeCounters offline;
+  std::uint64_t surveys_total = 0;
+  std::int64_t plans_gauge = 0;
+  std::uint64_t covered_total = 0;
+  // Pings through the discovery prober after the survey.
+  std::vector<util::SimClock::Micros> ping_rtts;
+};
+
+// threads == 0 runs the survey_loop() reference.
+SurveyOutcome run_survey(std::size_t threads) {
+  eval::Lab lab(survey_config());
+  obs::MetricsRegistry registry;
+  const vpselect::IngressMetrics metrics(registry);
+  lab.ingress.set_metrics(&metrics);
+  if (threads == 0) {
+    survey_loop(lab);
+  } else {
+    lab.ingress.discover_all(all_prefixes(lab), lab.topo.vantage_points(),
+                             lab.rng, threads);
+  }
+
+  SurveyOutcome out;
+  for (const auto prefix : all_prefixes(lab)) {
+    const auto plan = lab.ingress.plan_for(prefix);
+    EXPECT_NE(plan, nullptr) << "prefix " << prefix;
+    if (plan != nullptr) out.plans.push_back(*plan);
+  }
+  out.next_draw = lab.rng();
+  out.counters = lab.prober.counters();
+  out.offline = lab.prober.offline_counters();
+  const auto snapshot = registry.snapshot();
+  out.surveys_total =
+      snapshot.find_counter("revtr_ingress_surveys_total")->value;
+  out.plans_gauge = snapshot.find_gauge("revtr_ingress_plans")->value;
+  out.covered_total =
+      snapshot.find_counter("revtr_ingress_prefixes_covered_total")->value;
+
+  // The discovery prober carries on as if it had sent every survey probe
+  // itself, packet ids included, so what it measures next is unchanged:
+  // a plain ping's per-flow ECMP hash covers its packet id, and a few of
+  // these pings cross a load balancer.
+  for (const HostId dest : lab.responsive_destinations()) {
+    for (const HostId vp : lab.topo.vantage_points()) {
+      out.ping_rtts.push_back(
+          lab.prober.ping(vp, lab.topo.host(dest).addr).duration_us);
+    }
+  }
+  return out;
+}
+
+void expect_same_outcome(const SurveyOutcome& got, const SurveyOutcome& want,
+                         std::size_t threads) {
+  SCOPED_TRACE("threads=" + std::to_string(threads));
+  ASSERT_EQ(got.plans.size(), want.plans.size());
+  for (std::size_t p = 0; p < want.plans.size(); ++p) {
+    // Ingress addresses, VP/distance lists and vp_info, field by field.
+    EXPECT_TRUE(got.plans[p] == want.plans[p]) << "plan of prefix "
+                                               << want.plans[p].prefix;
+  }
+  EXPECT_EQ(got.next_draw, want.next_draw);
+  EXPECT_TRUE(got.counters == want.counters);
+  EXPECT_TRUE(got.offline == want.offline);
+  EXPECT_EQ(got.surveys_total, want.surveys_total);
+  EXPECT_EQ(got.plans_gauge, want.plans_gauge);
+  EXPECT_EQ(got.covered_total, want.covered_total);
+  EXPECT_TRUE(got.ping_rtts == want.ping_rtts);
+}
+
+// The fan-out survey publishes exactly what the per-prefix loop does: the
+// same plans, the same draws from the caller's rng, the same probe
+// accounting and metrics. Run under TSan by check.sh (the `Ingress` filter).
+TEST(IngressConcurrency, ParallelSurveyMatchesSerial) {
+  const SurveyOutcome serial = run_survey(0);
+  ASSERT_FALSE(serial.plans.empty());
+  ASSERT_GT(serial.offline.rr, 0u);
+  EXPECT_TRUE(serial.counters == serial.offline) << "survey probes are offline";
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    expect_same_outcome(run_survey(threads), serial, threads);
+  }
+}
+
+// Surveys whose outcome depends on the order probes hit the wire stay the
+// serial loop on the discovery prober, whatever `threads` says.
+TEST(IngressConcurrency, WireOrderDependentSurveyStaysSerial) {
+  const auto prefixes = [] {
+    eval::Lab lab(survey_config());
+    return all_prefixes(lab);
+  }();
+
+  // An observer sees the loop's event sequence.
+  {
+    eval::Lab loop_lab(survey_config());
+    analysis::ProbeLog loop_log;
+    loop_lab.prober.set_observer(&loop_log);
+    survey_loop(loop_lab);
+
+    eval::Lab lab(survey_config());
+    analysis::ProbeLog log;
+    lab.prober.set_observer(&log);
+    lab.ingress.discover_all(prefixes, lab.topo.vantage_points(), lab.rng, 4);
+    ASSERT_FALSE(loop_log.events().empty());
+    EXPECT_TRUE(log.events() == loop_log.events());
+  }
+
+  // Loss draws come from the discovery network's one stream.
+  {
+    eval::Lab loop_lab(survey_config());
+    loop_lab.network.set_loss_rate(0.3);
+    survey_loop(loop_lab);
+
+    eval::Lab lab(survey_config());
+    lab.network.set_loss_rate(0.3);
+    lab.ingress.discover_all(prefixes, lab.topo.vantage_points(), lab.rng, 4);
+    for (const auto prefix : prefixes) {
+      const auto got = lab.ingress.plan_for(prefix);
+      const auto want = loop_lab.ingress.plan_for(prefix);
+      ASSERT_NE(got, nullptr);
+      ASSERT_NE(want, nullptr);
+      EXPECT_TRUE(*got == *want) << "plan of prefix " << prefix;
+    }
+    EXPECT_EQ(lab.rng(), loop_lab.rng());
+  }
+
+  // A fault policy is offered every survey probe.
+  {
+    eval::Lab lab(survey_config());
+    std::uint64_t offered = 0;
+    lab.prober.set_fault_policy([&offered](const probing::ProbeEvent& event) {
+      EXPECT_TRUE(event.offline);
+      ++offered;
+      return false;
+    });
+    lab.ingress.discover_all(prefixes, lab.topo.vantage_points(), lab.rng, 4);
+    EXPECT_GT(offered, 0u);
+    EXPECT_EQ(offered, lab.prober.counters().total());
+  }
 }
 
 // --- ParallelCampaignDriver ----------------------------------------------

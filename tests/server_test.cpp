@@ -6,6 +6,7 @@
 // Suite names matter: scripts/check.sh re-runs ServerDaemon* under TSan.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -351,6 +352,40 @@ TEST(ServerDaemon, StatsReplyIsParseableJson) {
     ASSERT_TRUE(parsed.has_value()) << *stats;
     EXPECT_NE(parsed->find("accepted"), nullptr);
     EXPECT_NE(parsed->find("queued"), nullptr);
+  }
+  daemon.stop();
+}
+
+// An operator can tell where start-up went from STATS alone: the lab build,
+// the ingress survey and the atlas bootstrap, each a part of start()'s wall
+// time.
+TEST(ServerDaemon, StatsReportStartupPhases) {
+  const auto options = small_daemon_options("startup");
+  ServerDaemon daemon(options);
+  const auto begin = std::chrono::steady_clock::now();
+  ASSERT_TRUE(daemon.start());
+  const double start_s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - begin)
+                             .count();
+  {
+    DaemonClient client;
+    ASSERT_TRUE(client.connect(options.socket_path));
+    ASSERT_TRUE(client.hello("demo-key").has_value());
+    const auto stats = client.stats();
+    ASSERT_TRUE(stats.has_value());
+    const auto parsed = util::Json::parse(*stats);
+    ASSERT_TRUE(parsed.has_value()) << *stats;
+    double sum = 0;
+    for (const char* field :
+         {"startup_lab_s", "startup_survey_s", "startup_atlas_s"}) {
+      const util::Json* value = parsed->find(field);
+      ASSERT_NE(value, nullptr) << field;
+      ASSERT_TRUE(value->is_number()) << field;
+      EXPECT_GE(value->as_double(), 0.0) << field;
+      sum += value->as_double();
+    }
+    EXPECT_GT(sum, 0.0);
+    EXPECT_LE(sum, start_s);
   }
   daemon.stop();
 }
