@@ -5,11 +5,15 @@
 #               -Wold-style-cast -Wnon-virtual-dtor), full ctest suite —
 #               includes revtr_lint (with the layering analyzer), the
 #               wire-codec fuzzer, and the revtr_mc model-checker sweep.
-#   2. asan     AddressSanitizer build, full ctest suite (the revtr_mc
+#   2. release  Release (-O3) build of every target under -Werror, build
+#               only: GCC raises some warnings (a false -Wrestrict on
+#               string appends, for one) only at -O3, which the
+#               RelWithDebInfo presets never compile.
+#   3. asan     AddressSanitizer build, full ctest suite (the revtr_mc
 #               state sweep under ASan is the deepest memory check we run).
-#   3. ubsan    UndefinedBehaviorSanitizer with -fno-sanitize-recover=all
+#   4. ubsan    UndefinedBehaviorSanitizer with -fno-sanitize-recover=all
 #               (any UB aborts the test), full ctest suite.
-#   4. tsan     ThreadSanitizer over the concurrency suite (thread pool,
+#   5. tsan     ThreadSanitizer over the concurrency suite (thread pool,
 #               synchronized Distribution, striped caches, sharded metrics,
 #               parallel campaign driver, probes executing outside the
 #               scheduler lock, lazily built routing tables and the AS cone
@@ -354,6 +358,10 @@ sched_smoke
 serverd_smoke
 agent_smoke
 bench_smoke
+echo "==> [release] configure"
+cmake --preset release >/dev/null
+echo "==> [release] build (build only)"
+cmake --build --preset release -j "$JOBS"
 run_config asan
 run_config ubsan
 case "${REVTR_CHECK_TSAN:-1}" in

@@ -1,5 +1,6 @@
 #include "analysis/model_checker.h"
 
+#include <array>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -293,38 +294,56 @@ void record_violations(std::vector<Violation>&& violations,
   }
 }
 
+// One state's measurement stack on a tower: the blocking run and the staged
+// twins each build one from the same seeds, so both start from the same
+// atlas, RR alias index and TS adjacencies. Declaration order matters
+// (members reference earlier ones).
+struct World {
+  World(const Tower& tower, const Endpoints& endpoints,
+        const PresetSpec& preset, const FaultSchedule& schedule,
+        std::uint64_t state_seed, ProbeLog* log)
+      : network(tower.topo, tower.plane, state_seed),
+        prober(network),
+        atlas(prober, tower.topo),
+        ingress(prober, tower.topo),
+        engine(prober, tower.topo, atlas, ingress, tower.ip2as,
+               tower.relationships, preset.config, state_seed) {
+    network.set_loss_rate(schedule.loss_rate);
+    prober.set_observer(log);
+    if (auto policy = make_policy(schedule, tower.topo)) {
+      prober.set_fault_policy(std::move(policy));
+    }
+    util::Rng rng(util::mix_hash(state_seed, 0xa77a5));
+    atlas.build(endpoints.source, 3, rng, 0);
+    atlas.build_rr_alias_index(endpoints.source);
+    if (preset.config.use_timestamp) {
+      for (const auto& tr : atlas.traceroutes(endpoints.source)) {
+        adjacencies.add_path(tr.hops);
+      }
+      engine.set_adjacency_provider(adjacencies.provider());
+    }
+  }
+
+  sim::Network network;
+  probing::Prober prober;
+  atlas::TracerouteAtlas atlas;
+  vpselect::IngressDiscovery ingress;
+  core::RevtrEngine engine;
+  core::AdjacencyMap adjacencies;
+};
+
 void run_state(const Tower& tower, const Endpoints& endpoints,
                const PresetSpec& preset, const FaultSchedule& schedule,
                std::uint64_t state_seed, const std::string& state_label,
                const CheckerOptions& options, CheckerSummary& out) {
-  sim::Network network(tower.topo, tower.plane, state_seed);
-  network.set_loss_rate(schedule.loss_rate);
-  probing::Prober prober(network);
   ProbeLog log;
-  prober.set_observer(&log);
-  if (auto policy = make_policy(schedule, tower.topo)) {
-    prober.set_fault_policy(std::move(policy));
-  }
-
+  World world(tower, endpoints, preset, schedule, state_seed, &log);
+  // A stale-atlas schedule starts measuring a TTL after the atlas was built.
+  const util::SimClock::Micros start_us =
+      schedule.stale_atlas ? preset.config.cache_ttl + util::SimClock::kSecond
+                           : 0;
   util::SimClock clock;
-  util::Rng rng(util::mix_hash(state_seed, 0xa77a5));
-  atlas::TracerouteAtlas atlas(prober, tower.topo);
-  vpselect::IngressDiscovery ingress(prober, tower.topo);
-  core::RevtrEngine engine(prober, tower.topo, atlas, ingress, tower.ip2as,
-                           tower.relationships, preset.config, state_seed);
-
-  atlas.build(endpoints.source, 3, rng, clock.now());
-  atlas.build_rr_alias_index(endpoints.source);
-  core::AdjacencyMap adjacencies;
-  if (preset.config.use_timestamp) {
-    for (const auto& tr : atlas.traceroutes(endpoints.source)) {
-      adjacencies.add_path(tr.hops);
-    }
-    engine.set_adjacency_provider(adjacencies.provider());
-  }
-  if (schedule.stale_atlas) {
-    clock.advance(preset.config.cache_ttl + util::SimClock::kSecond);
-  }
+  clock.advance_to(start_us);
 
   // Two measurements of the same pair per state: the first populates the RR
   // cache, the second replays it (when the preset caches), so cache-replay
@@ -338,10 +357,10 @@ void run_state(const Tower& tower, const Endpoints& endpoints,
     // across the full (shape × preset × schedule) grid.
     obs::Trace trace;
     trace.request_index = round;
-    engine.set_trace(&trace);
+    world.engine.set_trace(&trace);
     const auto result =
-        engine.measure(endpoints.destination, endpoints.source, clock);
-    engine.set_trace(nullptr);
+        world.engine.measure(endpoints.destination, endpoints.source, clock);
+    world.engine.set_trace(nullptr);
     if (round == 0) {
       blocking_result = result;
       switch (result.status) {
@@ -360,13 +379,14 @@ void run_state(const Tower& tower, const Endpoints& endpoints,
     CheckContext ctx;
     ctx.topo = &tower.topo;
     ctx.ip2as = &tower.ip2as;
-    ctx.config = &engine.config();
+    ctx.config = &world.engine.config();
     ctx.window = log.since(mark);
     ctx.lifetime = log.lifetime();
     ctx.trace = &trace;
     auto violations = check_result(result, ctx);
 
-    auto oracle = check_against_truth(result, network, options.oracle_salts);
+    auto oracle =
+        check_against_truth(result, world.network, options.oracle_salts);
     out.oracle_pairs += oracle.pairs_checked;
     out.oracle_permitted += oracle.permitted_divergences;
     for (auto& violation : oracle.violations) {
@@ -376,7 +396,7 @@ void run_state(const Tower& tower, const Endpoints& endpoints,
                       options, out);
   }
 
-  // --- Staged twin (I7). ---------------------------------------------------
+  // --- Staged twins (I7). --------------------------------------------------
   // Replay the request as two identical resumable RequestTasks multiplexed
   // over one ProbeScheduler, on a fresh but identically-seeded world. The
   // deliberately tiny window/token settings force throttling and multi-round
@@ -386,110 +406,57 @@ void run_state(const Tower& tower, const Endpoints& endpoints,
   // blocking run exactly — loss draws and RR rate-limit counters depend on
   // wire order, which staging legitimately changes, so those schedules only
   // get the audit checks.
-  {
-    sim::Network network2(tower.topo, tower.plane, state_seed);
-    network2.set_loss_rate(schedule.loss_rate);
-    probing::Prober prober2(network2);
-    if (auto policy = make_policy(schedule, tower.topo)) {
-      prober2.set_fault_policy(std::move(policy));
-    }
-    util::SimClock build_clock;
-    util::Rng rng2(util::mix_hash(state_seed, 0xa77a5));
-    atlas::TracerouteAtlas atlas2(prober2, tower.topo);
-    vpselect::IngressDiscovery ingress2(prober2, tower.topo);
-    core::RevtrEngine engine2(prober2, tower.topo, atlas2, ingress2,
-                              tower.ip2as, tower.relationships, preset.config,
-                              state_seed);
-    atlas2.build(endpoints.source, 3, rng2, build_clock.now());
-    atlas2.build_rr_alias_index(endpoints.source);
-    core::AdjacencyMap adjacencies2;
-    if (preset.config.use_timestamp) {
-      for (const auto& tr : atlas2.traceroutes(endpoints.source)) {
-        adjacencies2.add_path(tr.hops);
-      }
-      engine2.set_adjacency_provider(adjacencies2.provider());
-    }
+  World twin_world(tower, endpoints, preset, schedule, state_seed, nullptr);
+  sched::SchedOptions sched_options;
+  sched_options.vp_window = 2;
+  sched_options.vp_tokens_per_round = 2;
+  sched_options.vp_token_burst = 4;
+  sched::ProbeScheduler scheduler(sched_options);
+  sched::SchedulerAudit audit;
+  scheduler.set_audit(&audit);
 
-    sched::SchedOptions sched_options;
-    sched_options.vp_window = 2;
-    sched_options.vp_tokens_per_round = 2;
-    sched_options.vp_token_burst = 4;
-    sched::ProbeScheduler scheduler(sched_options);
-    sched::SchedulerAudit audit;
-    scheduler.set_audit(&audit);
-
-    // Each twin owns its clock and RNG; both streams start where the
-    // blocking engine's did (rng_(state_seed) in the ctor), so a twin's
-    // demand sequence replays the blocking measurement exactly.
-    struct Twin {
-      util::SimClock clock;
-      util::Rng rng;
-      std::unique_ptr<core::RequestTask> task;
-      std::optional<core::ReverseTraceroute> result;
-      explicit Twin(std::uint64_t seed) : rng(seed) {}
-    };
-    std::vector<Twin> twins;
-    twins.reserve(2);
-    twins.emplace_back(state_seed);
-    twins.emplace_back(state_seed);
-
-    std::size_t outstanding = 0;
-    for (std::size_t t = 0; t < twins.size(); ++t) {
-      Twin& twin = twins[t];
-      if (schedule.stale_atlas) {
-        twin.clock.advance(preset.config.cache_ttl + util::SimClock::kSecond);
-      }
-      twin.task =
-          engine2.start_request(endpoints.destination, endpoints.source,
-                                twin.clock, twin.rng, nullptr);
-      const auto demands = twin.task->advance();
-      if (twin.task->done()) {  // Atlas hit: no probes needed.
-        twin.result = twin.task->take_result();
-        continue;
-      }
-      scheduler.submit(t, 0, {demands.begin(), demands.end()});
-      ++outstanding;
-    }
-    while (outstanding > 0) {
-      scheduler.pump(prober2);
-      for (auto& ready : scheduler.collect_ready(0)) {
-        Twin& twin = twins[ready.task];
-        twin.task->supply(ready.outcomes);
-        const auto demands = twin.task->advance();
-        if (twin.task->done()) {
-          twin.result = twin.task->take_result();
-          --outstanding;
-          continue;
-        }
-        scheduler.submit(ready.task, 0, {demands.begin(), demands.end()});
-      }
-    }
-
-    ++out.staged_twins;
-    out.staged_coalesced += scheduler.stats().coalesced;
-
-    auto violations = check_scheduler(audit, sched_options);
-    const bool order_insensitive =
-        schedule.loss_rate == 0.0 && schedule.rr_rate_limit == 0;
-    if (order_insensitive) {
-      const std::string sig_a = signature_of(*twins[0].result);
-      const std::string sig_b = signature_of(*twins[1].result);
-      if (sig_a != sig_b) {
-        violations.push_back(
-            Violation{InvariantId::kSchedulerConsistency,
-                      "staged twins diverged: " + sig_a + " vs " + sig_b});
-      }
-      if (const std::string blocking_sig = signature_of(*blocking_result);
-          sig_a != blocking_sig) {
-        violations.push_back(Violation{
-            InvariantId::kSchedulerConsistency,
-            "staged result " + sig_a + " diverges from blocking " +
-                blocking_sig});
-      }
-    }
-    record_violations(std::move(violations), state_label + " (staged)",
-                      options, out);
+  // Each twin's RNG stream starts where the blocking engine's did
+  // (rng_(state_seed) in the ctor), and its clock where the blocking clock
+  // did, so a twin's demand sequence replays the blocking measurement.
+  core::RequestExecutor executor(twin_world.engine, scheduler, 0);
+  std::array<std::optional<core::ReverseTraceroute>, 2> twins;
+  for (auto& twin : twins) {
+    executor.start(endpoints.destination, endpoints.source, start_us,
+                   state_seed, std::nullopt,
+                   [&twin](core::ReverseTraceroute result,
+                           std::optional<obs::Trace> /*trace*/) {
+                     twin = std::move(result);
+                   });
   }
+  while (executor.active() > 0) {
+    scheduler.pump(twin_world.prober);
+    executor.resume_ready();
+  }
+
+  ++out.staged_twins;
+  out.staged_coalesced += scheduler.stats().coalesced;
+
+  auto violations = check_scheduler(audit, sched_options);
+  const bool order_insensitive =
+      schedule.loss_rate == 0.0 && schedule.rr_rate_limit == 0;
+  if (order_insensitive) {
+    const std::string sig_a = signature_of(*twins[0]);
+    const std::string sig_b = signature_of(*twins[1]);
+    if (sig_a != sig_b) {
+      violations.push_back(
+          Violation{InvariantId::kSchedulerConsistency,
+                    "staged twins diverged: " + sig_a + " vs " + sig_b});
+    }
+    if (const std::string blocking_sig = signature_of(*blocking_result);
+        sig_a != blocking_sig) {
+      violations.push_back(Violation{
+          InvariantId::kSchedulerConsistency,
+          "staged result " + sig_a + " diverges from blocking " +
+              blocking_sig});
+    }
+  }
+  record_violations(std::move(violations), state_label + " (staged)", options,
+                    out);
 }
 
 }  // namespace

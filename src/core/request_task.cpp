@@ -763,4 +763,49 @@ std::unique_ptr<RequestTask> RevtrEngine::start_request(HostId destination,
                                        trace);
 }
 
+RequestExecutor::RequestExecutor(RevtrEngine& engine,
+                                 sched::ProbeScheduler& scheduler,
+                                 std::size_t owner)
+    : engine_(engine), scheduler_(scheduler), owner_(owner) {}
+
+void RequestExecutor::start(HostId destination, HostId source,
+                            util::SimClock::Micros start_us,
+                            std::uint64_t rng_seed,
+                            std::optional<obs::Trace> trace,
+                            FinishHandler on_finish) {
+  const auto id = next_id_++;
+  Request& request = active_.try_emplace(id, rng_seed).first->second;
+  request.clock.advance_to(start_us);
+  request.trace = std::move(trace);
+  request.on_finish = std::move(on_finish);
+  request.task = engine_.start_request(
+      destination, source, request.clock, request.rng,
+      request.trace ? &*request.trace : nullptr);
+  step(id, request);
+}
+
+std::size_t RequestExecutor::resume_ready() {
+  auto ready = scheduler_.collect_ready(owner_);
+  for (auto& resolved : ready) {
+    Request& request = active_.at(resolved.task);
+    request.task->supply(resolved.outcomes);
+    step(resolved.task, request);
+  }
+  return ready.size();
+}
+
+void RequestExecutor::step(sched::ProbeScheduler::TaskId id,
+                           Request& request) {
+  const auto demands = request.task->advance();
+  if (!request.task->done()) {
+    scheduler_.submit(id, owner_, {demands.begin(), demands.end()});
+    return;
+  }
+  auto result = request.task->take_result();
+  auto trace = std::move(request.trace);
+  const FinishHandler on_finish = std::move(request.on_finish);
+  active_.erase(id);
+  on_finish(std::move(result), std::move(trace));
+}
+
 }  // namespace revtr::core

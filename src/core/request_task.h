@@ -12,8 +12,10 @@
 //   * RevtrEngine::measure() — the blocking path — fulfills each demand set
 //     inline via sched::execute_demand(), so blocking behaviour is the
 //     staged machine run to completion with a trivial scheduler.
-//   * sched::ProbeScheduler pump loops multiplex many tasks, coalescing
-//     identical in-flight demands across requests.
+//   * RequestExecutor (below) multiplexes many tasks over a
+//     sched::ProbeScheduler, which coalesces identical in-flight demands
+//     across requests. The daemon's workers, staged campaigns and revtr_mc's
+//     twins all drive tasks through it.
 // Because simulated probe outcomes are content-addressed (DESIGN.md §8), the
 // two executors produce byte-identical ReverseTraceroutes — pinned by
 // tests/concurrency_test.cpp and swept by revtr_mc (invariant I7).
@@ -27,8 +29,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/revtr.h"
@@ -217,6 +222,58 @@ class RequestTask {
   obs::Trace::SpanId root_span_ = obs::Trace::kDroppedSpan;
   obs::Trace::SpanId stage_span_ = obs::Trace::kDroppedSpan;
   std::uint64_t stage_probes_ = 0;
+};
+
+// Drives one owner's tasks over a shared sched::ProbeScheduler: start →
+// advance → submit, then collect → supply → advance → submit or finish.
+// The caller keeps its threads and its probing step, which it runs between
+// resume_ready() calls: scheduler.pump(prober, owner), or a dispatch to
+// remote agents. One executor per owner, used by one thread at a time.
+class RequestExecutor {
+ public:
+  // Gets a finished request's result and the trace given to start(). Runs
+  // exactly once per request: inside start() when the request needs no
+  // probes (an atlas hit), otherwise inside resume_ready().
+  using FinishHandler =
+      std::function<void(ReverseTraceroute, std::optional<obs::Trace>)>;
+
+  // `engine` and `scheduler` must outlive the executor; `owner` tags its
+  // demand sets in the scheduler.
+  RequestExecutor(RevtrEngine& engine, sched::ProbeScheduler& scheduler,
+                  std::size_t owner);
+
+  // Starts a request whose clock reads `start_us` and whose RNG stream is
+  // seeded with `rng_seed`, and advances it to its first demand set.
+  void start(topology::HostId destination, topology::HostId source,
+             util::SimClock::Micros start_us, std::uint64_t rng_seed,
+             std::optional<obs::Trace> trace, FinishHandler on_finish);
+
+  // Resumes every request whose demand set resolved. Returns how many.
+  std::size_t resume_ready();
+
+  // Requests started and not yet finished.
+  std::size_t active() const noexcept { return active_.size(); }
+
+ private:
+  // A task holds references to its request's clock, RNG and trace for the
+  // whole measurement; unordered_map keeps element addresses stable.
+  struct Request {
+    explicit Request(std::uint64_t rng_seed) : rng(rng_seed) {}
+    util::SimClock clock;
+    util::Rng rng;
+    std::optional<obs::Trace> trace;
+    std::unique_ptr<RequestTask> task;
+    FinishHandler on_finish;
+  };
+
+  // Advances the request, then submits its next demand set or finishes it.
+  void step(sched::ProbeScheduler::TaskId id, Request& request);
+
+  RevtrEngine& engine_;
+  sched::ProbeScheduler& scheduler_;
+  const std::size_t owner_;
+  sched::ProbeScheduler::TaskId next_id_ = 0;
+  std::unordered_map<sched::ProbeScheduler::TaskId, Request> active_;
 };
 
 }  // namespace revtr::core

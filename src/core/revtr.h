@@ -319,11 +319,12 @@ class RevtrEngine {
   ReverseTraceroute measure(topology::HostId destination,
                             topology::HostId source, util::SimClock& clock);
 
-  // Staged entry point: a resumable task for this request, to be driven by
-  // a sched::ProbeScheduler pump loop. `clock`/`rng`/`trace` belong to the
-  // request and must outlive the task; multiplexed requests need their own
-  // clock and RNG stream each (the campaign driver seeds per request from
-  // (campaign seed, index), exactly as blocking mode does via reseed()).
+  // Staged entry point: a resumable task for this request, driven by a
+  // RequestExecutor (core/request_task.h). `clock`/`rng`/`trace` belong to
+  // the request and must outlive the task; multiplexed requests need their
+  // own clock and RNG stream each (the campaign driver seeds per request
+  // from (campaign seed, index), exactly as blocking mode does via
+  // reseed()).
   std::unique_ptr<RequestTask> start_request(topology::HostId destination,
                                              topology::HostId source,
                                              util::SimClock& clock,

@@ -100,7 +100,6 @@ SchedOptions ProbeScheduler::clamp_options(SchedOptions options) {
   // zero, negative, or NaN rates would park queued demands forever.
   if (!(options.vp_tokens_per_round > 0.0)) options.vp_tokens_per_round = 1.0;
   options.vp_token_burst = std::max<std::uint32_t>(options.vp_token_burst, 1);
-  options.spoof_batch_size = std::max<std::size_t>(options.spoof_batch_size, 1);
   return options;
 }
 
@@ -319,12 +318,11 @@ void order_for_issue(std::vector<Claim>& claims) {
 // The execute step of a local pump. Runs with no scheduler lock held and
 // touches nothing but the claims and the caller's transport. Claims must be
 // in issue order; each same-ingress run of spoofed demands goes out in
-// batches of `batch_size` through the transport's batch path, which is
+// batches of kSpoofBatchSize through the transport's batch path, which is
 // outcome-equivalent to issuing each probe alone (Prober::rr_ping_batch).
 // Returns the number of spoofed-RR wire batches.
 std::size_t execute_claims(probing::ProbeTransport& transport,
-                           std::vector<Claim>& claims,
-                           std::size_t batch_size) {
+                           std::vector<Claim>& claims) {
   std::size_t batches = 0;
   std::vector<probing::RrBatchItem> items;
   std::vector<probing::RrProbeResult> replies;
@@ -337,7 +335,7 @@ std::size_t execute_claims(probing::ProbeTransport& transport,
     }
     std::size_t end = begin;
     items.clear();
-    while (end < claims.size() && end - begin < batch_size &&
+    while (end < claims.size() && end - begin < kSpoofBatchSize &&
            spoofed(claims[end].demand) &&
            claims[end].demand.batch_ingress == head.batch_ingress) {
       const ProbeDemand& demand = claims[end].demand;
@@ -390,8 +388,7 @@ ProbeScheduler::PumpResult ProbeScheduler::pump(
 
   // Execute, with no lock held.
   order_for_issue(claims);
-  const std::size_t batches =
-      execute_claims(transport, claims, options_.spoof_batch_size);
+  const std::size_t batches = execute_claims(transport, claims);
 
   // Deliver, to the original demanders and every rider.
   const util::MutexLock lock(mu_);

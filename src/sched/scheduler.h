@@ -120,8 +120,11 @@ struct SchedOptions {
   double vp_tokens_per_round = 256;
   std::uint32_t vp_token_burst = 1024;
   bool coalesce = true;
-  std::size_t spoof_batch_size = 3;  // Paper's spoofed-RR batch (§4.3).
 };
+
+// Wire batch size for spoofed-RR demands that expect the same ingress: the
+// paper's batch (§4.3).
+inline constexpr std::size_t kSpoofBatchSize = 3;
 
 // Registry handles for the scheduler; resolved once, shared by all pumps.
 struct SchedMetrics {
@@ -219,7 +222,7 @@ class ProbeScheduler {
   // One local round with the calling thread as executor: claims `owner`'s
   // eligible demands (kAnyOwner: everyone's, offline jobs included),
   // executes them on `transport` with no lock held — spoofed-RR claims in
-  // same-ingress batches of `spoof_batch_size` — and delivers the outcomes.
+  // same-ingress batches of kSpoofBatchSize — and delivers the outcomes.
   // A worker passes its own owner index, so the demands it submitted run on
   // its own stack; outcomes are content-addressed, so the executor never
   // changes a result. The transport may call back into the scheduler. The

@@ -779,17 +779,7 @@ void ServerDaemon::net_loop() {
 
 void ServerDaemon::worker_loop(std::size_t w) {
   WorkerStack& stack = *stacks_[w];
-
-  // A task holds references into its ActiveRequest for the whole
-  // measurement; unordered_map keeps element addresses stable.
-  struct ActiveRequest {
-    QueuedRequest meta;
-    util::SimClock clock;
-    util::Rng rng;
-    std::unique_ptr<core::RequestTask> task;
-    explicit ActiveRequest(std::uint64_t rng_seed) : rng(rng_seed) {}
-  };
-  std::unordered_map<std::uint64_t, ActiveRequest> active;
+  core::RequestExecutor executor(stack.engine, *scheduler_, w);
 
   // Folds one finished request into the daemon state and queues its RESULT
   // frame. Everything passed in is computed outside mu_.
@@ -830,14 +820,14 @@ void ServerDaemon::worker_loop(std::size_t w) {
     wake_net();
   };
 
-  const auto finalize = [this, &deliver](ActiveRequest& request) {
-    const core::ReverseTraceroute measured = request.task->take_result();
+  const auto finalize = [this, &deliver](
+                            const QueuedRequest& meta,
+                            const core::ReverseTraceroute& measured) {
     const std::int64_t done_us = now_us();
-    const std::int64_t wall_us = done_us - request.meta.accepted_us;
-    const bool missed = request.meta.deadline_us != 0 &&
-                        done_us > request.meta.deadline_us;
+    const std::int64_t wall_us = done_us - meta.accepted_us;
+    const bool missed = meta.deadline_us != 0 && done_us > meta.deadline_us;
     Result result;
-    result.request_id = request.meta.request_id;
+    result.request_id = meta.request_id;
     result.status = measured.status;
     result.deadline_missed = missed;
     result.sim_latency_us = measured.span.duration();
@@ -853,7 +843,7 @@ void ServerDaemon::worker_loop(std::size_t w) {
     sim_latency_us_->record(
         static_cast<std::uint64_t>(std::max<std::int64_t>(
             measured.span.duration(), 0)));
-    deliver(request.meta, std::move(result), /*shed=*/false,
+    deliver(meta, std::move(result), /*shed=*/false,
             /*refund=*/!measured.complete(), missed, &measured, wall_us);
   };
 
@@ -863,7 +853,7 @@ void ServerDaemon::worker_loop(std::size_t w) {
       util::MutexLock lock(mu_);
       for (;;) {
         if (!worker_hold_) {
-          while (queued_ > 0 && active.size() + popped.size() <
+          while (queued_ > 0 && executor.active() + popped.size() <
                                     options_.max_inflight_per_worker) {
             auto next = queue_.pop();
             if (!next.has_value()) break;
@@ -871,7 +861,7 @@ void ServerDaemon::worker_loop(std::size_t w) {
             --queued_;
           }
         }
-        if (!popped.empty() || !active.empty()) break;
+        if (!popped.empty() || executor.active() > 0) break;
         if (stopping_) return;
         if (draining_ && queued_ == 0) return;
         work_cv_.wait(lock);
@@ -881,9 +871,8 @@ void ServerDaemon::worker_loop(std::size_t w) {
       inflight_->set(static_cast<std::int64_t>(inflight_count_));
     }
 
-    for (QueuedRequest& meta : popped) {
-      const std::int64_t now = now_us();
-      if (meta.deadline_us != 0 && now >= meta.deadline_us) {
+    for (const QueuedRequest& meta : popped) {
+      if (meta.deadline_us != 0 && now_us() >= meta.deadline_us) {
         // Deadline expired while queued: shed without measuring and hand
         // the request-count charge back (no probes were spent).
         Result result;
@@ -894,45 +883,22 @@ void ServerDaemon::worker_loop(std::size_t w) {
                 /*missed=*/false, nullptr, 0);
         continue;
       }
-      auto [it, inserted] = active.try_emplace(
-          meta.index, util::mix_hash(options_.seed, meta.index, 0xca3aULL));
-      REVTR_CHECK(inserted);
-      ActiveRequest& request = it->second;
-      request.meta = meta;
-      request.task = stack.engine.start_request(meta.destination, meta.source,
-                                                request.clock, request.rng);
-      const auto demands = request.task->advance();
-      if (request.task->done()) {  // Atlas hit or trivial request.
-        finalize(request);
-        active.erase(it);
-        continue;
-      }
-      scheduler_->submit(meta.index, w, {demands.begin(), demands.end()});
+      executor.start(meta.destination, meta.source, /*start_us=*/0,
+                     util::mix_hash(options_.seed, meta.index, 0xca3aULL),
+                     std::nullopt,
+                     [&finalize, meta](core::ReverseTraceroute measured,
+                                       std::optional<obs::Trace> /*trace*/) {
+                       finalize(meta, measured);
+                     });
     }
 
-    if (active.empty()) continue;
-    sched::ProbeScheduler::PumpResult pumped;
-    if (options_.remote_probing) {
-      pumped.issued = dispatch_to_agents();
-    } else {
-      // This worker executes the demands it submitted, on its own stack.
-      pumped = scheduler_->pump(stack.prober, w);
-    }
-    auto ready = scheduler_->collect_ready(w);
-    for (auto& resolved : ready) {
-      const auto it = active.find(resolved.task);
-      REVTR_CHECK(it != active.end());
-      ActiveRequest& request = it->second;
-      request.task->supply(resolved.outcomes);
-      const auto demands = request.task->advance();
-      if (request.task->done()) {
-        finalize(request);
-        active.erase(it);
-        continue;
-      }
-      scheduler_->submit(resolved.task, w, {demands.begin(), demands.end()});
-    }
-    if (ready.empty() && pumped.issued == 0) {
+    if (executor.active() == 0) continue;
+    // Remote mode: agents execute this worker's demands, so it dispatches
+    // instead of probing on its own stack.
+    const std::size_t issued = options_.remote_probing
+                                   ? dispatch_to_agents()
+                                   : scheduler_->pump(stack.prober, w).issued;
+    if (executor.resume_ready() == 0 && issued == 0) {
       // Our outcomes ride on another worker's in-flight probe or are
       // throttled until the next round's token refill (remote mode: in
       // flight on an agent). Yield rather than spin hot.

@@ -1,4 +1,4 @@
-// revtr_serverd: the long-running measurement daemon (ROADMAP item 1).
+// revtr_serverd: the long-running measurement daemon.
 //
 // The paper's revtr 2.0 is a deployed on-demand *service*: a controller
 // that stays up, keeps the traceroute atlas and engine caches hot, and
@@ -16,13 +16,13 @@
 //                 (buffers, auth, pull-mode result queues) without locks —
 //                 nothing else touches a connection. Parses frames, runs
 //                 admission, enqueues accepted requests.
-//   workers       mirror service/parallel.cpp's staged pump loop: each owns
-//                 a private Network + Prober + RevtrEngine stack, pops
-//                 queued requests, multiplexes them as resumable
-//                 core::RequestTasks over the shared scheduler, executes
-//                 the probes its own requests demanded on its own stack
-//                 (outside the scheduler lock), and pushes encoded RESULT
-//                 frames back through the completion queue.
+//   workers       each own a private Network + Prober + RevtrEngine
+//                 stack, pop queued requests, drive them through a
+//                 core::RequestExecutor over the shared scheduler (as
+//                 staged campaigns do), execute the probes their own
+//                 requests demanded on their own stack (outside the
+//                 scheduler lock), and push encoded RESULT frames back
+//                 through the completion queue.
 //   caller        start() / request_drain() / wait_until_drained() / stop().
 //   survey        transient: start() fans the offline ingress survey out
 //                 over the process's CPUs (IngressDiscovery::discover_all)
@@ -94,7 +94,7 @@ struct ServerOptions {
   std::size_t max_inflight_per_worker = 16;
   // Tenants provisioned at startup; empty = one default TenantConfig{}.
   std::vector<TenantConfig> tenants;
-  // Distributed controller mode (ROADMAP item 5 / DESIGN.md §15): workers
+  // Distributed controller mode (DESIGN.md §15): workers
   // never execute probes locally; wire demands are dispatched as AGENT_PROBE
   // frames to VP agents that joined with AGENT_REGISTER. With no agent
   // connected, accepted requests wait in the scheduler until one registers.

@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 
 #include "core/request_task.h"
 #include "probing/prober.h"
@@ -96,33 +95,20 @@ ParallelCampaignReport ParallelCampaignDriver::run(
   ParallelCampaignReport report;
   report.results.resize(pairs.size());
 
-  // Shared by both modes: fold one finished measurement into a worker's
-  // private accumulator (merged at the barrier below).
-  const auto account = [](CampaignStats& local,
-                          const core::ReverseTraceroute& result) {
-    const double latency = result.span.seconds();
-    local.latency_seconds.add(latency);
-    local.busy_seconds += latency;
-    switch (result.status) {
-      case core::RevtrStatus::kComplete:
-        ++local.completed;
-        break;
-      case core::RevtrStatus::kAbortedInterdomainSymmetry:
-        ++local.aborted;
-        break;
-      case core::RevtrStatus::kUnreachable:
-        ++local.unreachable;
-        break;
-    }
+  // Sampling by input index keeps the sampled *set* independent of which
+  // worker runs the request; a Trace is thread-private until published.
+  const auto sampled = [this](std::size_t i) {
+    return options_.trace_sink != nullptr && options_.trace_sample_every > 0 &&
+           i % options_.trace_sample_every == 0;
   };
 
   if (options_.mode == EngineMode::kStaged) {
     // One scheduler shared by every worker: coalescing and per-VP windows
     // apply across the whole campaign, not per worker. Each worker loop
     // multiplexes the requests it owns (input index ≡ worker mod workers)
-    // as resumable tasks and pumps only its own demands, executing them on
-    // its own stack outside the scheduler lock; a demand identical to one
-    // in flight on another worker rides on that probe.
+    // through its own RequestExecutor and pumps only its own demands,
+    // executing them on its own stack outside the scheduler lock; a demand
+    // identical to one in flight on another worker rides on that probe.
     sched::ProbeScheduler scheduler(options_.sched);
     std::optional<sched::SchedMetrics> sched_metrics;
     if (options_.metrics != nullptr) {
@@ -132,73 +118,32 @@ ParallelCampaignReport ParallelCampaignDriver::run(
 
     const auto pump_loop = [&](std::size_t w) {
       WorkerStack& stack = *stacks[w];
-      // A task holds references into its ActiveRequest for the whole
-      // measurement; unordered_map keeps element addresses stable.
-      struct ActiveRequest {
-        std::size_t index = 0;
-        util::SimClock clock;
-        util::Rng rng;
-        std::optional<obs::Trace> trace;
-        std::unique_ptr<core::RequestTask> task;
-        explicit ActiveRequest(std::uint64_t rng_seed) : rng(rng_seed) {}
-      };
-      std::unordered_map<sched::ProbeScheduler::TaskId, ActiveRequest> active;
-      std::size_t outstanding = 0;
-
-      const auto finalize = [&](ActiveRequest& request) {
-        auto result = request.task->take_result();
-        if (request.trace) {
-          options_.trace_sink->publish(*std::move(request.trace));
-        }
-        account(stack.local, result);
-        report.results[request.index] = std::move(result);
-      };
-
+      core::RequestExecutor executor(stack.engine, scheduler, w);
       // Admission: every owned request starts (and submits its first demand
       // set) before the first pump, so overlapping initial demands coalesce.
       // The per-request RNG seed matches blocking mode's per-request reseed,
-      // and each request gets a fresh clock — its simulated latency is its
+      // and each request's clock starts at 0 — its simulated latency is its
       // own probes' durations, same as a blocking slot.
       for (std::size_t i = w; i < pairs.size(); i += stacks.size()) {
-        auto [it, inserted] = active.try_emplace(
-            i, util::mix_hash(options_.seed, i, 0xca3aULL));
-        ActiveRequest& request = it->second;
-        request.index = i;
-        if (options_.trace_sink != nullptr && options_.trace_sample_every > 0 &&
-            i % options_.trace_sample_every == 0) {
-          request.trace.emplace();
-          request.trace->request_index = i;
+        std::optional<obs::Trace> trace;
+        if (sampled(i)) {
+          trace.emplace();
+          trace->request_index = i;
         }
-        request.task = stack.engine.start_request(
-            pairs[i].first, pairs[i].second, request.clock, request.rng,
-            request.trace ? &*request.trace : nullptr);
-        const auto demands = request.task->advance();
-        if (request.task->done()) {  // Atlas hit or trivial request.
-          finalize(request);
-          active.erase(it);
-          continue;
-        }
-        scheduler.submit(i, w, {demands.begin(), demands.end()});
-        ++outstanding;
+        executor.start(
+            pairs[i].first, pairs[i].second, /*start_us=*/0,
+            util::mix_hash(options_.seed, i, 0xca3aULL), std::move(trace),
+            [&, i](core::ReverseTraceroute result,
+                   std::optional<obs::Trace> finished) {
+              if (finished) options_.trace_sink->publish(*std::move(finished));
+              stack.local.record(result);
+              report.results[i] = std::move(result);
+            });
       }
 
-      while (outstanding > 0) {
+      while (executor.active() > 0) {
         const auto pumped = scheduler.pump(stack.prober, w);
-        auto ready = scheduler.collect_ready(w);
-        for (auto& resolved : ready) {
-          const auto it = active.find(resolved.task);
-          REVTR_CHECK(it != active.end());
-          ActiveRequest& request = it->second;
-          request.task->supply(resolved.outcomes);
-          const auto demands = request.task->advance();
-          if (request.task->done()) {
-            finalize(request);
-            active.erase(it);
-            --outstanding;
-            continue;
-          }
-          scheduler.submit(resolved.task, w, {demands.begin(), demands.end()});
-        }
+        const std::size_t resumed = executor.resume_ready();
         if (options_.pacing_scale > 0 && pumped.round_duration_us > 0) {
           // Probes within a pump round are concurrent: the round costs its
           // longest probe, not the sum (contrast blocking mode, which holds
@@ -206,7 +151,7 @@ ParallelCampaignReport ParallelCampaignDriver::run(
           std::this_thread::sleep_for(std::chrono::duration<double>(
               static_cast<double>(pumped.round_duration_us) * 1e-6 *
               options_.pacing_scale));
-        } else if (ready.empty() && pumped.issued == 0) {
+        } else if (resumed == 0 && pumped.issued == 0) {
           // Nothing issued, nothing resumed: our outcomes ride on another
           // worker's in-flight probe or our demands are throttled until the
           // next round's token refill. Yield rather than spin hot.
@@ -241,7 +186,7 @@ ParallelCampaignReport ParallelCampaignDriver::run(
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       const topology::HostId destination = pairs[i].first;
       const topology::HostId source = pairs[i].second;
-      futures.push_back(pool.submit([this, &stacks, &report, &account, i,
+      futures.push_back(pool.submit([this, &stacks, &report, &sampled, i,
                                      destination, source] {
         const std::size_t w = util::ThreadPool::current_worker();
         REVTR_CHECK(w != util::ThreadPool::kNotAWorker);
@@ -250,24 +195,18 @@ ParallelCampaignReport ParallelCampaignDriver::run(
         // residual RNG use in the engine draws the same stream no matter
         // which worker runs the request or what ran before it.
         stack.engine.reseed(util::mix_hash(options_.seed, i, 0xca3aULL));
-        // Sampling by input index keeps the sampled *set* independent of
-        // which worker picks the task up; the Trace itself is thread-private
-        // until published.
-        const bool sampled = options_.trace_sink != nullptr &&
-                             options_.trace_sample_every > 0 &&
-                             i % options_.trace_sample_every == 0;
         std::optional<obs::Trace> trace;
-        if (sampled) {
+        if (sampled(i)) {
           trace.emplace();
           trace->request_index = i;
           stack.engine.set_trace(&*trace);
         }
         auto result = stack.engine.measure(destination, source, stack.clock);
-        if (sampled) {
+        if (trace) {
           stack.engine.set_trace(nullptr);
           options_.trace_sink->publish(*std::move(trace));
         }
-        account(stack.local, result);
+        stack.local.record(result);
         const double latency = result.span.seconds();
         report.results[i] = std::move(result);
         // Latency pacing: hold this worker slot for real time proportional

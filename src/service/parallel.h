@@ -36,13 +36,12 @@
 //
 // Engine modes: kBlocking runs one engine.measure() per worker slot, the
 // request occupying its worker for its whole latency. kStaged multiplexes
-// *all* of a worker's requests as resumable core::RequestTasks over one
-// shared sched::ProbeScheduler: each worker loop pumps the scheduler
-// (issuing any eligible probe, its own or another worker's — outcomes are
-// content-addressed so who issues is irrelevant), collects its tasks' ready
-// outcome sets, and resumes them. Identical in-flight demands across
-// requests coalesce into one wire probe; per-VP windows and spoofed-RR
-// cross-request batching apply (DESIGN.md §10). Results are byte-identical
+// *all* of a worker's requests through a core::RequestExecutor over one
+// shared sched::ProbeScheduler: each worker loop pumps only the demands its
+// own requests submitted, executing them on its own stack, then resumes
+// its requests whose outcome sets are complete. A demand identical to one
+// in flight on any worker rides on that probe; per-VP windows and
+// spoofed-RR cross-request batching apply (DESIGN.md §10). Results are byte-identical
 // to blocking mode modulo probe accounting: a coalesced request records the
 // demand in coalesced_probes instead of its issued-probe counters. In staged
 // mode pacing holds the worker per pump *round* (probes in a round are

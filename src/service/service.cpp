@@ -217,6 +217,23 @@ std::optional<core::ReverseTraceroute> RevtrService::request(
   return result;
 }
 
+void CampaignStats::record(const core::ReverseTraceroute& result) {
+  const double latency = result.span.seconds();
+  latency_seconds.add(latency);
+  busy_seconds += latency;
+  switch (result.status) {
+    case core::RevtrStatus::kComplete:
+      ++completed;
+      break;
+    case core::RevtrStatus::kAbortedInterdomainSymmetry:
+      ++aborted;
+      break;
+    case core::RevtrStatus::kUnreachable:
+      ++unreachable;
+      break;
+  }
+}
+
 CampaignStats RevtrService::run_campaign(
     std::span<const std::pair<topology::HostId, topology::HostId>> pairs,
     std::size_t parallelism) {
@@ -226,20 +243,7 @@ CampaignStats RevtrService::run_campaign(
   for (const auto& [destination, source] : pairs) {
     const auto result = engine_.measure(destination, source, clock_);
     archive(result);
-    const double latency = result.span.seconds();
-    stats.latency_seconds.add(latency);
-    stats.busy_seconds += latency;
-    switch (result.status) {
-      case core::RevtrStatus::kComplete:
-        ++stats.completed;
-        break;
-      case core::RevtrStatus::kAbortedInterdomainSymmetry:
-        ++stats.aborted;
-        break;
-      case core::RevtrStatus::kUnreachable:
-        ++stats.unreachable;
-        break;
-    }
+    stats.record(result);
   }
   stats.probes = prober_.counters() - counters_before;
   stats.duration_seconds =

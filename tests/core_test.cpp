@@ -3,9 +3,12 @@
 
 #include <algorithm>
 
+#include "core/request_task.h"
 #include "core/revtr.h"
+#include "core/serialize.h"
 #include "eval/harness.h"
 #include "eval/metrics.h"
+#include "sched/scheduler.h"
 
 namespace revtr::core {
 namespace {
@@ -243,7 +246,8 @@ TEST_F(EngineFixture, DeterministicAcrossRuns) {
       const auto result = lab.engine.measure(dests[i], source, clock);
       std::string line = to_string(result.status);
       for (const auto& hop : result.hops) {
-        line += " " + hop.addr.to_string();
+        line += ' ';
+        line += hop.addr.to_string();
       }
       summary.push_back(line);
     }
@@ -322,6 +326,148 @@ TEST_F(EngineFixture, CacheExpiresAfterTtl) {
   const auto expired = lab.engine.measure(dests[5], source, clock);
   EXPECT_LE(cached.probes.total(), first.probes.total());
   EXPECT_GE(expired.probes.total(), cached.probes.total());
+}
+
+// --------------------------------------------------------------------------
+// RequestExecutor
+// --------------------------------------------------------------------------
+
+// What a measurement reports, minus its probe accounting: a demand answered
+// by another request's in-flight probe counts as coalesced, not issued.
+std::string measured(const ReverseTraceroute& result,
+                     const topology::Topology& topo) {
+  util::Json json = to_json(result, topo);
+  json["probes"] = nullptr;
+  json["coalesced_probes"] = nullptr;
+  return json.dump() + " span " + std::to_string(result.span.begin) + ".." +
+         std::to_string(result.span.end) + " age " +
+         std::to_string(result.intersected_age_us);
+}
+
+// Two executors with different owners share one scheduler and one engine.
+// Their requests mix atlas hits (cache replays that end on the atlas, with
+// no probe) with multi-round measurements, one of them started on both
+// executors so that one copy rides on the other's probes. Every finish
+// handler runs exactly once, inside a call on its own executor, with the
+// trace given to start(); every result equals measure() of the same pair
+// from the same RNG seed and start time.
+TEST(RequestExecutor, FinishesEachRequestOnceAsMeasureWould) {
+  eval::Lab lab(small_config(), EngineConfig::revtr2());
+  const auto vps = lab.topo.vantage_points();
+  lab.bootstrap_source(vps[0], 50);
+  lab.precompute_all_ingresses();
+  // Same collaborators, separate caches: `reference` runs measure(), the
+  // executors drive `engine`.
+  const auto make_engine = [&lab] {
+    return std::make_unique<RevtrEngine>(
+        lab.prober, lab.topo, lab.atlas, lab.ingress, lab.ip2as,
+        lab.relationships, EngineConfig::revtr2());
+  };
+  const auto engine = make_engine();
+  const auto reference = make_engine();
+  const auto dests = lab.responsive_destinations();
+
+  struct Request {
+    HostId destination = topology::kInvalidId;
+    HostId source = topology::kInvalidId;
+    util::SimClock::Micros start_us = 0;
+    std::uint64_t seed = 0;
+    bool hit = false;
+    ReverseTraceroute expected;
+  };
+  std::vector<Request> requests;
+  // The next request for (destination, source), with what measure() makes
+  // of it from its seed and start time.
+  const auto measure_alone = [&](HostId destination, HostId source) {
+    Request request;
+    request.destination = destination;
+    request.source = source;
+    request.start_us =
+        static_cast<util::SimClock::Micros>(requests.size() + 1) *
+        util::SimClock::kMinute;
+    request.seed = util::mix_hash(0xe5ec, requests.size());
+    util::SimClock clock;
+    clock.advance_to(request.start_us);
+    reference->reseed(request.seed);
+    request.expected = reference->measure(destination, source, clock);
+    return request;
+  };
+
+  // Atlas hits: pairs from vps[0] that both engines measured once already.
+  for (std::size_t i = 0; i < 40; ++i) {
+    for (RevtrEngine* warmed : {engine.get(), reference.get()}) {
+      util::SimClock clock;
+      warmed->measure(dests[i], vps[0], clock);
+    }
+  }
+  for (std::size_t i = 0; i < 40 && requests.size() < 4; ++i) {
+    Request request = measure_alone(dests[i], vps[0]);
+    const auto sources = request.expected.hops.sources();
+    request.hit = request.expected.probes.total() == 0 &&
+                  std::find(sources.begin(), sources.end(),
+                            HopSource::kAtlasIntersection) != sources.end();
+    if (request.hit) requests.push_back(std::move(request));
+  }
+  ASSERT_EQ(requests.size(), 4u);
+
+  // Multi-round measurements: a direct RR ping, then spoofed batches. Each
+  // comes from a source of its own, so no two share a cache entry and each
+  // measures what it would measure alone.
+  for (std::size_t v = 1, i = 40; v < 4; ++v) {
+    for (; i < dests.size(); ++i) {
+      reference->clear_caches();
+      Request request = measure_alone(dests[i], vps[v]);
+      if (request.expected.spoofed_batches > 0) {
+        requests.push_back(std::move(request));
+        ++i;
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(requests.size(), 7u);
+  requests.push_back(requests.back());  // Started on the other executor.
+
+  sched::ProbeScheduler scheduler;
+  RequestExecutor first(*engine, scheduler, 0);
+  RequestExecutor second(*engine, scheduler, 1);
+  const RequestExecutor* calling = nullptr;
+  bool starting = false;
+  std::vector<int> finished(requests.size(), 0);
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    RequestExecutor& executor = k % 2 == 0 ? first : second;
+    const Request& request = requests[k];
+    obs::Trace trace;
+    trace.request_index = k;
+    calling = &executor;
+    starting = true;
+    executor.start(
+        request.destination, request.source, request.start_us, request.seed,
+        std::move(trace),
+        [&, k, owner = &executor](ReverseTraceroute result,
+                                  std::optional<obs::Trace> back) {
+          ++finished[k];
+          EXPECT_EQ(calling, owner) << "request " << k;
+          EXPECT_EQ(starting, requests[k].hit) << "request " << k;
+          ASSERT_TRUE(back.has_value());
+          EXPECT_EQ(back->request_index, k);
+          EXPECT_EQ(result.span.begin, requests[k].start_us);
+          EXPECT_EQ(measured(result, lab.topo),
+                    measured(requests[k].expected, lab.topo))
+              << "request " << k;
+        });
+  }
+  starting = false;
+  while (first.active() + second.active() > 0) {
+    scheduler.pump(lab.prober, 0);
+    scheduler.pump(lab.prober, 1);
+    calling = &first;
+    first.resume_ready();
+    calling = &second;
+    second.resume_ready();
+  }
+  EXPECT_EQ(finished, std::vector<int>(requests.size(), 1));
+  EXPECT_GT(scheduler.stats().coalesced, 0u);
+  EXPECT_TRUE(scheduler.idle());
 }
 
 // --------------------------------------------------------------------------
