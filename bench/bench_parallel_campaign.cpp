@@ -266,9 +266,9 @@ int main(int argc, char** argv) {
               single_worker_rps, single_worker_pps);
 
   // Headline throughput and latency: the best metrics-on overhead rep (4
-  // workers, pacing off) is the pure-CPU service rate; request latency
-  // quantiles come from the revtr_request_latency_us histogram the same
-  // runs populated in `registry`.
+  // workers, pacing off) is the pure-CPU wall-clock service rate; simulated
+  // request latency quantiles come from the revtr_request_latency_us
+  // histogram the same runs populated in `registry`.
   const double requests_per_second =
       best_on.wall > 0
           ? static_cast<double>(overhead_pairs.size()) / best_on.wall
@@ -276,19 +276,19 @@ int main(int argc, char** argv) {
   const double probes_per_second =
       best_on.wall > 0 ? static_cast<double>(best_on.probes) / best_on.wall
                        : 0.0;
-  double latency_p50_us = 0.0;
-  double latency_p99_us = 0.0;
+  double sim_latency_p50_us = 0.0;
+  double sim_latency_p99_us = 0.0;
   for (const auto& h : registry.snapshot().histograms) {
     if (h.name.rfind("revtr_request_latency_us", 0) == 0) {
-      latency_p50_us = obs::histogram_quantile(h, 0.50);
-      latency_p99_us = obs::histogram_quantile(h, 0.99);
+      sim_latency_p50_us = obs::histogram_quantile(h, 0.50);
+      sim_latency_p99_us = obs::histogram_quantile(h, 0.99);
       break;
     }
   }
   std::printf("throughput: %.1f requests/s, %.0f probes/s | simulated "
               "request latency p50 %.0f us, p99 %.0f us | peak RSS %.1f MiB\n",
-              requests_per_second, probes_per_second, latency_p50_us,
-              latency_p99_us,
+              requests_per_second, probes_per_second, sim_latency_p50_us,
+              sim_latency_p99_us,
               static_cast<double>(bench::peak_rss_bytes()) / (1024.0 * 1024.0));
 
   util::Json out = util::Json::object();
@@ -300,8 +300,8 @@ int main(int argc, char** argv) {
   out["probes_per_second"] = probes_per_second;
   out["single_worker_requests_per_second"] = single_worker_rps;
   out["single_worker_probes_per_second"] = single_worker_pps;
-  out["latency_p50_us"] = latency_p50_us;
-  out["latency_p99_us"] = latency_p99_us;
+  out["sim_latency_p50_us"] = sim_latency_p50_us;
+  out["sim_latency_p99_us"] = sim_latency_p99_us;
   out["peak_rss_bytes"] = static_cast<double>(bench::peak_rss_bytes());
   out["runs"] = std::move(runs);
   util::Json instrumentation = util::Json::object();

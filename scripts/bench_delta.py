@@ -7,13 +7,17 @@ gated; the rest of the shared top-level numeric fields are informational:
 
   requests_per_second   higher is better   fails on a >10% drop
   probes_per_second     higher is better   fails on a >10% drop
-  latency_p99_us        lower is better    fails on a >15% rise
+  sim_latency_p99_us    lower is better    fails on a >15% rise
 
-Exit status is non-zero iff any gated metric regressed past its tolerance,
-so `scripts/check.sh` can use the script directly as a gate while
-`scripts/run_all.sh` appends `|| true` to keep full-scale runs advisory
-(full-scale numbers are only comparable when the machine is quiet; see
-README "Bench-delta gate").
+A gated metric the baseline carries must be numeric in both artifacts: a
+missing or non-numeric one fails by name, so a renamed or dropped field
+cannot pass unnoticed.
+
+Exit status is non-zero iff any gated metric is missing or regressed past
+its tolerance, so `scripts/check.sh` can use the script directly as a gate
+while `scripts/run_all.sh` appends `|| true` to keep full-scale runs
+advisory (full-scale numbers are only comparable when the machine is quiet;
+see README "Bench-delta gate").
 
 Baselines live in `bench/baselines/` (full-scale) and
 `bench/baselines/smoke/` (the scaled-down flags bench_smoke in check.sh
@@ -36,7 +40,7 @@ import sys
 GATED = {
     "requests_per_second": ("higher", 0.10),
     "probes_per_second": ("higher", 0.10),
-    "latency_p99_us": ("lower", 0.15),
+    "sim_latency_p99_us": ("lower", 0.15),
 }
 
 # Informational fields worth a table row when both sides have them, in
@@ -44,7 +48,7 @@ GATED = {
 PREFERRED_INFO = [
     "single_worker_requests_per_second",
     "single_worker_probes_per_second",
-    "latency_p50_us",
+    "sim_latency_p50_us",
     "speedup_at_4_workers",
     "effective_per_second",
     "revtrs_per_day",
@@ -86,7 +90,13 @@ def compare_artifact(name, base_doc, fresh_doc, table):
     ordered += [m for m in PREFERRED_INFO if m in shared]
     ordered += sorted(shared - set(ordered))
 
-    regressions = []
+    missing = [m for m in GATED if m in base_doc and m not in shared]
+    regressions = [f"{name}: gated {m} missing or non-numeric"
+                   for m in missing]
+    for metric in missing:
+        cells = [fmt_value(side[metric]) if metric in side else "-"
+                 for side in (base, fresh)]
+        table.append((name, metric, *cells, "n/a", "MISSING"))
     for metric in ordered:
         delta = pct_delta(base[metric], fresh[metric])
         status = "info"

@@ -28,11 +28,12 @@
 # core metric families (requests, probes, request latency, engine stages) —
 # plus a scheduler smoke: a staged campaign with overlapping destinations
 # whose revtr_probes_coalesced_total sample must come out positive. The full
-# gate adds a serverd smoke: an in-process 1k-request replay through
-# revtr_replay (BENCH_serverd.json schema, start-up phase timings in its
-# STATS object + zero deadline misses + revtr_server_requests_total > 0),
-# then an external revtr_serverd serving
-# one revtr_cli client over its AF_UNIX socket and draining cleanly on
+# gate adds a serverd smoke: two 5 s daemonbench open_mixed runs through
+# daemonbench/run.py, untraced and traced (built once into .bench_build/),
+# whose JSON result lines must show a correct run with no failed, shed,
+# rejected or late request and non-zero wall, CPU, start-up and RSS figures,
+# then an external revtr_serverd that logs its start-up phases, serves one
+# revtr_cli client over its AF_UNIX socket and drains cleanly on
 # SIGTERM — and an agent smoke: the same client requests through a
 # controller (--remote-probing) plus two revtr_agentd processes must print
 # byte-identical output to the monolith, with both sides draining cleanly
@@ -55,7 +56,9 @@
 # Plus a bench-artifact smoke: scaled-down runs of bench_parallel_campaign,
 # bench_throughput, and bench_micro_net must each emit their BENCH_*.json
 # with the documented schema (numeric headline fields, peak RSS) for
-# scripts/run_all.sh consumers.
+# scripts/run_all.sh consumers and pass scripts/bench_delta.py against the
+# smoke baselines; a copy of the campaign artifact without its gated
+# sim_latency_p99_us must fail bench_delta.py by name.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -124,8 +127,8 @@ bench_smoke() {
         --ases=150 --vps=8 --probes=60 --revtrs=24 --pacing=0 \
         --dup-revtrs=48 --overhead-reps=1 --overhead-revtrs=200 >/dev/null
     require_bench_fields build/BENCH_parallel_campaign.json \
-        requests_per_second probes_per_second latency_p50_us \
-        latency_p99_us peak_rss_bytes \
+        requests_per_second probes_per_second sim_latency_p50_us \
+        sim_latency_p99_us peak_rss_bytes \
         single_worker_requests_per_second single_worker_probes_per_second
     REVTR_BENCH_DIR=build ./build/bench/bench_throughput \
         --ases=150 --vps=8 --probes=60 --revtrs=20 >/dev/null
@@ -152,11 +155,31 @@ bench_smoke() {
     echo "bench smoke: all artifact schemas ok (incl. cwd-independent dir)"
     # Bench-delta gate: the smoke-scale artifacts written above must not
     # regress past tolerance against the committed smoke baselines (>10%
-    # drop in requests/probes per second, >15% rise in latency_p99_us).
+    # drop in requests/probes per second, >15% rise in sim_latency_p99_us).
     # Full-scale baselines are compared advisorily by run_all.sh instead —
     # see README "Bench-delta gate" for the refresh procedure.
     echo "==> [default] bench delta vs bench/baselines/smoke"
     scripts/bench_delta.py --baselines bench/baselines/smoke --fresh build
+    # A gated field the fresh artifact lacks must fail the delta by name,
+    # not drop out of the comparison.
+    missing="build/bench_delta_missing"
+    rm -rf "$missing"
+    mkdir -p "$missing"
+    python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+del doc["sim_latency_p99_us"]
+json.dump(doc, open(sys.argv[2], "w"))' build/BENCH_parallel_campaign.json \
+        "$missing/BENCH_parallel_campaign.json"
+    status=0
+    scripts/bench_delta.py --baselines bench/baselines/smoke \
+        --fresh "$missing" >"$missing/delta.log" 2>&1 || status=$?
+    if [ "$status" -ne 1 ] ||
+       ! grep -q 'sim_latency_p99_us missing' "$missing/delta.log"; then
+        echo "bench smoke: bench_delta.py exited $status on an artifact" \
+             "without its gated sim_latency_p99_us" >&2
+        exit 1
+    fi
+    echo "bench delta: a missing gated field fails by name"
 }
 
 # revtr_lint ships its own fixture corpus (--self-test); the committed
@@ -194,37 +217,59 @@ sched_smoke() {
     echo "sched smoke: ok ($coalesced probes coalesced)"
 }
 
-# serverd smoke: the daemon + replayer end-to-end at smoke scale. First an
-# in-process 1k-request closed-loop replay (hot caches, generous deadlines:
-# nothing may miss), whose artifact and metrics snapshot must check out;
-# then an external revtr_serverd process serving a revtr_cli client over the
-# socket, which must drain and exit 0 on SIGTERM.
+# Checks the JSON result line daemonbench/run.py prints last: a correct
+# run with no failed request. Untraced ($2 = 0) it must report
+# success_ratio 1 (no rejected, shed, late or lost request) and a non-zero
+# cpu_us_per_request and peak_rss_mb; traced ($2 = 1), no deadline miss,
+# shed, rejection or protocol error, and non-zero wall.* and setup.* layers.
+require_result_line() {
+    python3 - "$1" "$2" <<'EOF'
+import json, sys
+path, trace = sys.argv[1:]
+with open(path) as fh:
+    result = json.loads(fh.read().splitlines()[-1])
+got = {name: m["value"] for name, m in result["metrics"].items()}
+got.update(correct=result["correct"], failed=result["failed"])
+equal = {"correct": True, "failed": 0}
+if trace == "0":
+    equal["success_ratio"] = 1
+    positive = ["cpu_us_per_request", "peak_rss_mb"]
+else:
+    equal.update({f"server.{name}": 0 for name in (
+        "deadline_missed", "shed", "rejected", "protocol_errors")})
+    positive = ["wall.throughput_rps", "wall.latency_p50_us",
+                "wall.latency_p99_us", "setup.lab_s",
+                "setup.ingress_survey_s", "setup.atlas_s"]
+bad = [f"{k} is {got.get(k, 'missing')}, want {v}"
+       for k, v in equal.items() if got.get(k) != v]
+bad += [f"{k} is {got.get(k, 'missing')}, want > 0"
+        for k in positive if not got.get(k, 0) > 0]
+for line in bad:
+    print(f"serverd smoke: {path}: {line}", file=sys.stderr)
+sys.exit(1 if bad else 0)
+EOF
+}
+
+# serverd smoke: the daemon end-to-end at smoke scale. First two 5 s
+# daemonbench open_mixed runs (Poisson arrivals, 90% hot / 10% fresh pairs,
+# 30 s deadlines), untraced and traced, whose result lines must check out
+# (below ~2.5 s a round holds no 0.5 s window and cpu_us_per_request reads
+# 0); then an external revtr_serverd process that logs its start-up phases
+# and serves a revtr_cli client over the socket, which must drain and exit 0
+# on SIGTERM.
 serverd_smoke() {
-    echo "==> [default] serverd smoke (replay 1k + external daemon drain)"
-    rm -f build/BENCH_serverd.json build/serverd_smoke_metrics.prom
-    REVTR_BENCH_DIR=build ./build/tools/revtr_replay \
-        --requests=1000 --conns=2 --mode=closed --inflight=8 \
-        --ases=150 --vps=10 --probes=60 --workers=2 --deadline-ms=30000 \
-        --daemon-socket=build/serverd_smoke_replay.sock \
-        --metrics-out=build/serverd_smoke_metrics.prom >/dev/null
-    require_bench_fields build/BENCH_serverd.json \
-        requests accepted completed replay_requests_per_second \
-        wall_p50_us wall_p99_us wall_p999_us peak_rss_bytes
-    # The artifact's "server" object is the daemon's STATS reply: start-up
-    # must be attributed to its phases (lab, ingress survey, atlas).
-    require_bench_fields build/BENCH_serverd.json \
-        startup_lab_s startup_survey_s startup_atlas_s
-    if ! grep -q '"deadline_missed": *0[,}]' build/BENCH_serverd.json; then
-        echo "serverd smoke: deadline misses in a hot-cache closed-loop" \
-             "replay with 30s budgets" >&2
-        exit 1
-    fi
-    total="$(awk '/^revtr_server_requests_total /{print $2}' \
-        build/serverd_smoke_metrics.prom)"
-    if [ -z "$total" ] || [ "$total" -le 0 ]; then
-        echo "serverd smoke: revtr_server_requests_total=${total:-missing}" >&2
-        exit 1
-    fi
+    echo "==> [default] serverd smoke (daemonbench open_mixed + external" \
+         "daemon drain)"
+    for trace in 0 1; do
+        out="build/serverd_smoke_trace$trace"
+        if ! python3 daemonbench/run.py --workload open_mixed --seed 1 \
+                --seconds 5 --trace "$trace" >"$out.out" 2>"$out.log"; then
+            echo "serverd smoke: daemonbench open_mixed --trace $trace" \
+                 "failed (see $out.out, $out.log)" >&2
+            exit 1
+        fi
+        require_result_line "$out.out" "$trace"
+    done
     sock="build/serverd_smoke.sock"
     rm -f "$sock"
     ./build/tools/revtr_serverd --socket="$sock" --ases=100 --vps=6 \
@@ -244,7 +289,14 @@ serverd_smoke() {
              "(see build/serverd_smoke_daemon.log)" >&2
         exit 1
     fi
-    echo "serverd smoke: ok ($total daemon requests; SIGTERM drain clean)"
+    if ! grep -q 'started in lab [0-9.]* s + survey [0-9.]* s + atlas' \
+            build/serverd_smoke_daemon.log; then
+        echo "serverd smoke: no start-up phase line in" \
+             "build/serverd_smoke_daemon.log" >&2
+        exit 1
+    fi
+    echo "serverd smoke: ok (open_mixed untraced and traced; start-up" \
+         "phases logged; SIGTERM drain clean)"
 }
 
 # Agent smoke: the distributed controller/agent deployment (DESIGN.md §15)

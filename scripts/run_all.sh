@@ -9,7 +9,11 @@
 #
 # Benches that publish machine-readable results write them to
 # $REVTR_BENCH_DIR/BENCH_<name>.json (throughput, latency quantiles from
-# the obs snapshot, peak RSS); default: the build/ tree.
+# the obs snapshot, peak RSS); default: the build/ tree. The daemon is
+# load-tested by daemonbench (daemonbench/NOTES.md): one 10 s run of each
+# workload, whose JSON result line lands in
+# $REVTR_BENCH_DIR/daemonbench_<workload>.json; a failed run fails the
+# script.
 set -e
 cd "$(dirname "$0")/.."
 if [ "${REVTR_QUICK:-0}" = "1" ]; then
@@ -24,16 +28,18 @@ mkdir -p "$REVTR_BENCH_DIR"
 # bench (or a future caller) runs from somewhere other than the repo root.
 REVTR_BENCH_DIR="$(cd "$REVTR_BENCH_DIR" && pwd)"
 export REVTR_BENCH_DIR
-for b in build/bench/*; do [ -x "$b" ] && "$b"; done
-for e in build/examples/*; do [ -x "$e" ] && "$e"; done
-# Full-scale daemon replay: a million closed-loop requests against an
-# in-process revtr_serverd with hot caches; publishes accept/shed/deadline
-# SLOs into BENCH_serverd.json (see DESIGN.md §14). REVTR_REPLAY_REQUESTS
-# scales it down for constrained machines.
-./build/tools/revtr_replay \
-    --requests="${REVTR_REPLAY_REQUESTS:-1000000}" --conns=4 --mode=closed \
-    --inflight=16 --ases=400 --vps=20 --probes=150 --workers=4 \
-    --deadline-ms=60000 --daemon-socket=build/revtr_replay_full.sock
+# Regular executables only: the build trees also hold CMakeFiles/, and a
+# directory passes -x.
+for b in build/bench/* build/examples/*; do
+    if [ -f "$b" ] && [ -x "$b" ]; then "$b"; fi
+done
+for w in hot_zipf cold_pairs open_mixed agents_cold; do
+    result="$(python3 daemonbench/run.py --workload "$w" --seed 1 \
+        --seconds 10 --trace 0)"
+    printf '%s\n' "$result"
+    printf '%s\n' "$result" | tail -n 1 \
+        >"$REVTR_BENCH_DIR/daemonbench_$w.json"
+done
 echo "bench artifacts: $(ls "$REVTR_BENCH_DIR"/BENCH_*.json 2>/dev/null || echo none)"
 scripts/bench_delta.py --baselines bench/baselines --fresh "$REVTR_BENCH_DIR" \
     --trajectory || true

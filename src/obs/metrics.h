@@ -184,8 +184,8 @@ struct MetricsSnapshot {
 
   // Exact-name lookups (full name including labels); nullptr when absent.
   // Consumers that report on specific series — the daemon's STATS reply,
-  // the replayer's SLO export — use these instead of re-scanning the
-  // vectors.
+  // the concurrency tests' survey counters — use these instead of
+  // re-scanning the vectors.
   const CounterSample* find_counter(std::string_view name) const;
   const GaugeSample* find_gauge(std::string_view name) const;
   const HistogramSample* find_histogram(std::string_view name) const;

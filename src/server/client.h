@@ -1,8 +1,8 @@
 // Blocking client for the revtr_serverd framed protocol (server/frame.h).
 //
 // One DaemonClient owns one AF_UNIX stream connection. All calls run on the
-// caller's thread with blocking I/O — the replayer gives each connection
-// thread its own client; nothing here is shared or locked. RESULT frames
+// caller's thread with blocking I/O — a caller with several threads gives
+// each its own client; nothing here is shared or locked. RESULT frames
 // interleave with other replies in push mode, so every wait_* helper
 // stashes Results it passes by; next_result() consumes the stash before
 // touching the socket.

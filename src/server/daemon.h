@@ -119,7 +119,7 @@ struct StartupTimings {
 
 // Lifetime totals, copied out under the daemon mutex. The same numbers back
 // the STATS reply and the Prometheus counters; this plain struct is for
-// tests and the replayer's artifact.
+// tests and revtr_serverd's drain summary.
 struct ServerCounters {
   std::uint64_t connections = 0;
   std::uint64_t accepted = 0;
