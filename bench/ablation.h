@@ -217,7 +217,7 @@ inline AblationResult run_ablation(const BenchSetup& setup,
   return result;
 }
 
-// The Table 4 incremental chain:
+// The Table 4 incremental chain, as the paper measured it:
 //   revtr 2.0 = revtr 1.0 + ingress + cache - TS + RR atlas.
 inline std::vector<AblationConfig> table4_chain() {
   std::vector<AblationConfig> chain;
@@ -248,10 +248,21 @@ inline std::vector<AblationConfig> table4_chain() {
   AblationConfig revtr2 = no_ts;
   revtr2.label = "revtr 2.0 (+ RR atlas)";
   revtr2.engine = core::EngineConfig::revtr2();
+  revtr2.engine.use_last_hop_traces = false;  // The paper's system.
   revtr2.use_alias_store = false;
   chain.push_back(revtr2);
 
   return chain;
+}
+
+// The row after the paper's chain: revtr 2.0 with last-hop symmetry traces
+// (DESIGN.md §16), an extension beyond the paper. Same paths, fewer
+// traceroute packets.
+inline AblationConfig last_hop_row(const AblationConfig& revtr2) {
+  AblationConfig row = revtr2;
+  row.label = "revtr 2.0 + last-hop traces";
+  row.engine.use_last_hop_traces = true;
+  return row;
 }
 
 }  // namespace revtr::bench

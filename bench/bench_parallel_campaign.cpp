@@ -276,6 +276,12 @@ int main(int argc, char** argv) {
   const double probes_per_second =
       best_on.wall > 0 ? static_cast<double>(best_on.probes) / best_on.wall
                        : 0.0;
+  // Informational beside the gated probes_per_second, which a probe saving
+  // lowers just as a slower simulator would: this field tells them apart.
+  const double probes_per_request =
+      overhead_pairs.empty() ? 0.0
+                             : static_cast<double>(best_on.probes) /
+                                   static_cast<double>(overhead_pairs.size());
   double sim_latency_p50_us = 0.0;
   double sim_latency_p99_us = 0.0;
   for (const auto& h : registry.snapshot().histograms) {
@@ -285,9 +291,11 @@ int main(int argc, char** argv) {
       break;
     }
   }
-  std::printf("throughput: %.1f requests/s, %.0f probes/s | simulated "
-              "request latency p50 %.0f us, p99 %.0f us | peak RSS %.1f MiB\n",
-              requests_per_second, probes_per_second, sim_latency_p50_us,
+  std::printf("throughput: %.1f requests/s, %.0f probes/s (%.2f per "
+              "request) | simulated request latency p50 %.0f us, p99 %.0f us "
+              "| peak RSS %.1f MiB\n",
+              requests_per_second, probes_per_second, probes_per_request,
+              sim_latency_p50_us,
               sim_latency_p99_us,
               static_cast<double>(bench::peak_rss_bytes()) / (1024.0 * 1024.0));
 
@@ -298,6 +306,7 @@ int main(int argc, char** argv) {
   out["speedup_at_4_workers"] = speedup_at_4;
   out["requests_per_second"] = requests_per_second;
   out["probes_per_second"] = probes_per_second;
+  out["probes_per_request"] = probes_per_request;
   out["single_worker_requests_per_second"] = single_worker_rps;
   out["single_worker_probes_per_second"] = single_worker_pps;
   out["sim_latency_p50_us"] = sim_latency_p50_us;

@@ -46,6 +46,7 @@ GATED = {
 # Informational fields worth a table row when both sides have them, in
 # display order. Anything else numeric and shared is appended alphabetically.
 PREFERRED_INFO = [
+    "probes_per_request",
     "single_worker_requests_per_second",
     "single_worker_probes_per_second",
     "sim_latency_p50_us",

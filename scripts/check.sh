@@ -29,7 +29,8 @@
 # plus a scheduler smoke: a staged campaign with overlapping destinations
 # whose revtr_probes_coalesced_total sample must come out positive. The full
 # gate adds a serverd smoke: two 5 s daemonbench open_mixed runs through
-# daemonbench/run.py, untraced and traced (built once into .bench_build/),
+# daemonbench/run.py, untraced and traced, and one 2 s untraced cold_pairs
+# run (built once into .bench_build/),
 # whose JSON result lines must show a correct run with no failed, shed,
 # rejected or late request and non-zero wall, CPU, start-up and RSS figures,
 # then an external revtr_serverd that logs its start-up phases, serves one
@@ -127,8 +128,8 @@ bench_smoke() {
         --ases=150 --vps=8 --probes=60 --revtrs=24 --pacing=0 \
         --dup-revtrs=48 --overhead-reps=1 --overhead-revtrs=200 >/dev/null
     require_bench_fields build/BENCH_parallel_campaign.json \
-        requests_per_second probes_per_second sim_latency_p50_us \
-        sim_latency_p99_us peak_rss_bytes \
+        requests_per_second probes_per_second probes_per_request \
+        sim_latency_p50_us sim_latency_p99_us peak_rss_bytes \
         single_worker_requests_per_second single_worker_probes_per_second
     REVTR_BENCH_DIR=build ./build/bench/bench_throughput \
         --ases=150 --vps=8 --probes=60 --revtrs=20 >/dev/null
@@ -250,26 +251,34 @@ sys.exit(1 if bad else 0)
 EOF
 }
 
+# Runs daemonbench workload $1 with seed 1 for $2 s with --trace $3, and
+# checks its result line.
+daemonbench_smoke() {
+    out="build/serverd_smoke_$1_trace$3"
+    if ! python3 daemonbench/run.py --workload "$1" --seed 1 \
+            --seconds "$2" --trace "$3" >"$out.out" 2>"$out.log"; then
+        echo "serverd smoke: daemonbench $1 --trace $3 failed" \
+             "(see $out.out, $out.log)" >&2
+        exit 1
+    fi
+    require_result_line "$out.out" "$3"
+}
+
 # serverd smoke: the daemon end-to-end at smoke scale. First two 5 s
 # daemonbench open_mixed runs (Poisson arrivals, 90% hot / 10% fresh pairs,
 # 30 s deadlines), untraced and traced, whose result lines must check out
 # (below ~2.5 s a round holds no 0.5 s window and cpu_us_per_request reads
-# 0); then an external revtr_serverd process that logs its start-up phases
-# and serves a revtr_cli client over the socket, which must drain and exit 0
-# on SIGTERM.
+# 0); then one 2 s untraced cold_pairs run, where every pair is measured
+# fresh and every symmetry traceroute runs, whose `correct` also covers
+# per-pair path identity across rounds and the oracle cap; then an external
+# revtr_serverd process that logs its start-up phases and serves a
+# revtr_cli client over the socket, which must drain and exit 0 on SIGTERM.
 serverd_smoke() {
-    echo "==> [default] serverd smoke (daemonbench open_mixed + external" \
-         "daemon drain)"
-    for trace in 0 1; do
-        out="build/serverd_smoke_trace$trace"
-        if ! python3 daemonbench/run.py --workload open_mixed --seed 1 \
-                --seconds 5 --trace "$trace" >"$out.out" 2>"$out.log"; then
-            echo "serverd smoke: daemonbench open_mixed --trace $trace" \
-                 "failed (see $out.out, $out.log)" >&2
-            exit 1
-        fi
-        require_result_line "$out.out" "$trace"
-    done
+    echo "==> [default] serverd smoke (daemonbench open_mixed and" \
+         "cold_pairs + external daemon drain)"
+    daemonbench_smoke open_mixed 5 0
+    daemonbench_smoke open_mixed 5 1
+    daemonbench_smoke cold_pairs 2 0
     sock="build/serverd_smoke.sock"
     rm -f "$sock"
     ./build/tools/revtr_serverd --socket="$sock" --ases=100 --vps=6 \
@@ -295,8 +304,8 @@ serverd_smoke() {
              "build/serverd_smoke_daemon.log" >&2
         exit 1
     fi
-    echo "serverd smoke: ok (open_mixed untraced and traced; start-up" \
-         "phases logged; SIGTERM drain clean)"
+    echo "serverd smoke: ok (open_mixed untraced and traced; cold_pairs" \
+         "untraced; start-up phases logged; SIGTERM drain clean)"
 }
 
 # Agent smoke: the distributed controller/agent deployment (DESIGN.md §15)

@@ -581,6 +581,9 @@ void RequestTask::step_symmetry_emit() {
   demand.type = probing::ProbeType::kTraceroute;
   demand.from = source_;
   demand.target = current_;
+  if (config().use_last_hop_traces) {
+    demand.trace_scope = probing::TraceScope::kLastHop;
+  }
   demands_.push_back(std::move(demand));
   stage_ = Stage::kSymmetryWait;
 }

@@ -64,6 +64,7 @@ EngineConfig EngineConfig::revtr1() {
   config.allow_interdomain_symmetry = true;
   config.assume_from_unreachable_traceroute = true;
   config.flag_suspicious_links = false;
+  config.use_last_hop_traces = false;
   return config;
 }
 
@@ -75,6 +76,7 @@ std::string EngineConfig::name() const {
   name += use_timestamp ? "+ts" : "";
   name += use_rr_atlas ? "+rratlas" : "";
   name += allow_interdomain_symmetry ? "+interdomain" : "";
+  name += use_last_hop_traces ? "+lasthop" : "";
   return name;
 }
 
@@ -129,7 +131,10 @@ RevtrEngine::RevtrEngine(probing::Prober& prober,
       relationships_(relationships),
       config_(config),
       rng_(seed),
-      caches_(std::make_shared<EngineCaches>()) {}
+      caches_(std::make_shared<EngineCaches>()) {
+  REVTR_CHECK(!(config_.use_last_hop_traces &&
+                config_.assume_from_unreachable_traceroute));
+}
 
 void RevtrEngine::clear_caches() { caches_->clear(); }
 

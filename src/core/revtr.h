@@ -17,7 +17,8 @@
 //      aborts the measurement instead of risking a wrong path.
 //
 // Config presets reproduce the Table 4 ablation chain:
-//   revtr 2.0 = revtr 1.0 + ingress + cache - TS + RR atlas.
+//   revtr 2.0 = revtr 1.0 + ingress + cache - TS + RR atlas,
+// and revtr2() adds one extension step, last-hop symmetry traces.
 #pragma once
 
 #include <cstdint>
@@ -212,6 +213,12 @@ struct EngineConfig {
   // catching destination-based-routing violations at the cost of extra
   // spoofed probes.
   bool verify_destination_based_routing = false;
+  // Symmetry traceroutes as last-hop scans (DESIGN.md §16): the same
+  // `reached` and penultimate hop as a full Paris trace from about half the
+  // packets. An extension beyond the paper, so Table 4's paper rows turn it
+  // off. Incompatible with assume_from_unreachable_traceroute, which reads
+  // the last hop of a trace that fell short — a scan never learns it.
+  bool use_last_hop_traces = true;
 
   std::size_t batch_size = 3;           // Spoofed RR batch (§5.3).
   std::size_t max_per_ingress = 5;      // Backup VPs per ingress (§4.3).

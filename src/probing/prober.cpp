@@ -1,5 +1,6 @@
 #include "probing/prober.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "util/check.h"
@@ -304,60 +305,115 @@ TsProbeResult Prober::ts_ping(topology::HostId from, Ipv4Addr target,
   return out;
 }
 
-TracerouteResult Prober::traceroute(topology::HostId from, Ipv4Addr target) {
-  charge_traceroute_head();
+Prober::TtlReply Prober::probe_ttl(topology::HostId from, Ipv4Addr target,
+                                   int ttl, TracerouteResult& trace) {
+  charge(ProbeType::kTraceroute);
+  ++trace.packets;
   const auto& sender = topo().host(from);
-  TracerouteResult out;
   // Paris flow id: constant across TTLs so per-flow load balancers keep the
   // probes on one path, and a pure function of the endpoints so re-tracing a
   // flow takes the *same* path regardless of how many probes any prober sent
   // before — probe outcomes must be content-addressed for the shared caches
-  // of a parallel campaign to be transparent (DESIGN.md §8).
+  // of a parallel campaign to be transparent (DESIGN.md §8). It is also what
+  // lets a last-hop scan's TTL-t probe meet the full trace's TTL-t router.
   const auto flow_id = util::truncate_cast<std::uint16_t>(
       util::mix_hash(sender.addr.value(), target.value(), 0x7aceULL));
-  std::uint64_t packets = 0;
+  Packet probe = net::make_echo_request(sender.addr, target, flow_id, 7,
+                                        static_cast<std::uint8_t>(ttl));
+  const auto result = network_.send(probe, from);
+  TtlReply reply;
+  if (result.answered()) {
+    reply.hop.addr = result.reply->src;
+    reply.hop.rtt_us = result.rtt_us;
+    reply.echo = result.reply->type == net::IcmpType::kEchoReply;
+    trace.duration_us += result.rtt_us;
+  } else {
+    trace.duration_us += kProbeTimeoutUs;
+  }
+  return reply;
+}
+
+void Prober::notify_trace(topology::HostId from, Ipv4Addr target,
+                          const TracerouteResult& trace) {
+  if (observer_ == nullptr) return;
+  ProbeEvent event;
+  event.type = ProbeType::kTraceroute;
+  event.from = from;
+  event.target = target;
+  event.offline = offline();
+  event.packets = trace.packets;
+  event.tr_hops = trace.responsive_hops();
+  event.responded = !event.tr_hops.empty();
+  event.tr_reached = trace.reached;
+  notify(event);
+}
+
+TracerouteResult Prober::traceroute(topology::HostId from, Ipv4Addr target) {
+  charge_traceroute_head();
+  TracerouteResult out;
+  int silent = 0;
   for (int ttl = 1; ttl <= kMaxTracerouteTtl; ++ttl) {
-    charge(ProbeType::kTraceroute);
-    ++packets;
-    Packet probe = net::make_echo_request(sender.addr, target, flow_id, 7,
-                                          static_cast<std::uint8_t>(ttl));
-    const auto result = network_.send(probe, from);
-    TracerouteHop hop;
-    if (result.answered()) {
-      hop.addr = result.reply->src;
-      hop.rtt_us = result.rtt_us;
-      out.duration_us += result.rtt_us;
-    } else {
-      out.duration_us += kProbeTimeoutUs;
-    }
-    out.hops.push_back(hop);
-    if (result.answered() &&
-        result.reply->type == net::IcmpType::kEchoReply) {
+    const TtlReply reply = probe_ttl(from, target, ttl, out);
+    out.hops.push_back(reply.hop);
+    if (reply.echo) {
       out.reached = true;
       break;
     }
-    // Three consecutive silent hops usually mean the trace is going
-    // nowhere; real tools stop too rather than burn 30 more probes.
-    if (out.hops.size() >= 3) {
-      const auto n = out.hops.size();
-      if (!out.hops[n - 1].addr && !out.hops[n - 2].addr &&
-          !out.hops[n - 3].addr) {
+    silent = reply.hop.addr ? 0 : silent + 1;
+    if (silent == kSilentTtlsBeforeGiveUp) break;
+  }
+  notify_trace(from, target, out);
+  return out;
+}
+
+TracerouteResult Prober::last_hop_scan(topology::HostId from,
+                                       Ipv4Addr target) {
+  charge_traceroute_head();
+  TracerouteResult out;
+  // Replies by TTL: each TTL goes on the wire at most once.
+  std::array<std::optional<TtlReply>, kMaxTracerouteTtl + 1> replies{};
+  const auto at = [&](int ttl) -> const TtlReply& {
+    auto& reply = replies[static_cast<std::size_t>(ttl)];
+    if (!reply) reply = probe_ttl(from, target, ttl, out);
+    return *reply;
+  };
+  // Anchors: from the highest TTL known to answer (0 is the source), probe
+  // kSilentTtlsBeforeGiveUp TTLs further and step back to the highest TTL
+  // that answers. When none does, traceroute() meets a silent run (or its
+  // TTL cap) here and gives up without reaching the target.
+  int answered = 0;
+  int echo = 0;  // Lowest TTL seen drawing the target's echo reply.
+  while (echo == 0 && answered < kMaxTracerouteTtl) {
+    int ttl = std::min(answered + kSilentTtlsBeforeGiveUp, kMaxTracerouteTtl);
+    while (ttl > answered && !at(ttl).hop.addr) --ttl;
+    if (ttl == answered) break;
+    if (at(ttl).echo) {
+      echo = ttl;
+    } else {
+      answered = ttl;
+    }
+  }
+  if (echo != 0) {
+    // The target sits at most kSilentTtlsBeforeGiveUp TTLs above
+    // `answered`: walk down to its first echo reply and to the last
+    // responsive hop below it (`answered` itself if nothing in between
+    // answers).
+    out.reached = true;
+    for (int ttl = echo - 1; ttl > answered; --ttl) {
+      const TtlReply& reply = at(ttl);
+      if (reply.echo) {
+        echo = ttl;
+      } else if (reply.hop.addr) {
         break;
       }
     }
   }
-  if (observer_ != nullptr) {
-    ProbeEvent event;
-    event.type = ProbeType::kTraceroute;
-    event.from = from;
-    event.target = target;
-    event.offline = offline();
-    event.responded = !out.responsive_hops().empty();
-    event.packets = packets;
-    event.tr_hops = out.responsive_hops();
-    event.tr_reached = out.reached;
-    notify(event);
+  const int last = out.reached ? echo : kMaxTracerouteTtl;
+  for (int ttl = 1; ttl <= last; ++ttl) {
+    const auto& reply = replies[static_cast<std::size_t>(ttl)];
+    if (reply) out.hops.push_back(reply->hop);
   }
+  notify_trace(from, target, out);
   return out;
 }
 

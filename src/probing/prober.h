@@ -2,9 +2,10 @@
 //
 // These are the operations the real system issues from its vantage points:
 // plain pings, RR pings (optionally spoofed), timestamp-prespec queries
-// (optionally spoofed), and Paris traceroute. Every call is accounted by
-// type so Table 4's packet budget can be regenerated, and every result
-// carries a simulated duration that the engine charges to the SimClock.
+// (optionally spoofed), Paris traceroute, and the last-hop scan that the
+// symmetry step uses in its place. Every call is accounted by type so
+// Table 4's packet budget can be regenerated, and every result carries a
+// simulated duration that the engine charges to the SimClock.
 //
 // The prober never advances the clock itself: batches of probes are
 // conceptually concurrent, so the caller decides whether durations add up
@@ -38,6 +39,13 @@ enum class ProbeType : std::uint8_t {
 };
 
 std::string to_string(ProbeType type);
+
+// What a traceroute demand must learn (DESIGN.md §16).
+enum class TraceScope : std::uint8_t {
+  kFullPath,  // Prober::traceroute(): every TTL up to the target.
+  kLastHop,   // Prober::last_hop_scan(): `reached` and the last responsive
+              // hop before the target, nothing else.
+};
 
 struct ProbeCounters {
   std::uint64_t ping = 0;
@@ -141,9 +149,14 @@ struct TracerouteHop {
 };
 
 struct TracerouteResult {
+  // Probed TTLs in TTL order. A full trace probes every TTL, so hops[i] is
+  // TTL i + 1; a last-hop scan lists only the TTLs it probed.
   std::vector<TracerouteHop> hops;
   bool reached = false;  // Destination answered the final probe.
   util::SimClock::Micros duration_us = 0;
+  // Wire packets sent, one per TTL probed. A scan may probe TTLs above the
+  // target that `hops` does not list.
+  std::uint64_t packets = 0;
 
   bool operator==(const TracerouteResult&) const = default;
 
@@ -157,6 +170,10 @@ class Prober {
   static constexpr util::SimClock::Micros kProbeTimeoutUs =
       2 * util::SimClock::kSecond;
   static constexpr int kMaxTracerouteTtl = 40;
+  // A trace gives up after this many consecutive silent TTLs: the path is
+  // usually going nowhere, and real tools stop too rather than burn 30 more
+  // probes. It is also the last-hop scan's stride.
+  static constexpr int kSilentTtlsBeforeGiveUp = 3;
 
   explicit Prober(sim::Network& network);
 
@@ -185,6 +202,16 @@ class Prober {
   // Paris traceroute: constant flow identifiers across TTLs so per-flow
   // load balancers keep the probes on one path (Appx E).
   TracerouteResult traceroute(topology::HostId from, net::Ipv4Addr target);
+
+  // The part of traceroute() the symmetry step reads, from about half the
+  // packets (DESIGN.md §16). Probes TTL 3, 6, 9, ... with traceroute()'s
+  // flow id; a silent anchor steps back one or two TTLs to an answering
+  // one, and the TTLs below the first echo reply are probed last. Answering
+  // TTLs at most kSilentTtlsBeforeGiveUp apart prove traceroute() would not
+  // have given up below them, so `reached` and the last responsive hop
+  // before the target equal traceroute()'s for every (from, target). `hops`
+  // lists the probed TTLs up to the target.
+  TracerouteResult last_hop_scan(topology::HostId from, net::Ipv4Addr target);
 
   const ProbeCounters& counters() const noexcept { return counters_; }
   void reset_counters() {
@@ -246,6 +273,16 @@ class Prober {
   bool offline() const noexcept { return offline_depth_ > 0; }
   void charge(ProbeType type);
   void charge_traceroute_head();
+  struct TtlReply {
+    TracerouteHop hop;
+    bool echo = false;  // The target itself answered.
+  };
+  // One charged TTL-limited Paris probe, added to `trace`'s packets and
+  // duration (but not to its hops).
+  TtlReply probe_ttl(topology::HostId from, net::Ipv4Addr target, int ttl,
+                     TracerouteResult& trace);
+  void notify_trace(topology::HostId from, net::Ipv4Addr target,
+                    const TracerouteResult& trace);
   // Consults the fault policy; on a drop marks the event suppressed.
   bool vetoed(ProbeEvent& event);
   void notify(const ProbeEvent& event) {

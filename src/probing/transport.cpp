@@ -34,12 +34,12 @@ ProbeReply execute_spec(Prober& prober, const ProbeSpec& spec) {
       break;
     }
     case ProbeType::kTraceroute: {
-      auto result = prober.traceroute(spec.from, spec.target);
+      auto result = spec.trace_scope == TraceScope::kLastHop
+                        ? prober.last_hop_scan(spec.from, spec.target)
+                        : prober.traceroute(spec.from, spec.target);
       reply.responded = result.reached;
       reply.duration_us = result.duration_us;
-      // One wire packet per TTL tried (the Prober charges exactly one
-      // traceroute packet per recorded hop).
-      reply.packets = result.hops.size();
+      reply.packets = result.packets;
       reply.traceroute = std::move(result);
       break;
     }

@@ -36,6 +36,7 @@ struct ProbeSpec {
   net::Ipv4Addr target;
   std::optional<net::Ipv4Addr> spoof_as;
   std::vector<net::Ipv4Addr> prespec;  // TS prespecified addresses.
+  TraceScope trace_scope = TraceScope::kFullPath;  // Traceroutes only.
 
   bool operator==(const ProbeSpec&) const = default;
 };
@@ -49,7 +50,7 @@ struct ProbeReply {
   std::vector<bool> stamped;         // TS stamps observed.
   TracerouteResult traceroute;
   util::SimClock::Micros duration_us = 0;
-  // Wire packets this reply cost (traceroute: one per TTL tried).
+  // Wire packets this reply cost (traceroute: one per TTL probed).
   std::uint64_t packets = 0;
 
   bool operator==(const ProbeReply&) const = default;

@@ -29,6 +29,7 @@ std::uint64_t ProbeDemand::coalesce_key() const {
   std::uint64_t h = util::mix_hash(static_cast<std::uint64_t>(type), from,
                                    target.value());
   h = util::mix_hash(h, spoof_as ? spoof_as->value() : kNoSpoof, 0x5c4edULL);
+  h = util::mix_hash(h, static_cast<std::uint64_t>(trace_scope));
   return hash_addr_list(h, prespec);
 }
 
@@ -53,6 +54,7 @@ probing::ProbeSpec spec_of(const ProbeDemand& demand) {
   spec.target = demand.target;
   spec.spoof_as = demand.spoof_as;
   spec.prespec = demand.prespec;
+  spec.trace_scope = demand.trace_scope;
   return spec;
 }
 

@@ -6,11 +6,11 @@
 // wire probes:
 //
 //   * Coalescing: two demands with identical content (same probe type,
-//     vantage point, target, spoof source, prespec list) share one wire
-//     probe while the first is queued *or executing*; the outcome fans out
-//     to every waiter. The paper's RR-atlas exists to avoid re-measuring
-//     what another request already learned — coalescing applies the same
-//     idea at in-flight granularity.
+//     vantage point, target, spoof source, prespec list, trace scope)
+//     share one wire probe while the first is queued *or executing*; the
+//     outcome fans out to every waiter. The paper's RR-atlas exists to
+//     avoid re-measuring what another request already learned — coalescing
+//     applies the same idea at in-flight granularity.
 //   * Per-VP windows: at most `vp_window` probes issue from one vantage
 //     point per pump round, plus a token bucket refilled every round, so no
 //     VP is hammered no matter how many requests want it (§5.2.4's rate
@@ -56,6 +56,9 @@ struct ProbeDemand {
   net::Ipv4Addr target;
   std::optional<net::Ipv4Addr> spoof_as;
   std::vector<net::Ipv4Addr> prespec;  // TS prespecified addresses.
+  // Traceroutes only: a last-hop scan and a full trace answer different
+  // questions, so they never coalesce with each other.
+  probing::TraceScope trace_scope = probing::TraceScope::kFullPath;
   // Spoofed-RR only: the ingress this attempt expects, used to group
   // same-ingress demands from different requests into one wire batch.
   net::Ipv4Addr batch_ingress;

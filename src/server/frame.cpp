@@ -125,6 +125,7 @@ void encode_payload(const Message& message, std::vector<std::uint8_t>& out) {
           REVTR_CHECK(msg.spec.prespec.size() <= kMaxAgentPrespec);
           put_u64(out, msg.ticket);
           put_u8(out, static_cast<std::uint8_t>(msg.spec.type));
+          put_u8(out, static_cast<std::uint8_t>(msg.spec.trace_scope));
           put_u32(out, msg.spec.from);
           put_u32(out, msg.spec.target.value());
           put_u8(out, msg.spec.spoof_as.has_value() ? 1 : 0);
@@ -160,6 +161,7 @@ void encode_payload(const Message& message, std::vector<std::uint8_t>& out) {
             if (hop.addr.has_value()) put_u32(out, hop.addr->value());
             put_i64(out, hop.rtt_us);
           }
+          put_u64(out, msg.reply.traceroute.packets);
           put_i64(out, msg.reply.duration_us);
           put_u64(out, msg.reply.packets);
         } else if constexpr (std::is_same_v<T, AgentHeartbeat>) {
@@ -525,6 +527,10 @@ std::optional<Message> decode_payload(FrameType type,
       if (type_raw > static_cast<std::uint8_t>(probing::ProbeType::kTraceroute))
         return fail(error, FrameError::kBadPayload);
       msg.spec.type = static_cast<probing::ProbeType>(type_raw);
+      const std::uint8_t scope_raw = reader.u8();
+      if (scope_raw > static_cast<std::uint8_t>(probing::TraceScope::kLastHop))
+        return fail(error, FrameError::kBadPayload);
+      msg.spec.trace_scope = static_cast<probing::TraceScope>(scope_raw);
       msg.spec.from = reader.u32();
       msg.spec.target = net::Ipv4Addr(reader.u32());
       const std::uint8_t has_spoof = reader.u8();
@@ -584,6 +590,7 @@ std::optional<Message> decode_payload(FrameType type,
         if (hop.rtt_us < 0) return fail(error, FrameError::kBadPayload);
         msg.reply.traceroute.hops.push_back(hop);
       }
+      msg.reply.traceroute.packets = read_u64(reader);
       msg.reply.duration_us = read_i64(reader);
       msg.reply.packets = read_u64(reader);
       if (msg.reply.duration_us < 0 || msg.reply.traceroute.duration_us < 0)

@@ -31,7 +31,7 @@
 namespace revtr::server {
 
 inline constexpr std::uint16_t kFrameMagic = 0x5256;  // "RV"
-inline constexpr std::uint8_t kProtoVersion = 1;
+inline constexpr std::uint8_t kProtoVersion = 2;
 inline constexpr std::size_t kFrameHeaderSize = 8;
 // Generous for every message we define (the largest is a STATS_REPLY
 // carrying a metrics snapshot); anything bigger is a protocol violation, so
@@ -238,7 +238,8 @@ struct AgentRegister {
 // the ack frame keeps the grammar small).
 struct AgentProbe {
   std::uint64_t ticket = 0;  // Scheduler assignment ticket; echoed back.
-  // prespec <= kMaxAgentPrespec addresses; type within the ProbeType range.
+  // prespec <= kMaxAgentPrespec addresses; type within the ProbeType range;
+  // trace_scope one byte within the TraceScope range.
   probing::ProbeSpec spec;
 
   bool operator==(const AgentProbe&) const = default;

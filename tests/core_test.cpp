@@ -470,6 +470,54 @@ TEST(RequestExecutor, FinishesEachRequestOnceAsMeasureWould) {
   EXPECT_TRUE(scheduler.idle());
 }
 
+// Last-hop symmetry traces change what a measurement costs, never what it
+// finds: over every (destination, source) pair of a small world, revtr 2.0
+// with and without them returns the same status and the same hops with the
+// same provenance, from as many traceroutes and fewer traceroute packets.
+TEST(LastHopTraces, SameHopsFromFewerPackets) {
+  topology::TopologyConfig config = small_config();
+  config.num_ases = 100;
+  config.num_vps = 6;
+  config.num_probe_hosts = 20;
+  EngineConfig full_traces = EngineConfig::revtr2();
+  full_traces.use_last_hop_traces = false;
+  eval::Lab scans(config, EngineConfig::revtr2());
+  eval::Lab traces(config, full_traces);
+  const auto vps = scans.topo.vantage_points();
+  for (const HostId vp : vps) {
+    scans.bootstrap_source(vp, 20);
+    traces.bootstrap_source(vp, 20);
+  }
+  const auto dests = scans.responsive_destinations();
+  ASSERT_EQ(dests, traces.responsive_destinations());
+
+  probing::ProbeCounters scan_probes;
+  probing::ProbeCounters trace_probes;
+  std::size_t assumed = 0;
+  for (const HostId source : vps) {
+    for (const HostId destination : dests) {
+      util::SimClock scan_clock;
+      util::SimClock trace_clock;
+      const auto got = scans.engine.measure(destination, source, scan_clock);
+      const auto want =
+          traces.engine.measure(destination, source, trace_clock);
+      ASSERT_EQ(got.status, want.status)
+          << destination << " -> " << source;
+      ASSERT_EQ(got.hops, want.hops) << destination << " -> " << source;
+      scan_probes += got.probes;
+      trace_probes += want.probes;
+      assumed += got.symmetry_assumptions;
+    }
+  }
+  EXPECT_GT(assumed, 0u);
+  EXPECT_GT(scan_probes.traceroutes, 0u);
+  EXPECT_LT(scan_probes.traceroute_packets, trace_probes.traceroute_packets);
+  // Every other count, traceroutes included, is unchanged.
+  probing::ProbeCounters rest = scan_probes;
+  rest.traceroute_packets = trace_probes.traceroute_packets;
+  EXPECT_EQ(rest, trace_probes);
+}
+
 // --------------------------------------------------------------------------
 // AdjacencyMap
 // --------------------------------------------------------------------------

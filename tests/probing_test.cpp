@@ -2,9 +2,11 @@
 #include <memory>
 
 #include <algorithm>
+#include <ostream>
 
 #include "net/ip_options.h"
 #include "probing/prober.h"
+#include "probing/transport.h"
 #include "routing/forwarding.h"
 #include "sim/network.h"
 #include "topology/builder.h"
@@ -257,6 +259,143 @@ TEST_F(ProbingFixture, ResetCounters) {
   EXPECT_GT(prober.counters().total(), 0u);
   prober.reset_counters();
   EXPECT_EQ(prober.counters().total(), 0u);
+}
+
+// --------------------------------------------------------------------------
+// Last-hop scan
+// --------------------------------------------------------------------------
+
+// Half the routers never answer a TTL-limited probe, so silent runs often
+// come before the target and the full trace's give-up rule decides
+// `reached`.
+TopologyConfig silent_config() {
+  TopologyConfig config = small_config();
+  config.num_ases = 80;
+  config.num_vps = 6;
+  config.num_vps_2016 = 2;
+  config.num_probe_hosts = 30;
+  config.router_ttl_responsive = 0.5;
+  return config;
+}
+
+// What the symmetry step reads from a trace: whether it reached the
+// target, whether the target is the first hop, and the last responsive hop
+// before the target.
+struct LastHop {
+  bool reached = false;
+  bool adjacent = false;
+  std::optional<net::Ipv4Addr> hop;
+
+  bool operator==(const LastHop&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const LastHop& last) {
+  return os << (last.reached ? "reached" : "not reached")
+            << (last.adjacent ? ", adjacent" : "") << ", last hop "
+            << (last.hop ? last.hop->to_string() : "none");
+}
+
+LastHop last_hop_of(const TracerouteResult& trace) {
+  LastHop out;
+  out.reached = trace.reached;
+  if (!trace.reached) return out;
+  out.adjacent = trace.hops.size() == 1;
+  for (std::size_t i = trace.hops.size() - 1; i-- > 0;) {
+    if (trace.hops[i].addr) {
+      out.hop = trace.hops[i].addr;
+      break;
+    }
+  }
+  return out;
+}
+
+class PacketTally final : public ProbeObserver {
+ public:
+  void on_probe(const ProbeEvent& event) override { packets += event.packets; }
+  std::uint64_t packets = 0;
+};
+
+TEST(LastHopScan, MatchesFullTraceWhereSilentRunsPrecedeTheTarget) {
+  const Topology topo = TopologyBuilder::build(silent_config());
+  const routing::BgpTable bgp(topo);
+  const routing::IntraRouting intra(topo);
+  const routing::ForwardingPlane plane(topo, bgp, intra);
+  sim::Network network(topo, plane, 5);
+  Prober full(network);
+  Prober scan(network);
+  PacketTally tally;
+  scan.set_observer(&tally);
+
+  std::vector<net::Ipv4Addr> targets;
+  for (const HostId host : topo.probe_hosts()) {
+    targets.push_back(topo.host(host).addr);
+  }
+  for (const auto& router : topo.routers()) targets.push_back(router.loopback);
+
+  std::uint64_t full_packets = 0;
+  std::uint64_t reached = 0;
+  std::uint64_t gave_up = 0;
+  for (const HostId vp : topo.vantage_points()) {
+    for (const net::Ipv4Addr target : targets) {
+      const TracerouteResult want = full.traceroute(vp, target);
+      ProbeSpec spec;
+      spec.type = ProbeType::kTraceroute;
+      spec.from = vp;
+      spec.target = target;
+      spec.trace_scope = TraceScope::kLastHop;
+      const ProbeCounters before = scan.counters();
+      const ProbeReply reply = execute_spec(scan, spec);
+      const TracerouteResult& got = reply.traceroute;
+
+      ASSERT_EQ(last_hop_of(got), last_hop_of(want))
+          << "vp " << vp << " target " << target.to_string();
+      EXPECT_EQ(reply.responded, want.reached);
+      EXPECT_LE(got.packets, want.packets + 2);
+      EXPECT_LE(got.hops.size(), got.packets);
+      EXPECT_EQ(reply.packets, got.packets);
+      const ProbeCounters spent = scan.counters() - before;
+      EXPECT_EQ(spent.traceroute_packets, got.packets);
+      EXPECT_EQ(spent.traceroutes, 1u);
+      EXPECT_EQ(want.packets, want.hops.size());
+      full_packets += want.packets;
+      reached += want.reached ? 1 : 0;
+      const auto n = want.hops.size();
+      if (!want.reached && n >= 3 && !want.hops[n - 1].addr &&
+          !want.hops[n - 2].addr && !want.hops[n - 3].addr) {
+        ++gave_up;
+      }
+    }
+  }
+  // The world exercises both outcomes, the give-up rule included.
+  EXPECT_GT(reached, 100u);
+  EXPECT_GT(gave_up, 100u);
+  EXPECT_EQ(tally.packets, scan.counters().traceroute_packets);
+  EXPECT_LE(scan.counters().traceroute_packets * 10, full_packets * 7);
+}
+
+TEST_F(ProbingFixture, LastHopScanListsProbedTtlsEndingAtTheTarget) {
+  Prober prober(*network_);
+  const auto vp = topo_->vantage_points()[0];
+  const auto target = topo_->host(responsive_host()).addr;
+  const TracerouteResult full = prober.traceroute(vp, target);
+  const TracerouteResult scan = prober.last_hop_scan(vp, target);
+  ASSERT_TRUE(full.reached);
+  ASSERT_TRUE(scan.reached);
+  ASSERT_TRUE(scan.hops.back().addr);
+  EXPECT_EQ(*scan.hops.back().addr, target);
+  // Every listed hop is one the full trace saw, in the same order.
+  auto at = full.hops.begin();
+  for (const TracerouteHop& hop : scan.hops) {
+    at = std::find_if(at, full.hops.end(), [&hop](const TracerouteHop& h) {
+      return h.addr == hop.addr;
+    });
+    ASSERT_NE(at, full.hops.end());
+    ++at;
+  }
+  EXPECT_LT(scan.packets, full.packets);
+  EXPECT_EQ(prober.counters().traceroutes, 2u);
+  EXPECT_EQ(prober.counters().traceroute_packets,
+            full.packets + scan.packets);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -118,6 +119,35 @@ TEST_F(SchedFixture, CoalescesIdenticalInFlightDemands) {
   EXPECT_EQ(metrics.issued->total(), 1u);
   EXPECT_EQ(metrics.coalesced->total(), 1u);
   EXPECT_TRUE(scheduler.idle());
+}
+
+TEST_F(SchedFixture, TraceScopesCoalesceOnlyWithTheirOwnKind) {
+  // A last-hop scan skips TTLs, so it cannot answer a full trace's demand;
+  // the trace scope is part of the coalescing key.
+  ProbeDemand full = ping_demand(0, 0);
+  full.type = probing::ProbeType::kTraceroute;
+  ProbeDemand scan = full;
+  scan.trace_scope = probing::TraceScope::kLastHop;
+  EXPECT_NE(full.coalesce_key(), scan.coalesce_key());
+
+  ProbeScheduler scheduler;
+  scheduler.submit(1, 0, {full});
+  scheduler.submit(2, 0, {scan});
+  scheduler.submit(3, 0, {scan});
+  EXPECT_EQ(scheduler.pump(lab_->prober).issued, 2u);
+  auto ready = scheduler.collect_ready(0);
+  ASSERT_EQ(ready.size(), 3u);
+  std::sort(ready.begin(), ready.end(),
+            [](const auto& a, const auto& b) { return a.task < b.task; });
+  const ProbeOutcome& traced = ready[0].outcomes[0];
+  const ProbeOutcome& scanned = ready[1].outcomes[0];
+  const ProbeOutcome& rider = ready[2].outcomes[0];
+  EXPECT_FALSE(traced.coalesced);
+  EXPECT_NE(scanned.coalesced, rider.coalesced);
+  EXPECT_EQ(scanned.digest(), rider.digest());
+  EXPECT_EQ(traced.packets, traced.traceroute.hops.size());
+  EXPECT_EQ(scanned.traceroute.reached, traced.traceroute.reached);
+  EXPECT_EQ(scheduler.stats().coalesced, 1u);
 }
 
 TEST_F(SchedFixture, CoalescingDisabledIssuesEveryDemand) {

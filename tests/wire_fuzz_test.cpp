@@ -382,6 +382,9 @@ std::vector<Message> frame_corpus() {
   plain_probe.spec.from = 3;
   plain_probe.spec.target = net::Ipv4Addr(10, 4, 5, 6);
   corpus.push_back(plain_probe);
+  AgentProbe scan_probe = plain_probe;
+  scan_probe.spec.trace_scope = probing::TraceScope::kLastHop;
+  corpus.push_back(scan_probe);
   AgentProbeResult agent_result;
   agent_result.ticket = 0xfeedfaceULL;
   agent_result.reply.responded = true;
@@ -394,6 +397,7 @@ std::vector<Message> frame_corpus() {
       probing::TracerouteHop{net::Ipv4Addr(10, 0, 2, 1), 1200});
   agent_result.reply.traceroute.hops.push_back(
       probing::TracerouteHop{std::nullopt, 2400});  // "*" hop.
+  agent_result.reply.traceroute.packets = 3;
   agent_result.reply.duration_us = 7000;
   agent_result.reply.packets = 3;
   corpus.push_back(agent_result);
@@ -564,6 +568,33 @@ TEST(FrameFuzz, SeedCorpusRoundTripsExactly) {
     ASSERT_TRUE(decoded.has_value()) << to_string(error);
     EXPECT_TRUE(*decoded == message)
         << "frame type " << to_string(frame_type_of(message));
+  }
+}
+
+TEST(FrameFuzz, AgentProbeCarriesTheTraceScopeByte) {
+  AgentProbe probe;
+  probe.ticket = 5;
+  probe.spec.type = probing::ProbeType::kTraceroute;
+  probe.spec.from = 2;
+  probe.spec.target = net::Ipv4Addr(10, 4, 5, 6);
+  // The scope byte follows the u64 ticket and the type byte.
+  constexpr std::size_t kScopeByte = kFrameHeaderSize + 9;
+  FrameError error = FrameError::kNone;
+  for (const auto scope :
+       {probing::TraceScope::kFullPath, probing::TraceScope::kLastHop}) {
+    probe.spec.trace_scope = scope;
+    const auto bytes = encode_frame(probe);
+    ASSERT_GT(bytes.size(), kScopeByte);
+    EXPECT_EQ(bytes[kScopeByte], static_cast<std::uint8_t>(scope));
+    const auto decoded = decode_frame(bytes, &error);
+    ASSERT_TRUE(decoded.has_value()) << to_string(error);
+    EXPECT_TRUE(*decoded == Message{probe});
+  }
+  for (const std::uint8_t lie : {std::uint8_t{2}, std::uint8_t{0xff}}) {
+    auto bytes = encode_frame(probe);
+    bytes[kScopeByte] = lie;
+    EXPECT_FALSE(decode_frame(bytes, &error).has_value());
+    EXPECT_EQ(error, FrameError::kBadPayload);
   }
 }
 
