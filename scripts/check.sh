@@ -27,7 +27,9 @@
 # through revtr_cli, whose Prometheus snapshot must parse and contain the
 # core metric families (requests, probes, request latency, engine stages) —
 # plus a scheduler smoke: a staged campaign with overlapping destinations
-# whose revtr_probes_coalesced_total sample must come out positive. The full
+# whose revtr_probes_coalesced_total sample must come out positive and whose
+# demanded probes must equal issued + coalesced (the scheduler carries wire
+# probes only, so every demand is one or the other). The full
 # gate adds a serverd smoke: two 5 s daemonbench open_mixed runs through
 # daemonbench/run.py, untraced and traced, and one 2 s untraced cold_pairs
 # run (built once into .bench_build/),
@@ -202,9 +204,12 @@ lint_selftest_guard() {
 
 # Scheduler smoke: a staged campaign whose destinations heavily overlap must
 # actually coalesce — the exported snapshot's revtr_probes_coalesced_total
-# sample has to be positive, or cross-request dedup silently died.
+# sample has to be positive, or cross-request dedup silently died — and must
+# account for every demand: revtr_sched_probes_demanded_total equals
+# revtr_sched_probes_issued_total + revtr_probes_coalesced_total.
 sched_smoke() {
-    echo "==> [default] sched smoke (staged campaign, coalescing metric > 0)"
+    echo "==> [default] sched smoke (staged campaign, coalescing metric > 0," \
+         "demanded = issued + coalesced)"
     out="build/sched_smoke_metrics.prom"
     ./build/tools/revtr_cli campaign --ases=120 --vps=8 --probes=20 \
         --revtrs=60 --parallel=2 --staged \
@@ -215,7 +220,18 @@ sched_smoke() {
              "on an overlapping-destination campaign" >&2
         exit 1
     fi
-    echo "sched smoke: ok ($coalesced probes coalesced)"
+    demanded="$(awk '/^revtr_sched_probes_demanded_total /{print $2}' "$out")"
+    issued="$(awk '/^revtr_sched_probes_issued_total /{print $2}' "$out")"
+    if [ -z "$demanded" ] || [ -z "$issued" ] ||
+       [ "$demanded" -ne $((issued + coalesced)) ]; then
+        echo "sched smoke:" \
+             "revtr_sched_probes_demanded_total=${demanded:-missing}" \
+             "!= revtr_sched_probes_issued_total=${issued:-missing}" \
+             "+ revtr_probes_coalesced_total=$coalesced" >&2
+        exit 1
+    fi
+    echo "sched smoke: ok ($coalesced of $demanded demanded probes coalesced," \
+         "$issued issued)"
 }
 
 # Checks the JSON result line daemonbench/run.py prints last: a correct

@@ -361,19 +361,12 @@ std::vector<Violation> check_scheduler(const sched::SchedulerAudit& audit,
           "issue " + std::to_string(issue.issue_id) +
               ": delivered outcome digest differs from the issued probe's"});
     }
-    if (issue.offline) {
-      out.push_back(Violation{
-          InvariantId::kSchedulerConsistency,
-          "issue " + std::to_string(issue.issue_id) +
-              " is offline work but was delivered to a coalesced waiter"});
-    }
   }
 
   // Per-VP window: no vantage point issues more than vp_window wire probes
-  // in one pump round. Offline jobs are not wire probes and are exempt.
+  // in one pump round.
   std::unordered_map<std::uint64_t, std::size_t> per_round_vp;
   for (const auto& issue : audit.issues) {
-    if (issue.offline) continue;
     const std::uint64_t slot = util::mix_hash(issue.round, issue.vp);
     const std::size_t count = ++per_round_vp[slot];
     if (count == options.vp_window + 1) {  // Report each breach once.

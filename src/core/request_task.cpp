@@ -70,12 +70,6 @@ void RequestTask::close_stage() {
 
 void RequestTask::charge(const sched::ProbeDemand& demand,
                          const sched::ProbeOutcome& outcome) {
-  if (demand.offline()) {
-    // Background survey packets: Table 4 accounts these separately from the
-    // online budget.
-    result_.offline_probes += outcome.offline_probes;
-    return;
-  }
   if (outcome.coalesced) {
     // Answered by another request's in-flight duplicate: no wire probe was
     // issued for this demand, so it costs the request (and its spans)
@@ -135,7 +129,6 @@ std::span<const sched::ProbeDemand> RequestTask::advance() {
         step_symmetry_emit();
         break;
       case Stage::kRrDirectWait:
-      case Stage::kDiscoveryWait:
       case Stage::kSpoofBatchWait:
       case Stage::kDbrVerifyWait:
       case Stage::kTsDirectWait:
@@ -157,9 +150,6 @@ void RequestTask::supply(std::span<const sched::ProbeOutcome> outcomes) {
   switch (stage_) {
     case Stage::kRrDirectWait:
       on_rr_direct(outcomes);
-      break;
-    case Stage::kDiscoveryWait:
-      on_discovery(outcomes);
       break;
     case Stage::kSpoofBatchWait:
       on_spoof_batch(outcomes);
@@ -307,34 +297,23 @@ void RequestTask::begin_spoofed() {
     stage_ = Stage::kAfterRr;
     return;
   }
-  prefix_ = *prefix;
-  if (const auto plan = engine_.ingress_.plan_for(*prefix); plan != nullptr) {
-    setup_attempts(*plan);
-    return;
-  }
-  // Offline background measurement run on demand: neither its time nor its
-  // packets are charged to this request's online budget (Table 4 counts
-  // surveys separately); the outcome reports them in offline_probes.
-  if (metrics() != nullptr) metrics()->rr_ingress_discovery->add();
-  open_stage("ingress-discovery");
-  sched::ProbeDemand demand;
-  demand.offline_work = [this] {
+  auto plan = engine_.ingress_.plan_for(*prefix);
+  if (plan == nullptr) {
+    // The offline Q3 survey, run on demand on the discovery prober
+    // (discover() scopes its probes as offline): neither its time nor its
+    // packets are charged to the online budget; Table 4 counts surveys
+    // separately. offline_probes takes the delta of this engine's prober,
+    // so it sees them only when that prober is the discovery prober.
+    if (metrics() != nullptr) metrics()->rr_ingress_discovery->add();
+    open_stage("ingress-discovery");
     const auto before = engine_.prober_.offline_counters();
-    const probing::Prober::OfflineScope offline(engine_.prober_);
-    engine_.ingress_.discover(*prefix_, engine_.topo_.vantage_points(), rng_);
-    return engine_.prober_.offline_counters() - before;
-  };
-  demands_.push_back(std::move(demand));
-  stage_ = Stage::kDiscoveryWait;
-}
-
-void RequestTask::on_discovery(std::span<const sched::ProbeOutcome> outcomes) {
-  charge(consumed_[0], outcomes[0]);
-  annotate_stage("offline_probes",
-                 std::to_string(outcomes[0].offline_probes.total()));
-  close_stage();
-  const auto plan = engine_.ingress_.plan_for(*prefix_);
-  REVTR_CHECK(plan != nullptr);
+    plan = engine_.ingress_.discover(*prefix, engine_.topo_.vantage_points(),
+                                     rng_);
+    const auto offline = engine_.prober_.offline_counters() - before;
+    result_.offline_probes += offline;
+    annotate_stage("offline_probes", std::to_string(offline.total()));
+    close_stage();
+  }
   setup_attempts(*plan);
 }
 

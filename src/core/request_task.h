@@ -1,12 +1,15 @@
 // One reverse-traceroute measurement as a resumable staged state machine.
 //
 // RequestTask is the engine's Fig 2 control flow unrolled into explicit
-// stages (atlas-intersect → rr-cache-replay → rr-direct → rr-spoof-batches →
-// dbr-verify → timestamp → symmetry, mirroring the TraceStage span names).
-// Every point where the blocking engine used to call the Prober is now a
-// suspension point: advance() runs pure transitions until the task either
-// finishes or yields a *probe demand set* (sched::ProbeDemand), and supply()
-// feeds the resolved outcomes back in demand order to resume it.
+// stages (atlas-intersect → rr-cache-replay → rr-direct → ingress-discovery →
+// rr-spoof-batches → dbr-verify → timestamp → symmetry, mirroring the
+// TraceStage span names). Every point where the blocking engine used to call
+// the Prober is now a suspension point: advance() runs pure transitions until
+// the task either finishes or yields a *probe demand set* (sched::ProbeDemand,
+// wire probes only), and supply() feeds the resolved outcomes back in demand
+// order to resume it. The one offline step, the on-demand ingress survey of
+// a prefix with no plan, runs inside the task on the discovery prober; its
+// packets land in offline_probes, apart from the online budget.
 //
 // Two executors drive tasks:
 //   * RevtrEngine::measure() — the blocking path — fulfills each demand set
@@ -81,11 +84,9 @@ class RequestTask {
     // Source check, atlas intersect, RR cache/direct.
     // lint: stage(kLoopHead -> kLoopHead, kRrDirectWait, kAfterRr, kDone)
     kLoopHead,
-    // lint: stage(kRrDirectWait -> kLoopHead, kAfterRr, kDiscoveryWait, kSpoofEmit)
+    // A miss may run the on-demand ingress survey inline (offline).
+    // lint: stage(kRrDirectWait -> kLoopHead, kAfterRr, kSpoofEmit)
     kRrDirectWait,
-    // On-demand ingress survey (offline).
-    // lint: stage(kDiscoveryWait -> kSpoofEmit)
-    kDiscoveryWait,
     // Build the next spoofed-RR batch.
     // lint: stage(kSpoofEmit -> kSpoofEmit, kSpoofBatchWait, kAfterRr)
     kSpoofEmit,
@@ -133,7 +134,6 @@ class RequestTask {
 
   // Outcome consumers (supply side).
   void on_rr_direct(std::span<const sched::ProbeOutcome> outcomes);
-  void on_discovery(std::span<const sched::ProbeOutcome> outcomes);
   void on_spoof_batch(std::span<const sched::ProbeOutcome> outcomes);
   void on_dbr_verify(std::span<const sched::ProbeOutcome> outcomes);
   void on_ts_direct(std::span<const sched::ProbeOutcome> outcomes);
@@ -152,8 +152,7 @@ class RequestTask {
   void finish();
 
   // Probe-cost accounting: issued packets charge the request and the open
-  // stage span; coalesced outcomes count only coalesced_probes; offline
-  // outcomes accumulate offline_probes.
+  // stage span; coalesced outcomes count only coalesced_probes.
   void charge(const sched::ProbeDemand& demand,
               const sched::ProbeOutcome& outcome);
 
@@ -204,7 +203,6 @@ class RequestTask {
 
   // RR technique state.
   std::uint64_t rr_key_ = 0;
-  std::optional<topology::PrefixId> prefix_;
   std::size_t next_attempt_ = 0;
   util::FlatMap<std::size_t, int> rank_failures_;
 

@@ -5,14 +5,14 @@
 
 #include "util/check.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace revtr::obs {
 
 std::size_t metric_shard() {
-  const std::size_t worker = util::ThreadPool::current_worker();
-  if (worker == util::ThreadPool::kNotAWorker) return 0;
-  return 1 + (worker % (kMetricShards - 1));
+  // Drawn once per thread, round-robin, on the thread's first add.
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t shard = next.fetch_add(1) % kMetricShards;
+  return shard;
 }
 
 // --- Histogram. -------------------------------------------------------------

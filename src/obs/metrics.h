@@ -11,10 +11,10 @@
 //                per request). Integer sum + integer buckets, so merged
 //                totals are independent of accumulation order.
 //
-// Hot-path cost: one relaxed atomic add into a per-worker shard. Shards are
-// indexed by util::ThreadPool::current_worker() (the same worker identity
-// the parallel campaign driver routes stacks by); threads outside any pool
-// share shard 0. Reads (snapshots) sum all shards — the "merge at the
+// Hot-path cost: one relaxed atomic add into a per-thread shard. Every
+// thread — pool workers and plain std::threads (daemon workers, campaign
+// pumps, survey helpers) alike — takes the next shard round-robin on first
+// use and keeps it. Reads (snapshots) sum all shards — the "merge at the
 // barrier" the campaign driver performs is exactly a snapshot.
 //
 // Determinism: a snapshot is rendered in sorted metric order with
@@ -46,12 +46,13 @@
 
 namespace revtr::obs {
 
-// Shard count: 16 pool workers plus one shard for non-pool threads. Pools
-// larger than 16 fold onto the worker shards; correctness is unaffected
-// (cells are atomic), only contention grows.
+// Shard count. A process with more threads than shards folds them onto
+// shared shards; correctness is unaffected (cells are atomic), only
+// contention grows.
 inline constexpr std::size_t kMetricShards = 17;
 
-// Dense shard index for the calling thread (0 outside any pool).
+// The calling thread's shard index, in [0, kMetricShards): assigned
+// round-robin on the thread's first call and stable for its lifetime.
 std::size_t metric_shard();
 
 class Counter {

@@ -1,12 +1,13 @@
 // The probe transport seam (DESIGN.md §15).
 //
 // A `ProbeSpec` is the wire-complete description of one measurement — the
-// same content the scheduler's coalesce key hashes — and a `ProbeReply` is
-// everything a probe's outcome carries. `ProbeTransport` is the seam the
-// scheduler issues through: `LocalProbeTransport` executes on an in-process
-// `Prober` (today's monolith, bit-for-bit), while the controller's remote
-// mode serializes specs as AGENT_PROBE frames to `revtr_agentd` processes
-// that run the identical `execute_spec` switch on their own prober.
+// same content the scheduler's coalesce key hashes, and the base of its
+// demand record — and a `ProbeReply` is everything a probe's outcome
+// carries. `ProbeTransport` is the seam the scheduler issues through:
+// `LocalProbeTransport` executes on an in-process `Prober` (today's
+// monolith, bit-for-bit), while the controller's remote mode serializes
+// specs as AGENT_PROBE frames to `revtr_agentd` processes that run the
+// identical `execute_spec` switch on their own prober.
 //
 // Determinism contract: simulated outcomes are content-addressed (stateless
 // ECMP salt, endpoint-derived flow ids — DESIGN.md §8), so executing a spec
@@ -27,9 +28,9 @@
 
 namespace revtr::probing {
 
-// Content-complete description of one wire probe. Mirrors the measurement
-// fields of sched::ProbeDemand (scheduling-only fields like batch_ingress
-// and offline closures never cross the transport).
+// Content-complete description of one wire probe. sched::ProbeDemand derives
+// from it and adds the scheduling-only batch_ingress, which never crosses the
+// transport.
 struct ProbeSpec {
   ProbeType type = ProbeType::kPing;
   topology::HostId from = topology::kInvalidId;
@@ -42,8 +43,8 @@ struct ProbeSpec {
 };
 
 // The outcome of one spec, carrying every field any probe type produces.
-// Identical in content to sched::ProbeOutcome minus the scheduler-side
-// bookkeeping (coalesced flag, offline counters).
+// sched::ProbeOutcome derives from it and adds the scheduler-side coalesced
+// flag.
 struct ProbeReply {
   bool responded = false;
   std::vector<net::Ipv4Addr> slots;  // RR reply slots.

@@ -25,7 +25,6 @@ std::uint64_t hash_addr_list(std::uint64_t seed,
 }  // namespace
 
 std::uint64_t ProbeDemand::coalesce_key() const {
-  if (offline()) return 0;  // Offline jobs are never coalesced.
   std::uint64_t h = util::mix_hash(static_cast<std::uint64_t>(type), from,
                                    target.value());
   h = util::mix_hash(h, spoof_as ? spoof_as->value() : kNoSpoof, 0x5c4edULL);
@@ -47,36 +46,9 @@ std::uint64_t ProbeOutcome::digest() const {
   return h;
 }
 
-probing::ProbeSpec spec_of(const ProbeDemand& demand) {
-  probing::ProbeSpec spec;
-  spec.type = demand.type;
-  spec.from = demand.from;
-  spec.target = demand.target;
-  spec.spoof_as = demand.spoof_as;
-  spec.prespec = demand.prespec;
-  spec.trace_scope = demand.trace_scope;
-  return spec;
-}
-
-ProbeOutcome outcome_of(const probing::ProbeReply& reply) {
-  ProbeOutcome outcome;
-  outcome.responded = reply.responded;
-  outcome.slots = reply.slots;
-  outcome.stamped = reply.stamped;
-  outcome.traceroute = reply.traceroute;
-  outcome.duration_us = reply.duration_us;
-  outcome.packets = reply.packets;
-  return outcome;
-}
-
 ProbeOutcome execute_demand(probing::ProbeTransport& transport,
                             const ProbeDemand& demand) {
-  if (demand.offline()) {
-    ProbeOutcome outcome;
-    outcome.offline_probes = demand.offline_work();
-    return outcome;
-  }
-  return outcome_of(transport.execute(spec_of(demand)));
+  return ProbeOutcome{transport.execute(demand)};
 }
 
 ProbeOutcome execute_demand(probing::Prober& prober,
@@ -150,7 +122,7 @@ void ProbeScheduler::submit(TaskId task, std::size_t owner,
     ++stats_.demanded;
     if (metrics_ != nullptr) metrics_->demanded->add();
     const std::uint64_t key = demand.coalesce_key();
-    if (options_.coalesce && !demand.offline()) {
+    if (options_.coalesce) {
       if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
         // Identical probe already pending: ride along, no second wire probe.
         pending_.at(it->second).waiters.push_back(Waiter{set_id, slot});
@@ -166,9 +138,7 @@ void ProbeScheduler::submit(TaskId task, std::size_t owner,
     pending.owner = owner;
     pending.waiters.push_back(Waiter{set_id, slot});
     queue_.push_back(pending_id);
-    if (options_.coalesce && !pending.demand.offline()) {
-      in_flight_[key] = pending_id;
-    }
+    if (options_.coalesce) in_flight_[key] = pending_id;
   }
   stats_.max_queue_depth = std::max<std::uint64_t>(stats_.max_queue_depth,
                                                    queue_.size());
@@ -178,7 +148,6 @@ void ProbeScheduler::submit(TaskId task, std::size_t owner,
 }
 
 bool ProbeScheduler::issuable_locked(const Pending& pending) {
-  if (pending.demand.offline()) return true;  // Not a wire probe.
   VpState& vp = vp_state_[pending.demand.from];
   if (vp.last_refill_round != round_) {
     vp.last_refill_round = round_;
@@ -203,7 +172,7 @@ void ProbeScheduler::deliver_locked(std::uint64_t set_id, std::size_t slot,
 }
 
 std::vector<std::uint64_t> ProbeScheduler::claim_round_locked(
-    std::size_t owner, bool wire_only, std::size_t limit) {
+    std::size_t owner, std::size_t limit) {
   // One pass over the queue in FIFO order. Demands this claimer may not take
   // are skipped before the VP check, so they spend no tokens; demands over a
   // VP's window or bucket are throttled and stay queued for a later round.
@@ -213,7 +182,7 @@ std::vector<std::uint64_t> ProbeScheduler::claim_round_locked(
   for (const std::uint64_t pending_id : queue_) {
     const Pending& pending = pending_.at(pending_id);
     if ((owner != kAnyOwner && pending.owner != owner) ||
-        (wire_only && pending.demand.offline()) || claimed.size() >= limit) {
+        claimed.size() >= limit) {
       deferred.push_back(pending_id);
       continue;
     }
@@ -250,19 +219,14 @@ void ProbeScheduler::account_and_deliver_locked(std::uint64_t pending_id,
 
   const std::uint64_t issue_id = next_issue_++;
   const std::uint64_t digest = outcome.digest();
-  if (pending.demand.offline()) {
-    ++stats_.offline_jobs;
-  } else {
-    ++stats_.issued;
-    if (metrics_ != nullptr) metrics_->issued->add();
-    ++result.issued;
-    result.round_duration_us =
-        std::max(result.round_duration_us, outcome.duration_us);
-  }
+  ++stats_.issued;
+  if (metrics_ != nullptr) metrics_->issued->add();
+  ++result.issued;
+  result.round_duration_us =
+      std::max(result.round_duration_us, outcome.duration_us);
   if (audit_ != nullptr) {
     audit_->issues.push_back(SchedulerAudit::Issue{
-        issue_id, pending.key, issue_round, pending.demand.from,
-        pending.demand.offline(), digest});
+        issue_id, pending.key, issue_round, pending.demand.from, digest});
   }
 
   // First waiter is the demand that caused the wire probe; the rest are
@@ -294,14 +258,13 @@ struct Claim {
 };
 
 bool spoofed(const ProbeDemand& demand) {
-  return !demand.offline() &&
-         demand.type == probing::ProbeType::kSpoofedRecordRoute;
+  return demand.type == probing::ProbeType::kSpoofedRecordRoute;
 }
 
-// Puts claims in issue order: offline jobs and non-spoofed probes in FIFO
-// order, then spoofed-RR demands grouped by expected ingress (groups in
-// first-seen order, FIFO within a group), so requests that share an ingress
-// fill the same 3-probe batches.
+// Puts claims in issue order: non-spoofed probes in FIFO order, then
+// spoofed-RR demands grouped by expected ingress (groups in first-seen
+// order, FIFO within a group), so requests that share an ingress fill the
+// same 3-probe batches.
 void order_for_issue(std::vector<Claim>& claims) {
   util::FlatMap<std::uint64_t, std::size_t> groups;
   for (Claim& claim : claims) {
@@ -376,8 +339,7 @@ ProbeScheduler::PumpResult ProbeScheduler::pump(
   std::uint64_t round = 0;
   {
     const util::MutexLock lock(mu_);
-    const auto claimed =
-        claim_round_locked(owner, /*wire_only=*/false, SIZE_MAX);
+    const auto claimed = claim_round_locked(owner, SIZE_MAX);
     claims.resize(claimed.size());
     for (std::size_t i = 0; i < claimed.size(); ++i) {
       claims[i].pending_id = claimed[i];
@@ -473,15 +435,14 @@ std::vector<ProbeScheduler::Assignment> ProbeScheduler::next_assignments(
 
   // The local pump's claim step with the agent as executor: each dispatch
   // call IS a round — the audit records it, so I7's per-round VP window
-  // check is exactly as strict as in the monolith. Offline jobs never cross
-  // the wire (run_offline_jobs steals them), and the agent's free window
+  // check is exactly as strict as in the monolith. The agent's free window
   // caps the claim before any VP token is spent.
-  for (const std::uint64_t pending_id : claim_round_locked(
-           kAnyOwner, /*wire_only=*/true, state.window - state.inflight)) {
+  for (const std::uint64_t pending_id :
+       claim_round_locked(kAnyOwner, state.window - state.inflight)) {
     const std::uint64_t ticket = next_ticket_++;
     assigned_[ticket] = Assigned{pending_id, agent, round_};
     ++state.inflight;
-    out.push_back(Assignment{ticket, spec_of(pending_.at(pending_id).demand)});
+    out.push_back(Assignment{ticket, pending_.at(pending_id).demand});
   }
   return out;
 }
@@ -511,31 +472,9 @@ bool ProbeScheduler::deliver_assignment(AgentId agent, std::uint64_t ticket,
     --agent_it->second.inflight;
   }
   PumpResult ignored;
-  account_and_deliver_locked(assigned.pending_id, outcome_of(reply),
+  account_and_deliver_locked(assigned.pending_id, ProbeOutcome{reply},
                              assigned.round, ignored);
   return true;
-}
-
-std::size_t ProbeScheduler::run_offline_jobs(std::size_t max_jobs) {
-  const util::MutexLock lock(mu_);
-  std::size_t run = 0;
-  std::deque<std::uint64_t> keep;
-  while (!queue_.empty()) {
-    const std::uint64_t pending_id = queue_.front();
-    queue_.pop_front();
-    if (run < max_jobs && pending_.at(pending_id).demand.offline()) {
-      ProbeOutcome outcome;
-      outcome.offline_probes = pending_.at(pending_id).demand.offline_work();
-      PumpResult ignored;
-      account_and_deliver_locked(pending_id, std::move(outcome), round_,
-                                 ignored);
-      ++run;
-    } else {
-      keep.push_back(pending_id);
-    }
-  }
-  queue_ = std::move(keep);
-  return run;
 }
 
 std::size_t ProbeScheduler::assigned_in_flight() const {

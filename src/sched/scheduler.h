@@ -3,7 +3,8 @@
 // The staged engine (core::RequestTask) never touches the Prober. Each stage
 // yields a *demand set* — the probes it needs before it can resume — and
 // suspends. This layer turns demand sets from many in-flight requests into
-// wire probes:
+// wire probes. It carries wire probes only: a demand is a probing::ProbeSpec,
+// and offline work (the on-demand ingress survey) runs inside the request.
 //
 //   * Coalescing: two demands with identical content (same probe type,
 //     vantage point, target, spoof source, prespec list, trace scope)
@@ -32,8 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -47,59 +46,34 @@
 
 namespace revtr::sched {
 
-// One probe a request stage needs before it can resume. Content-complete:
-// everything the wire probe depends on is in here, which is what makes the
-// coalescing key sound.
-struct ProbeDemand {
-  probing::ProbeType type = probing::ProbeType::kRecordRoute;
-  topology::HostId from = topology::kInvalidId;
-  net::Ipv4Addr target;
-  std::optional<net::Ipv4Addr> spoof_as;
-  std::vector<net::Ipv4Addr> prespec;  // TS prespecified addresses.
-  // Traceroutes only: a last-hop scan and a full trace answer different
-  // questions, so they never coalesce with each other.
-  probing::TraceScope trace_scope = probing::TraceScope::kFullPath;
+// One probe a request stage needs before it can resume: the wire-complete
+// probing::ProbeSpec — everything the wire probe depends on, which is what
+// makes the coalescing key sound — plus batch_ingress, which only schedules
+// and never crosses the transport. Set `type` explicitly: ProbeSpec defaults
+// it to kPing.
+struct ProbeDemand : probing::ProbeSpec {
   // Spoofed-RR only: the ingress this attempt expects, used to group
   // same-ingress demands from different requests into one wire batch.
   net::Ipv4Addr batch_ingress;
-  // Offline background work (on-demand ingress discovery) runs as a closure
-  // so the scheduler stays ignorant of vpselect; never coalesced, windowed,
-  // or counted as a wire probe. Returns the offline ProbeCounters delta.
-  std::function<probing::ProbeCounters()> offline_work;
 
-  bool offline() const noexcept { return static_cast<bool>(offline_work); }
   // Content hash: demands with equal keys are satisfied by one wire probe.
+  // A last-hop scan and a full trace answer different questions, so the
+  // trace scope is part of the key.
   std::uint64_t coalesce_key() const;
 };
 
-// The resolved outcome of one demand, in the shape the stages consume.
-struct ProbeOutcome {
-  bool responded = false;
-  std::vector<net::Ipv4Addr> slots;    // RR reply slots.
-  std::vector<bool> stamped;           // TS stamps observed.
-  probing::TracerouteResult traceroute;
-  util::SimClock::Micros duration_us = 0;
-  // Wire packets this outcome cost (traceroute: one per TTL). Coalesced
-  // copies report the issuing probe's packets but are not charged again.
-  std::uint64_t packets = 0;
+// The resolved outcome of one demand: the transport's probing::ProbeReply
+// plus the scheduler's fan-out bookkeeping. A coalesced copy reports the
+// issuing probe's packets but is not charged again.
+struct ProbeOutcome : probing::ProbeReply {
   // True when this demand was answered by another request's in-flight
   // duplicate: no wire probe was issued for it.
   bool coalesced = false;
-  probing::ProbeCounters offline_probes;  // Offline demands only.
 
   // Content digest for the I7 audit: every fan-out copy of one issued probe
   // must digest identically.
   std::uint64_t digest() const;
 };
-
-// The wire-complete subset of a demand, in the shape that crosses the
-// transport seam (scheduling-only fields — batch_ingress, offline closures —
-// stay on the controller).
-probing::ProbeSpec spec_of(const ProbeDemand& demand);
-
-// Lifts a transport reply into the outcome shape the stages consume
-// (coalesced=false, no offline counters — scheduler-side bookkeeping).
-ProbeOutcome outcome_of(const probing::ProbeReply& reply);
 
 // Executes one demand synchronously. The only place outside the simulator
 // where probes are issued on behalf of the engine — src/core/ stage code is
@@ -148,7 +122,6 @@ struct SchedulerStats {
   std::uint64_t coalesced = 0;
   std::uint64_t throttled = 0;
   std::uint64_t wire_batches = 0;  // Spoofed-RR batches put on the wire.
-  std::uint64_t offline_jobs = 0;
   std::uint64_t rounds = 0;
   std::uint64_t max_queue_depth = 0;
   // Remote dispatch (distributed controller mode, DESIGN.md §15).
@@ -166,7 +139,6 @@ struct SchedulerAudit {
     std::uint64_t key = 0;       // ProbeDemand::coalesce_key().
     std::uint64_t round = 0;
     topology::HostId vp = topology::kInvalidId;
-    bool offline = false;
     std::uint64_t digest = 0;    // ProbeOutcome::digest() as issued.
   };
   struct Delivery {
@@ -223,9 +195,9 @@ class ProbeScheduler {
   void submit(TaskId task, std::size_t owner, std::vector<ProbeDemand> demands);
 
   // One local round with the calling thread as executor: claims `owner`'s
-  // eligible demands (kAnyOwner: everyone's, offline jobs included),
-  // executes them on `transport` with no lock held — spoofed-RR claims in
-  // same-ingress batches of kSpoofBatchSize — and delivers the outcomes.
+  // eligible demands (kAnyOwner: everyone's), executes them on `transport`
+  // with no lock held — spoofed-RR claims in same-ingress batches of
+  // kSpoofBatchSize — and delivers the outcomes.
   // A worker passes its own owner index, so the demands it submitted run on
   // its own stack; outcomes are content-addressed, so the executor never
   // changes a result. The transport may call back into the scheduler. The
@@ -242,9 +214,7 @@ class ProbeScheduler {
   // the pumping worker's prober. Dispatch is the local pump's claim and
   // deliver with an agent as the executor: an assigned demand keeps its
   // place in the coalescing tables, so cross-request coalescing — and
-  // invariant I7 over the audit — hold across process boundaries. Offline
-  // jobs never cross the wire; any controller worker steals them via
-  // run_offline_jobs().
+  // invariant I7 over the audit — hold across process boundaries.
 
   using AgentId = std::uint64_t;
 
@@ -276,7 +246,7 @@ class ProbeScheduler {
   // One dispatch round for `agent`: moves eligible queued wire demands into
   // its in-flight set, honoring the per-VP window/token pacing (each call is
   // a scheduler round, exactly like a pump) and the agent's own window.
-  // Offline jobs are skipped. Unknown agents get nothing.
+  // Unknown agents get nothing.
   std::vector<Assignment> next_assignments(AgentId agent)
       REVTR_EXCLUDES(mu_);
 
@@ -290,14 +260,6 @@ class ProbeScheduler {
   bool deliver_assignment(AgentId agent, std::uint64_t ticket,
                           const probing::ProbeReply& reply,
                           std::int64_t now_us = 0) REVTR_EXCLUDES(mu_);
-
-  // Runs up to `max_jobs` queued offline closures on the calling thread
-  // (work stealing: atlas-refresh jobs run on whichever controller worker
-  // gets here first). Returns the number run. The closures run under mu_:
-  // a stolen closure probes on its requesting worker's stack, which two
-  // stealing workers must not share at once.
-  std::size_t run_offline_jobs(std::size_t max_jobs = SIZE_MAX)
-      REVTR_EXCLUDES(mu_);
 
   // Assignments currently in flight across all agents.
   std::size_t assigned_in_flight() const REVTR_EXCLUDES(mu_);
@@ -352,19 +314,17 @@ class ProbeScheduler {
   bool issuable_locked(const Pending& pending) REVTR_REQUIRES(mu_);
   // The claim step shared by local pumps and agent dispatch: one scheduler
   // round over the FIFO. Takes up to `limit` demands of `owner` (kAnyOwner:
-  // any), skipping offline jobs when `wire_only`; each must also pass the
-  // per-VP window and token bucket. Skipped and deferred demands keep their
-  // queue order and cost no tokens. Claimed demands leave the queue but stay
-  // in pending_ and in_flight_ until delivered. The round is counted only
-  // if some demand was eligible.
+  // any); each must also pass the per-VP window and token bucket. Skipped
+  // and deferred demands keep their queue order and cost no tokens. Claimed
+  // demands leave the queue but stay in pending_ and in_flight_ until
+  // delivered. The round is counted only if some demand was eligible.
   std::vector<std::uint64_t> claim_round_locked(std::size_t owner,
-                                                bool wire_only,
                                                 std::size_t limit)
       REVTR_REQUIRES(mu_);
   // The deliver step shared by every executor: removes the claimed pending
-  // entry, accounts and audits its wire probe (or offline job), and fans the
-  // outcome out to every waiter. `issue_round` is the round the demand was
-  // claimed in — the audit records it for I7's per-round window check.
+  // entry, accounts and audits its wire probe, and fans the outcome out to
+  // every waiter. `issue_round` is the round the demand was claimed in — the
+  // audit records it for I7's per-round window check.
   void account_and_deliver_locked(std::uint64_t pending_id,
                                   ProbeOutcome outcome,
                                   std::uint64_t issue_round,

@@ -908,10 +908,6 @@ void ServerDaemon::worker_loop(std::size_t w) {
 }
 
 std::size_t ServerDaemon::dispatch_to_agents() {
-  // Offline jobs (atlas refresh) never cross the wire: whichever worker
-  // gets here first steals them onto its own thread.
-  std::size_t moved = scheduler_->run_offline_jobs();
-
   if (options_.agent_timeout_us > 0) {
     const auto expired =
         scheduler_->expire_agents(now_us(), options_.agent_timeout_us);
@@ -929,7 +925,7 @@ std::size_t ServerDaemon::dispatch_to_agents() {
     const util::MutexLock lock(mu_);
     agents = agent_conns_;
   }
-  bool sent = false;
+  std::size_t moved = 0;
   for (const auto& [conn_id, agent] : agents) {
     // Scheduler (rank 60) and frame encoding both run outside mu_.
     const auto assignments = scheduler_->next_assignments(agent);
@@ -942,11 +938,10 @@ std::size_t ServerDaemon::dispatch_to_agents() {
                                            assignment.spec})});
     }
     moved += assignments.size();
-    sent = true;
     const util::MutexLock lock(mu_);
     for (auto& frame : frames) completions_.push_back(std::move(frame));
   }
-  if (sent) wake_net();
+  if (moved > 0) wake_net();
   return moved;
 }
 

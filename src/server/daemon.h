@@ -206,10 +206,10 @@ class ServerDaemon {
 
   void net_loop();
   void worker_loop(std::size_t w);
-  // Remote-mode pump replacement (any worker): steals queued offline jobs,
-  // expires silent agents, then encodes each live agent's next assignment
-  // batch as AGENT_PROBE completions for the net thread to flush. Returns
-  // the number of jobs + assignments moved (the workers' idle heuristic).
+  // Remote-mode pump replacement (any worker): expires silent agents, then
+  // encodes each live agent's next assignment batch as AGENT_PROBE
+  // completions for the net thread to flush. Returns the number of
+  // assignments moved (the workers' idle heuristic).
   std::size_t dispatch_to_agents();
   // Handles one decoded frame from a connection. Defined in daemon.cpp on
   // the net thread's connection table.

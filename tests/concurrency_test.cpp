@@ -6,6 +6,7 @@
 // worker count.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -302,7 +303,7 @@ TEST(ShardedMetrics, ConcurrentCounterAddsMergeExactly) {
         for (std::uint64_t i = 0; i < kAddsPerTask; ++i) counter.add();
       }));
     }
-    // A non-pool writer exercises shard 0 concurrently with the workers.
+    // A plain thread writes its own shard concurrently with the workers.
     std::thread outsider([&counter] {
       for (std::uint64_t i = 0; i < kAddsPerTask; ++i) counter.add(2);
     });
@@ -336,6 +337,38 @@ TEST(ShardedMetrics, ConcurrentHistogramRecordsMergeExactly) {
     bucket_total += hist.bucket_count(b);
   }
   EXPECT_EQ(bucket_total, hist.count());
+}
+
+// The daemon's workers and net thread, campaign pumps and survey helpers are
+// plain std::threads, not pool workers: each must still write a shard of its
+// own, kept for the thread's lifetime, and the merged totals stay exact.
+TEST(ShardedMetrics, PlainThreadsGetTheirOwnShard) {
+  obs::MetricsRegistry registry;
+  obs::Counter& counter = registry.counter("revtr_test_plain_adds_total");
+  obs::Histogram& hist = registry.histogram("revtr_test_plain_us");
+  constexpr std::uint64_t kAdds = 1000;
+  std::array<std::size_t, 2> first{};
+  std::array<std::size_t, 2> last{};
+  const auto writer = [&](std::size_t t) {
+    first[t] = obs::metric_shard();
+    for (std::uint64_t i = 0; i < kAdds; ++i) {
+      counter.add(t + 1);
+      hist.record(i);
+    }
+    last[t] = obs::metric_shard();
+  };
+  std::thread a(writer, 0);
+  a.join();  // One after the other: b draws its shard after a has.
+  std::thread b(writer, 1);
+  b.join();
+  EXPECT_EQ(first[0], last[0]);
+  EXPECT_EQ(first[1], last[1]);
+  EXPECT_NE(first[0], first[1]);
+  EXPECT_LT(first[0], obs::kMetricShards);
+  EXPECT_LT(first[1], obs::kMetricShards);
+  EXPECT_EQ(counter.total(), 3 * kAdds);
+  EXPECT_EQ(hist.count(), 2 * kAdds);
+  EXPECT_EQ(hist.sum(), kAdds * (kAdds - 1));
 }
 
 // Snapshots (the campaign's merge-at-barrier) run concurrently with
@@ -822,8 +855,8 @@ TEST_F(ParallelCampaignTest, StagedMatchesBlockingAcrossWorkersAndCoalescing) {
       EXPECT_EQ(blocking.stats.completed, staged.stats.completed);
       EXPECT_EQ(blocking.stats.aborted, staged.stats.aborted);
       EXPECT_EQ(blocking.stats.unreachable, staged.stats.unreachable);
-      // Every demand is accounted exactly once: issued, coalesced, or (not
-      // in a campaign — plans are precomputed) an offline job.
+      // Every demand is a wire probe, accounted exactly once: issued or
+      // coalesced.
       EXPECT_EQ(staged.sched->demanded,
                 staged.sched->issued + staged.sched->coalesced);
     }

@@ -470,6 +470,129 @@ TEST(RequestExecutor, FinishesEachRequestOnceAsMeasureWould) {
   EXPECT_TRUE(scheduler.idle());
 }
 
+// --------------------------------------------------------------------------
+// On-demand ingress survey
+// --------------------------------------------------------------------------
+
+// A request whose spoofed stage reaches a prefix with no ingress plan runs
+// the offline survey (Q3) itself, inside its ingress-discovery span. The
+// suite searches a lab whose source is bootstrapped but whose prefixes were
+// never surveyed for the first request whose blocking measure() surveys;
+// each test then replays that request on fresh labs built the same way.
+class OnDemandSurvey : public ::testing::Test {
+ protected:
+  static constexpr util::SimClock::Micros kStartUs = util::SimClock::kMinute;
+
+  static std::unique_ptr<eval::Lab> unsurveyed_lab() {
+    auto lab = std::make_unique<eval::Lab>(small_config(),
+                                           EngineConfig::revtr2());
+    lab->bootstrap_source(lab->topo.vantage_points()[0], 50);
+    return lab;
+  }
+
+  // What blocking measure() makes of the request on `lab`.
+  static ReverseTraceroute measure(eval::Lab& lab, HostId destination,
+                                   std::uint64_t seed) {
+    util::SimClock clock;
+    clock.advance_to(kStartUs);
+    lab.engine.reseed(seed);
+    return lab.engine.measure(destination, lab.topo.vantage_points()[0],
+                              clock);
+  }
+
+  static void SetUpTestSuite() {
+    const auto lab = unsurveyed_lab();
+    for (const HostId destination : lab->responsive_destinations()) {
+      const std::uint64_t seed = util::mix_hash(0x5e7e, destination);
+      lab->engine.clear_caches();
+      if (measure(*lab, destination, seed).offline_probes.total() > 0) {
+        destination_ = destination;
+        seed_ = seed;
+        return;
+      }
+    }
+  }
+
+  static HostId destination_;
+  static std::uint64_t seed_;
+};
+
+HostId OnDemandSurvey::destination_ = topology::kInvalidId;
+std::uint64_t OnDemandSurvey::seed_ = 0;
+
+// Staged, the survey runs where blocking runs it: the result, its offline
+// probes and its RNG draws match measure(), and the scheduler saw wire
+// probes only, so every demand was issued or coalesced.
+TEST_F(OnDemandSurvey, StagedRequestSurveysInsideItsOwnSpan) {
+  ASSERT_NE(destination_, topology::kInvalidId);
+  const auto blocking = unsurveyed_lab();
+  const ReverseTraceroute want = measure(*blocking, destination_, seed_);
+  ASSERT_GT(want.offline_probes.total(), 0u);
+
+  const auto staged = unsurveyed_lab();
+  const HostId source = staged->topo.vantage_points()[0];
+  sched::ProbeScheduler scheduler;
+  RequestExecutor executor(staged->engine, scheduler, 0);
+  std::optional<ReverseTraceroute> got;
+  std::optional<obs::Trace> trace;
+  executor.start(destination_, source, kStartUs, seed_, obs::Trace{},
+                 [&](ReverseTraceroute result, std::optional<obs::Trace> back) {
+                   got = std::move(result);
+                   trace = std::move(back);
+                 });
+  while (executor.active() > 0) {
+    scheduler.pump(staged->prober, 0);
+    executor.resume_ready();
+  }
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(to_json(*got, staged->topo).dump(),
+            to_json(want, blocking->topo).dump());
+  EXPECT_EQ(got->span.begin, want.span.begin);
+  EXPECT_EQ(got->span.end, want.span.end);
+  EXPECT_EQ(got->offline_probes, want.offline_probes);
+
+  ASSERT_TRUE(trace.has_value());
+  const auto& spans = trace->spans();
+  EXPECT_TRUE(std::any_of(spans.begin(), spans.end(), [](const auto& span) {
+    return span.name == "ingress-discovery";
+  }));
+
+  const auto stats = scheduler.stats();
+  EXPECT_GT(stats.demanded, 0u);
+  EXPECT_EQ(stats.demanded, stats.issued + stats.coalesced);
+  EXPECT_TRUE(scheduler.idle());
+}
+
+// Two requests that reach the same unplanned prefix together survey it once:
+// the first surveys, the second reads its plan, as consecutive blocking
+// requests do. Both find the same path.
+TEST_F(OnDemandSurvey, ConcurrentRequestsSurveyAPrefixOnce) {
+  ASSERT_NE(destination_, topology::kInvalidId);
+  const auto lab = unsurveyed_lab();
+  const HostId source = lab->topo.vantage_points()[0];
+  sched::ProbeScheduler scheduler;
+  RequestExecutor executor(lab->engine, scheduler, 0);
+  std::vector<ReverseTraceroute> results;
+  for (int copy = 0; copy < 2; ++copy) {
+    executor.start(destination_, source, kStartUs, seed_, std::nullopt,
+                   [&](ReverseTraceroute result, std::optional<obs::Trace>) {
+                     results.push_back(std::move(result));
+                   });
+  }
+  while (executor.active() > 0) {
+    scheduler.pump(lab->prober, 0);
+    executor.resume_ready();
+  }
+  ASSERT_EQ(results.size(), 2u);
+  const auto surveyed = std::count_if(
+      results.begin(), results.end(), [](const ReverseTraceroute& result) {
+        return result.offline_probes.total() > 0;
+      });
+  EXPECT_EQ(surveyed, 1);
+  EXPECT_EQ(results[0].status, results[1].status);
+  EXPECT_EQ(results[0].hops, results[1].hops);
+}
+
 // Last-hop symmetry traces change what a measurement costs, never what it
 // finds: over every (destination, source) pair of a small world, revtr 2.0
 // with and without them returns the same status and the same hops with the

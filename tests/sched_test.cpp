@@ -266,25 +266,6 @@ TEST_F(SchedFixture, SpoofedBatchesGroupAcrossTasks) {
   EXPECT_EQ(scheduler.collect_ready(0).size(), 2u);
 }
 
-TEST_F(SchedFixture, OfflineDemandRunsClosureOffTheWire) {
-  ProbeScheduler scheduler;
-  ProbeDemand offline;
-  offline.offline_work = [] {
-    probing::ProbeCounters counters;
-    counters.ping = 7;
-    return counters;
-  };
-  scheduler.submit(1, 0, {std::move(offline)});
-  const auto pumped = scheduler.pump(lab_->prober);
-  EXPECT_EQ(pumped.issued, 0u);  // Offline jobs are not wire probes.
-  auto ready = scheduler.collect_ready(0);
-  ASSERT_EQ(ready.size(), 1u);
-  EXPECT_EQ(ready[0].outcomes[0].offline_probes.ping, 7u);
-  const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.offline_jobs, 1u);
-  EXPECT_EQ(stats.issued, 0u);
-}
-
 TEST_F(SchedFixture, AuditSatisfiesI7AndCatchesTampering) {
   SchedOptions options;
   ProbeScheduler scheduler(options);
@@ -314,7 +295,7 @@ TEST_F(SchedFixture, AuditSatisfiesI7AndCatchesTampering) {
   SchedulerAudit overdriven;
   for (std::uint64_t i = 0; i < 3; ++i) {
     overdriven.issues.push_back(SchedulerAudit::Issue{
-        i, i, /*round=*/1, lab_->topo.vantage_points()[0], false, i});
+        i, i, /*round=*/1, lab_->topo.vantage_points()[0], i});
   }
   SchedOptions narrow;
   narrow.vp_window = 2;
@@ -599,8 +580,8 @@ TEST_F(SchedFixture, DispatcherAssignsAndDeliversLikeAPump) {
   const auto assignments = scheduler.next_assignments(agent);
   ASSERT_EQ(assignments.size(), 2u);
   // The wire spec is exactly what a local pump would have executed.
-  EXPECT_EQ(assignments[0].spec, spec_of(ping_demand(0, 0)));
-  EXPECT_EQ(assignments[1].spec, spec_of(ping_demand(1, 1)));
+  EXPECT_EQ(assignments[0].spec, ping_demand(0, 0));
+  EXPECT_EQ(assignments[1].spec, ping_demand(1, 1));
   EXPECT_EQ(scheduler.assigned_in_flight(), 2u);
 
   // An agent executes on its own prober; here the lab's stands in (the
@@ -728,36 +709,6 @@ TEST_F(SchedFixture, ExpireAgentsDetachesSilentOnes) {
   // Expiry is idempotent — the survivor heartbeated recently.
   EXPECT_TRUE(
       scheduler.expire_agents(1'000'000, 500'000).empty());
-}
-
-TEST_F(SchedFixture, OfflineJobsNeverDispatchButAnyWorkerStealsThem) {
-  ProbeScheduler scheduler;
-  const auto agent = scheduler.attach_agent(/*window=*/8);
-  ProbeDemand offline;
-  offline.offline_work = [] {
-    probing::ProbeCounters counters;
-    counters.traceroutes = 3;
-    return counters;
-  };
-  scheduler.submit(1, 0, {std::move(offline), ping_demand(0, 0)});
-
-  // Offline closures never cross the wire: the agent only sees the ping.
-  const auto assignments = scheduler.next_assignments(agent);
-  ASSERT_EQ(assignments.size(), 1u);
-  EXPECT_EQ(assignments[0].spec.type, probing::ProbeType::kPing);
-
-  // Work stealing: whatever controller thread calls run_offline_jobs first
-  // executes the closure.
-  EXPECT_EQ(scheduler.run_offline_jobs(), 1u);
-  EXPECT_EQ(scheduler.stats().offline_jobs, 1u);
-
-  const auto reply = probing::execute_spec(lab_->prober, assignments[0].spec);
-  EXPECT_TRUE(
-      scheduler.deliver_assignment(agent, assignments[0].ticket, reply));
-  auto ready = scheduler.collect_ready(0);
-  ASSERT_EQ(ready.size(), 1u);
-  ASSERT_EQ(ready[0].outcomes.size(), 2u);
-  EXPECT_EQ(ready[0].outcomes[0].offline_probes.traceroutes, 3u);
 }
 
 }  // namespace

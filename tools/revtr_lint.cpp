@@ -45,7 +45,9 @@
 //                    funnel through sched::execute_demand, so scheduler
 //                    coalescing and pacing cannot be bypassed. Non-issuing
 //                    Prober methods (offline_counters, OfflineScope) stay
-//                    legal.
+//                    legal, and so does IngressDiscovery::discover: the
+//                    on-demand survey is offline work on the discovery
+//                    prober, never a wire probe of the request.
 //   mutex-capability Raw std synchronization types (std::mutex,
 //                    std::shared_mutex, std::lock_guard, std::unique_lock,
 //                    std::shared_lock, std::scoped_lock, plain
