@@ -302,14 +302,13 @@ void RequestTask::begin_spoofed() {
     // The offline Q3 survey, run on demand on the discovery prober
     // (discover() scopes its probes as offline): neither its time nor its
     // packets are charged to the online budget; Table 4 counts surveys
-    // separately. offline_probes takes the delta of this engine's prober,
-    // so it sees them only when that prober is the discovery prober.
+    // separately. discover() reports what the survey sent, since this
+    // engine's own prober may not be the discovery prober.
     if (metrics() != nullptr) metrics()->rr_ingress_discovery->add();
     open_stage("ingress-discovery");
-    const auto before = engine_.prober_.offline_counters();
+    probing::ProbeCounters offline;
     plan = engine_.ingress_.discover(*prefix, engine_.topo_.vantage_points(),
-                                     rng_);
-    const auto offline = engine_.prober_.offline_counters() - before;
+                                     rng_, {}, &offline);
     result_.offline_probes += offline;
     annotate_stage("offline_probes", std::to_string(offline.total()));
     close_stage();

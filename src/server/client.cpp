@@ -1,99 +1,28 @@
 #include "server/client.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <array>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <limits>
-#include <span>
-#include <thread>
 #include <utility>
 
 namespace revtr::server {
 
-DaemonClient::~DaemonClient() { close(); }
-
-void DaemonClient::close() {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-  in_.clear();
-}
-
 bool DaemonClient::connect(const std::string& socket_path, int retries) {
-  close();
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) return false;
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  for (int attempt = 0; attempt <= retries; ++attempt) {
-    const int fd = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) return false;
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) == 0) {
-      fd_ = fd;
-      return true;
-    }
-    ::close(fd);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return false;
+  return stream_.connect(socket_path, retries);
 }
+
+void DaemonClient::close() { stream_.close(); }
 
 bool DaemonClient::send_frame(const Message& message) {
-  if (fd_ < 0) return false;
-  const auto frame = encode_frame(message);
-  std::size_t written = 0;
-  while (written < frame.size()) {
-    // MSG_NOSIGNAL: a daemon that hung up fails the send, not the process.
-    const ssize_t n = send(fd_, frame.data() + written,
-                           frame.size() - written, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-std::optional<Message> DaemonClient::read_frame() {
-  if (fd_ < 0) return std::nullopt;
-  std::array<std::uint8_t, 16384> buf;
-  for (;;) {
-    // Try to decode a whole frame from what we have.
-    const std::span<const std::uint8_t> avail(in_);
-    if (avail.size() >= kFrameHeaderSize) {
-      FrameError error = FrameError::kNone;
-      const auto header = decode_frame_header(avail, &error);
-      if (!header.has_value()) return std::nullopt;
-      const std::size_t total = kFrameHeaderSize + header->payload_len;
-      if (avail.size() >= total) {
-        auto decoded = decode_payload(
-            header->type, avail.subspan(kFrameHeaderSize, header->payload_len),
-            &error);
-        in_.erase(in_.begin(), in_.begin() + static_cast<std::ptrdiff_t>(total));
-        return decoded;
-      }
-    }
-    const ssize_t n = read(fd_, buf.data(), buf.size());
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return std::nullopt;  // EOF or hard error.
-    }
-    in_.insert(in_.end(), buf.data(), buf.data() + n);
-  }
+  return stream_.send(message) == FrameStream::Status::kOk;
 }
 
 std::optional<Message> DaemonClient::wait_for(FrameType a, FrameType b) {
   for (;;) {
-    auto message = read_frame();
-    if (!message.has_value()) return std::nullopt;
+    std::optional<Message> message;
+    if (stream_.read(message, /*timeout_ms=*/-1) != FrameStream::Status::kOk) {
+      return std::nullopt;
+    }
     const FrameType type = frame_type_of(*message);
     if (type == a || type == b) return message;
     if (Result* result = std::get_if<Result>(&*message)) {
@@ -134,20 +63,9 @@ bool DaemonClient::submit(const Submit& request) {
 }
 
 std::optional<Result> DaemonClient::next_result() {
-  if (!results_.empty()) {
-    Result result = std::move(results_.front());
-    results_.pop_front();
-    return result;
-  }
-  for (;;) {
-    auto message = read_frame();
-    if (!message.has_value()) return std::nullopt;
-    if (Result* result = std::get_if<Result>(&*message)) {
-      return std::move(*result);
-    }
-    // Any other frame here is unexpected (we only read results between
-    // round trips); drop it rather than desynchronize.
-  }
+  std::optional<Result> out;
+  next_result_for(out, /*timeout_ms=*/0);
+  return out;
 }
 
 DaemonClient::WaitStatus DaemonClient::next_result_for(
@@ -158,62 +76,31 @@ DaemonClient::WaitStatus DaemonClient::next_result_for(
     results_.pop_front();
     return WaitStatus::kOk;
   }
-  if (fd_ < 0) return WaitStatus::kDisconnected;
+  if (!stream_.is_open()) return WaitStatus::kDisconnected;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
-  std::array<std::uint8_t, 16384> buf;
   for (;;) {
-    // Decode every whole frame already buffered before touching the socket.
-    for (;;) {
-      const std::span<const std::uint8_t> avail(in_);
-      if (avail.size() < kFrameHeaderSize) break;
-      FrameError error = FrameError::kNone;
-      const auto header = decode_frame_header(avail, &error);
-      if (!header.has_value()) {
-        close();
-        return WaitStatus::kDisconnected;
-      }
-      const std::size_t total = kFrameHeaderSize + header->payload_len;
-      if (avail.size() < total) break;
-      auto decoded = decode_payload(
-          header->type, avail.subspan(kFrameHeaderSize, header->payload_len),
-          &error);
-      in_.erase(in_.begin(), in_.begin() + static_cast<std::ptrdiff_t>(total));
-      if (!decoded.has_value()) {
-        close();
-        return WaitStatus::kDisconnected;
-      }
-      if (Result* result = std::get_if<Result>(&*decoded)) {
-        out = std::move(*result);
-        return WaitStatus::kOk;
-      }
-      // Other frames between round trips are dropped, like next_result().
-    }
     int wait_ms = -1;
     if (timeout_ms > 0) {
-      const auto left =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now())
-              .count();
-      if (left <= 0) return WaitStatus::kTimeout;
-      wait_ms = static_cast<int>(
-          std::min<long long>(left, std::numeric_limits<int>::max()));
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            deadline - std::chrono::steady_clock::now())
+                            .count();
+      wait_ms = static_cast<int>(std::clamp<long long>(
+          left, 0, std::numeric_limits<int>::max()));
     }
-    pollfd pfd{fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, wait_ms);
-    if (rc == 0) return WaitStatus::kTimeout;
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      close();
+    std::optional<Message> message;
+    const FrameStream::Status status = stream_.read(message, wait_ms);
+    if (status == FrameStream::Status::kTimeout) return WaitStatus::kTimeout;
+    if (status != FrameStream::Status::kOk) {
+      close();  // EOF or undecodable bytes: the daemon went away mid-wait.
       return WaitStatus::kDisconnected;
     }
-    const ssize_t n = read(fd_, buf.data(), buf.size());
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      close();  // EOF or hard error: the daemon went away mid-wait.
-      return WaitStatus::kDisconnected;
+    if (Result* result = std::get_if<Result>(&*message)) {
+      out = std::move(*result);
+      return WaitStatus::kOk;
     }
-    in_.insert(in_.end(), buf.data(), buf.data() + n);
+    // Any other frame here is unexpected (results are read between round
+    // trips); drop it rather than desynchronize.
   }
 }
 

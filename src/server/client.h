@@ -1,7 +1,8 @@
 // Blocking client for the revtr_serverd framed protocol (server/frame.h).
 //
-// One DaemonClient owns one AF_UNIX stream connection. All calls run on the
-// caller's thread with blocking I/O — a caller with several threads gives
+// One DaemonClient owns one AF_UNIX stream connection (a FrameStream, so
+// the client reads, writes and fails like the daemon does). All calls run on
+// the caller's thread with blocking I/O — a caller with several threads gives
 // each its own client; nothing here is shared or locked. RESULT frames
 // interleave with other replies in push mode, so every wait_* helper
 // stashes Results it passes by; next_result() consumes the stash before
@@ -12,16 +13,15 @@
 #include <deque>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "server/frame.h"
+#include "server/stream.h"
 
 namespace revtr::server {
 
 class DaemonClient {
  public:
   DaemonClient() = default;
-  ~DaemonClient();
 
   DaemonClient(const DaemonClient&) = delete;
   DaemonClient& operator=(const DaemonClient&) = delete;
@@ -29,7 +29,7 @@ class DaemonClient {
   // Connects to the daemon's socket, retrying (20 ms apart) while the
   // daemon is still binding. False after all retries fail.
   bool connect(const std::string& socket_path, int retries = 50);
-  bool connected() const noexcept { return fd_ >= 0; }
+  bool connected() const noexcept { return stream_.is_open(); }
   void close();
 
   // HELLO handshake. Empty result on transport error or HELLO_ERR
@@ -78,15 +78,11 @@ class DaemonClient {
 
  private:
   bool send_frame(const Message& message);
-  // One whole frame off the socket (blocking). Empty on EOF, error, or an
-  // undecodable frame.
-  std::optional<Message> read_frame();
   // Reads frames until one satisfies `want` (by FrameType), stashing
-  // RESULTs encountered on the way.
+  // RESULTs encountered on the way. Empty on EOF or undecodable bytes.
   std::optional<Message> wait_for(FrameType a, FrameType b);
 
-  int fd_ = -1;
-  std::vector<std::uint8_t> in_;
+  FrameStream stream_;
   std::deque<Result> results_;
   std::optional<RejectReason> reject_reason_;
 };

@@ -12,12 +12,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <span>
 #include <unordered_map>
 #include <utility>
 
 #include "core/request_task.h"
 #include "probing/prober.h"
+#include "server/stream.h"
 #include "sim/network.h"
 #include "util/check.h"
 #include "util/json.h"
@@ -59,10 +59,8 @@ struct ServerDaemon::WorkerStack {
 
 // Per-connection state, owned exclusively by the net thread (no locks).
 struct ServerDaemon::Conn {
-  int fd = -1;
+  FrameStream stream;
   std::uint64_t id = 0;
-  std::vector<std::uint8_t> in;
-  std::vector<std::uint8_t> out;
   // Pull mode: encoded RESULT frames buffered until the client POLLs.
   std::deque<std::vector<std::uint8_t>> pull_queue;
   bool authed = false;
@@ -357,20 +355,10 @@ std::string ServerDaemon::build_stats_json() {
 
 // --- Net thread. ------------------------------------------------------------
 
-namespace {
-
-// Appends the encoded form of `message` to the connection's output buffer.
-void append_frame(std::vector<std::uint8_t>& out, const Message& message) {
-  const auto frame = encode_frame(message);
-  out.insert(out.end(), frame.begin(), frame.end());
-}
-
-}  // namespace
-
 void ServerDaemon::handle_message(Conn& conn, Message message) {
   if (const Hello* hello = std::get_if<Hello>(&message)) {
     if (hello->proto_version != kProtoVersion) {
-      append_frame(conn.out, HelloErr{RejectReason::kBadRequest});
+      conn.stream.queue(HelloErr{RejectReason::kBadRequest});
       reject_reasons_[static_cast<std::size_t>(RejectReason::kBadRequest)]
           ->add();
       return;
@@ -383,7 +371,7 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
       }
     }
     if (tenant_index >= tenant_ids_.size()) {
-      append_frame(conn.out, HelloErr{RejectReason::kBadApiKey});
+      conn.stream.queue(HelloErr{RejectReason::kBadApiKey});
       reject_reasons_[static_cast<std::size_t>(RejectReason::kBadApiKey)]
           ->add();
       return;
@@ -395,7 +383,7 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
     ok.tenant = conn.tenant;
     ok.server_now_us = now_us();
     ok.tenant_name = tenant_configs_[tenant_index].name;
-    append_frame(conn.out, ok);
+    conn.stream.queue(ok);
     return;
   }
 
@@ -459,12 +447,12 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
     }
     if (reject.has_value()) {
       reject_reasons_[static_cast<std::size_t>(*reject)]->add();
-      append_frame(conn.out, SubmitErr{submit->request_id, *reject});
+      conn.stream.queue(SubmitErr{submit->request_id, *reject});
     } else {
       requests_total_->add();
       tenant_metrics_[conn.tenant].requests->add();
       work_cv_.notify_one();
-      append_frame(conn.out, SubmitOk{submit->request_id});
+      conn.stream.queue(SubmitOk{submit->request_id});
     }
     return;
   }
@@ -472,8 +460,7 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
   if (const Poll* poll_msg = std::get_if<Poll>(&message)) {
     std::uint32_t returned = 0;
     while (returned < poll_msg->max_results && !conn.pull_queue.empty()) {
-      conn.out.insert(conn.out.end(), conn.pull_queue.front().begin(),
-                      conn.pull_queue.front().end());
+      conn.stream.queue(conn.pull_queue.front());
       conn.pull_queue.pop_front();
       ++returned;
     }
@@ -481,12 +468,12 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
     done.returned = returned;
     done.pending = static_cast<std::uint32_t>(
         std::min<std::size_t>(conn.pull_queue.size(), UINT32_MAX));
-    append_frame(conn.out, done);
+    conn.stream.queue(done);
     return;
   }
 
   if (std::holds_alternative<Stats>(message)) {
-    append_frame(conn.out, StatsReply{build_stats_json()});
+    conn.stream.queue(StatsReply{build_stats_json()});
     return;
   }
 
@@ -509,7 +496,7 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
   if (const AgentRegister* reg = std::get_if<AgentRegister>(&message)) {
     if (!options_.remote_probing || reg->proto_version != kProtoVersion ||
         conn.is_agent) {
-      append_frame(conn.out, HelloErr{RejectReason::kBadRequest});
+      conn.stream.queue(HelloErr{RejectReason::kBadRequest});
       reject_reasons_[static_cast<std::size_t>(RejectReason::kBadRequest)]
           ->add();
       return;
@@ -528,7 +515,7 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
     ok.tenant = static_cast<std::uint32_t>(agent);
     ok.server_now_us = now_us();
     ok.tenant_name = reg->name;
-    append_frame(conn.out, ok);
+    conn.stream.queue(ok);
     work_cv_.notify_all();  // Workers may have demand waiting for an agent.
     return;
   }
@@ -573,7 +560,6 @@ void ServerDaemon::net_loop() {
   std::uint64_t next_conn_id = 1;
   std::vector<pollfd> fds;
   std::vector<std::uint64_t> fd_conn_ids;
-  std::array<std::uint8_t, 65536> buf;
 
   const auto protocol_error = [this](Conn& conn) {
     {
@@ -584,23 +570,12 @@ void ServerDaemon::net_loop() {
     conn.closed = true;
   };
 
-  const auto try_flush = [](Conn& conn) {
-    std::size_t written = 0;
-    while (written < conn.out.size()) {
-      // MSG_NOSIGNAL: a peer that hung up (a crashed agent, a vanished
-      // client) closes its connection, not the daemon by SIGPIPE.
-      const ssize_t n = send(conn.fd, conn.out.data() + written,
-                             conn.out.size() - written, MSG_NOSIGNAL);
-      if (n > 0) {
-        written += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+  // Sends what the socket takes now; the rest waits for POLLOUT.
+  const auto flush = [](Conn& conn) {
+    if (!conn.closed && conn.stream.has_output() &&
+        conn.stream.flush() == FrameStream::Status::kHungUp) {
       conn.closed = true;
-      break;
     }
-    conn.out.erase(conn.out.begin(),
-                   conn.out.begin() + static_cast<std::ptrdiff_t>(written));
   };
 
   for (;;) {
@@ -633,8 +608,7 @@ void ServerDaemon::net_loop() {
       if (it == conns.end() || it->second.closed) continue;  // Client left.
       Conn& conn = it->second;
       if (conn.push) {
-        conn.out.insert(conn.out.end(), completion.frame.begin(),
-                        completion.frame.end());
+        conn.stream.queue(completion.frame);
       } else {
         conn.pull_queue.push_back(std::move(completion.frame));
       }
@@ -650,19 +624,19 @@ void ServerDaemon::net_loop() {
         // Tell each agent to finish up and part ways — once; drained_now
         // stays true on every later iteration.
         if (conn.is_agent && !conn.drain_sent) {
-          append_frame(conn.out, AgentDrain{});
+          conn.stream.queue(AgentDrain{});
           conn.drain_sent = true;
         }
         if (!conn.awaiting_drain) continue;
-        append_frame(conn.out, DrainDone{c.completed, c.shed_queued});
+        conn.stream.queue(DrainDone{c.completed, c.shed_queued});
         conn.awaiting_drain = false;
       }
     }
+    // stop() sets stopping_ only once drained, so the last RESULT, DRAIN_DONE
+    // and AGENT_DRAIN were routed just above: send them before closing.
+    for (auto& [id, conn] : conns) flush(conn);
     if (stopping_now) break;
 
-    for (auto& [id, conn] : conns) {
-      if (!conn.out.empty() && !conn.closed) try_flush(conn);
-    }
     for (auto it = conns.begin(); it != conns.end();) {
       if (it->second.closed) {
         // A departing agent's in-flight assignments requeue for
@@ -677,8 +651,7 @@ void ServerDaemon::net_loop() {
           }
           work_cv_.notify_all();
         }
-        close(it->second.fd);
-        it = conns.erase(it);
+        it = conns.erase(it);  // Closes the socket.
       } else {
         ++it;
       }
@@ -689,9 +662,8 @@ void ServerDaemon::net_loop() {
     fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
     fds.push_back(pollfd{listen_fd_, POLLIN, 0});
     for (const auto& [id, conn] : conns) {
-      short events = POLLIN;
-      if (!conn.out.empty()) events = static_cast<short>(events | POLLOUT);
-      fds.push_back(pollfd{conn.fd, events, 0});
+      const short events = conn.stream.has_output() ? POLLIN | POLLOUT : POLLIN;
+      fds.push_back(pollfd{conn.stream.fd(), events, 0});
       fd_conn_ids.push_back(id);
     }
     const int rc = poll(fds.data(), static_cast<nfds_t>(fds.size()), 250);
@@ -700,7 +672,8 @@ void ServerDaemon::net_loop() {
 
     if ((fds[0].revents & POLLIN) != 0) {
       // Drain the self-pipe; the actual work happens at the loop top.
-      while (read(wake_pipe_[0], buf.data(), buf.size()) > 0) {
+      std::array<char, 4096> wakes;
+      while (read(wake_pipe_[0], wakes.data(), wakes.size()) > 0) {
       }
     }
     if ((fds[1].revents & POLLIN) != 0) {
@@ -708,10 +681,9 @@ void ServerDaemon::net_loop() {
         const int fd = accept4(listen_fd_, nullptr, nullptr,
                                SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) break;
-        Conn conn;
-        conn.fd = fd;
+        Conn& conn = conns[next_conn_id];
+        conn.stream.adopt(fd);
         conn.id = next_conn_id++;
-        conns.emplace(conn.id, std::move(conn));
         {
           const util::MutexLock lock(mu_);
           ++counters_.connections;
@@ -729,50 +701,23 @@ void ServerDaemon::net_loop() {
         continue;
       }
       if ((fds[i].revents & POLLIN) != 0) {
-        for (;;) {
-          const ssize_t n = read(conn.fd, buf.data(), buf.size());
-          if (n > 0) {
-            conn.in.insert(conn.in.end(), buf.data(), buf.data() + n);
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          conn.closed = true;  // EOF or hard error.
-          break;
+        conn.stream.fill();
+        // A peer that hung up is served no more: what came with its hang-up
+        // is dropped unread, and a dead agent's assignments all requeue.
+        while (!conn.closed && !conn.stream.hung_up()) {
+          auto message = conn.stream.next();
+          if (!message.has_value()) break;
+          handle_message(conn, *std::move(message));
         }
-        // Decode every complete frame in the input buffer; partial frames
-        // wait for more bytes (stream reassembly is not an error).
-        std::size_t consumed = 0;
-        while (!conn.closed) {
-          const auto avail =
-              std::span<const std::uint8_t>(conn.in).subspan(consumed);
-          if (avail.size() < kFrameHeaderSize) break;
-          FrameError error = FrameError::kNone;
-          const auto header = decode_frame_header(avail, &error);
-          if (!header.has_value()) {
-            protocol_error(conn);
-            break;
-          }
-          if (avail.size() < kFrameHeaderSize + header->payload_len) break;
-          auto decoded = decode_payload(
-              header->type,
-              avail.subspan(kFrameHeaderSize, header->payload_len), &error);
-          consumed += kFrameHeaderSize + header->payload_len;
-          if (!decoded.has_value()) {
-            protocol_error(conn);
-            break;
-          }
-          handle_message(conn, *std::move(decoded));
-        }
-        if (consumed > 0) {
-          conn.in.erase(conn.in.begin(),
-                        conn.in.begin() + static_cast<std::ptrdiff_t>(consumed));
+        if (conn.stream.protocol_error()) {
+          protocol_error(conn);
+        } else if (conn.stream.hung_up()) {
+          conn.closed = true;
         }
       }
-      if (!conn.closed && !conn.out.empty()) try_flush(conn);
+      flush(conn);
     }
   }
-
-  for (auto& [id, conn] : conns) close(conn.fd);
 }
 
 // --- Workers. ---------------------------------------------------------------

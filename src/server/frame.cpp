@@ -1,185 +1,313 @@
 #include "server/frame.h"
 
+#include <array>
+#include <concepts>
+#include <type_traits>
+#include <utility>
+
 #include "util/check.h"
 
 namespace revtr::server {
 namespace {
 
-// --- Encoding helpers (big-endian, appended to a growing buffer). -----------
+// Each message's payload layout is written once, as a `layout(io, msg)`
+// overload below, and runs in both directions: a Writer appends the fields
+// of a const message, a Reader fills a default one and validates each field
+// as it reads it. Fields are big-endian; a Reader method takes its field by
+// reference, so a layout compiles only when every field has its wire width.
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
+// Appends fields to a frame under construction. Encoding is infallible for
+// messages within the documented caps; an oversize field is a programming
+// error (REVTR_CHECK), never a wire error.
+class Writer {
+ public:
+  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+
+  void u8(std::uint8_t v) { out_.push_back(v); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v)); }
+  void non_negative(std::int64_t v) { i64(v); }
+  void flag(bool v) { u8(v ? 1 : 0); }
+  // Two flags in one byte: bit 0, bit 1.
+  void flags(bool bit0, bool bit1) {
+    u8(static_cast<std::uint8_t>((bit0 ? 1u : 0u) | (bit1 ? 2u : 0u)));
+  }
+  template <typename Enum>
+  void enumerator(Enum v, Enum /*last*/) {
+    u8(static_cast<std::uint8_t>(v));
+  }
+  void addr(net::Ipv4Addr v) { u32(v.value()); }
+  // A 0/1 presence byte, then the address when present.
+  void optional_addr(const std::optional<net::Ipv4Addr>& v) {
+    flag(v.has_value());
+    if (v.has_value()) addr(*v);
+  }
+  // A u8 length (<= cap), then the bytes.
+  void string(const std::string& s, std::size_t cap) {
+    REVTR_CHECK(s.size() <= cap);
+    u8(util::checked_cast<std::uint8_t>(s.size()));
+    out_.insert(out_.end(), s.begin(), s.end());
+  }
+  // A u32 length, then the bytes, which fill the rest of the payload.
+  void text(const std::string& s) {
+    REVTR_CHECK(s.size() <= kMaxFramePayload - 4);
+    u32(util::checked_cast<std::uint32_t>(s.size()));
+    out_.insert(out_.end(), s.begin(), s.end());
+  }
+  // A list's element count (<= cap) as a u8 or a u16; the layout then
+  // writes each element, `min_bytes` or more apiece.
+  template <typename T>
+  void count8(const std::vector<T>& items, std::size_t cap,
+              std::size_t /*min_bytes*/) {
+    REVTR_CHECK(items.size() <= cap);
+    u8(util::checked_cast<std::uint8_t>(items.size()));
+  }
+  template <typename T>
+  void count16(const std::vector<T>& items, std::size_t cap,
+               std::size_t /*min_bytes*/) {
+    REVTR_CHECK(items.size() <= cap);
+    u16(util::checked_cast<std::uint16_t>(items.size()));
+  }
+
+ private:
+  // Appends `v` big-endian with one insert.
+  template <typename T>
+  void put(T v) {
+    std::array<std::uint8_t, sizeof(T)> bytes{};
+    for (std::size_t i = sizeof(T); i > 0; --i) {
+      bytes[i - 1] = util::truncate_cast<std::uint8_t>(v);
+      v = static_cast<T>(v >> 8);
+    }
+    out_.insert(out_.end(), bytes.begin(), bytes.end());
+  }
+
+  std::vector<std::uint8_t>& out_;
+};
+
+// Fills a default message from one payload. Every read is bounds-checked
+// (util::ByteReader), and every field is validated as it is read: caps,
+// enum ranges, 0/1 flag bytes, non-negative i64s, and list counts the
+// remaining bytes can hold. The first violation latches ok() == false, and
+// the message is discarded.
+class Reader {
+ public:
+  explicit Reader(std::span<const std::uint8_t> payload) : in_(payload) {}
+
+  bool ok() const { return ok_ && in_.ok(); }
+  bool at_end() const { return in_.at_end(); }
+
+  void u32(std::uint32_t& v) { v = in_.u32(); }
+  // ByteReader has no u64 on purpose (the packet codec never needs one).
+  void u64(std::uint64_t& v) {
+    const std::uint64_t hi = in_.u32();
+    v = (hi << 32) | in_.u32();
+  }
+  void i64(std::int64_t& v) {
+    std::uint64_t raw = 0;
+    u64(raw);
+    v = static_cast<std::int64_t>(raw);
+  }
+  void non_negative(std::int64_t& v) {
+    i64(v);
+    require(v >= 0);
+  }
+  void flag(bool& v) { v = byte_at_most(1) != 0; }
+  void flag(std::vector<bool>::reference v) { v = byte_at_most(1) != 0; }
+  void flags(bool& bit0, bool& bit1) {
+    const std::uint8_t raw = byte_at_most(3);
+    bit0 = (raw & 1) != 0;
+    bit1 = (raw & 2) != 0;
+  }
+  template <typename Enum>
+  void enumerator(Enum& v, Enum last) {
+    v = static_cast<Enum>(byte_at_most(static_cast<std::uint8_t>(last)));
+  }
+  void addr(net::Ipv4Addr& v) { v = net::Ipv4Addr(in_.u32()); }
+  void optional_addr(std::optional<net::Ipv4Addr>& v) {
+    if (byte_at_most(1) != 0) addr(v.emplace());
+  }
+  void string(std::string& s, std::size_t cap) {
+    const auto bytes =
+        in_.bytes(byte_at_most(util::checked_cast<std::uint8_t>(cap)));
+    s.assign(bytes.begin(), bytes.end());
+  }
+  void text(std::string& s) {
+    const std::size_t len = in_.u32();
+    if (!require(in_.ok() && len == in_.remaining())) return;
+    const auto bytes = in_.bytes(len);
+    s.assign(bytes.begin(), bytes.end());
+  }
+  template <typename T>
+  void count8(std::vector<T>& items, std::size_t cap, std::size_t min_bytes) {
+    items.resize(count(in_.u8(), cap, min_bytes));
+  }
+  template <typename T>
+  void count16(std::vector<T>& items, std::size_t cap, std::size_t min_bytes) {
+    items.resize(count(in_.u16(), cap, min_bytes));
+  }
+
+ private:
+  bool require(bool holds) {
+    if (!holds) ok_ = false;
+    return holds;
+  }
+  // One byte that must not exceed `max`; 0 when it does.
+  std::uint8_t byte_at_most(std::uint8_t max) {
+    const std::uint8_t raw = in_.u8();
+    return require(raw <= max) ? raw : 0;
+  }
+  // Bounds the allocation by what the payload can still hold, so a lying
+  // count on a short buffer cannot balloon it.
+  std::size_t count(std::size_t n, std::size_t cap, std::size_t min_bytes) {
+    return require(n <= cap && in_.remaining() >= n * min_bytes) ? n : 0;
+  }
+
+  util::ByteReader in_;
+  bool ok_ = true;
+};
+
+// `M` is `T` or `const T`: one layout serves the Reader and the Writer.
+template <typename M, typename T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+void layout(auto& io, Is<Hello> auto& m) {
+  io.u32(m.proto_version);
+  io.flag(m.push_results);
+  io.string(m.api_key, kMaxApiKeyLen);
 }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(util::truncate_cast<std::uint8_t>(v >> 8));
-  out.push_back(util::truncate_cast<std::uint8_t>(v));
+void layout(auto& io, Is<HelloOk> auto& m) {
+  io.u32(m.tenant);
+  io.i64(m.server_now_us);
+  io.string(m.tenant_name, kMaxTenantNameLen);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(util::truncate_cast<std::uint8_t>(v >> 24));
-  out.push_back(util::truncate_cast<std::uint8_t>(v >> 16));
-  out.push_back(util::truncate_cast<std::uint8_t>(v >> 8));
-  out.push_back(util::truncate_cast<std::uint8_t>(v));
+void layout(auto& io, Is<HelloErr> auto& m) {
+  io.enumerator(m.reason, RejectReason{kMaxRejectReason});
 }
 
-// ByteReader has no u64 on purpose (the packet codec never needs one);
-// compose the two halves here rather than widening the reader.
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, util::truncate_cast<std::uint32_t>(v >> 32));
-  put_u32(out, util::truncate_cast<std::uint32_t>(v));
+static_assert(static_cast<std::size_t>(Priority::kLow) + 1 == kPriorityLevels);
+
+void layout(auto& io, Is<Submit> auto& m) {
+  io.u64(m.request_id);
+  io.u32(m.dest_index);
+  io.u32(m.source_index);
+  io.enumerator(m.priority, Priority::kLow);
+  io.non_negative(m.deadline_us);
 }
 
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
+void layout(auto& io, Is<SubmitOk> auto& m) { io.u64(m.request_id); }
+
+void layout(auto& io, Is<SubmitErr> auto& m) {
+  io.u64(m.request_id);
+  io.enumerator(m.reason, RejectReason{kMaxRejectReason});
 }
 
-void put_string(std::vector<std::uint8_t>& out, std::string_view s) {
-  out.insert(out.end(), s.begin(), s.end());
+void layout(auto& io, Is<ResultHop> auto& m) {  // 5 bytes.
+  io.addr(m.addr);
+  io.enumerator(m.source, core::HopSource::kSuspiciousGap);
 }
 
-std::uint64_t read_u64(util::ByteReader& reader) {
-  const std::uint64_t hi = reader.u32();
-  const std::uint64_t lo = reader.u32();
-  return (hi << 32) | lo;
+void layout(auto& io, Is<Result> auto& m) {
+  io.u64(m.request_id);
+  io.enumerator(m.status, core::RevtrStatus::kUnreachable);
+  io.flags(m.shed, m.deadline_missed);
+  io.i64(m.sim_latency_us);
+  io.u64(m.probes);
+  io.u64(m.coalesced_probes);
+  io.count16(m.hops, kMaxResultHops, /*min_bytes=*/5);
+  for (auto& hop : m.hops) layout(io, hop);
 }
 
-std::int64_t read_i64(util::ByteReader& reader) {
-  return static_cast<std::int64_t>(read_u64(reader));
+void layout(auto& io, Is<Poll> auto& m) { io.u32(m.max_results); }
+
+void layout(auto& io, Is<PollDone> auto& m) {
+  io.u32(m.returned);
+  io.u32(m.pending);
 }
 
-std::string read_string(util::ByteReader& reader, std::size_t len) {
-  const auto view = reader.bytes(len);
-  return std::string(view.begin(), view.end());
+void layout(auto& /*io*/, Is<Stats> auto& /*m*/) {}
+
+void layout(auto& io, Is<StatsReply> auto& m) { io.text(m.json); }
+
+void layout(auto& /*io*/, Is<Drain> auto& /*m*/) {}
+
+void layout(auto& io, Is<DrainDone> auto& m) {
+  io.u64(m.completed);
+  io.u64(m.shed);
 }
 
-void encode_payload(const Message& message, std::vector<std::uint8_t>& out) {
-  std::visit(
-      [&out](const auto& msg) {
-        using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, Hello>) {
-          REVTR_CHECK(msg.api_key.size() <= kMaxApiKeyLen);
-          put_u32(out, msg.proto_version);
-          put_u8(out, msg.push_results ? 1 : 0);
-          put_u8(out, util::checked_cast<std::uint8_t>(msg.api_key.size()));
-          put_string(out, msg.api_key);
-        } else if constexpr (std::is_same_v<T, HelloOk>) {
-          REVTR_CHECK(msg.tenant_name.size() <= kMaxTenantNameLen);
-          put_u32(out, msg.tenant);
-          put_i64(out, msg.server_now_us);
-          put_u8(out,
-                 util::checked_cast<std::uint8_t>(msg.tenant_name.size()));
-          put_string(out, msg.tenant_name);
-        } else if constexpr (std::is_same_v<T, HelloErr>) {
-          put_u8(out, static_cast<std::uint8_t>(msg.reason));
-        } else if constexpr (std::is_same_v<T, Submit>) {
-          put_u64(out, msg.request_id);
-          put_u32(out, msg.dest_index);
-          put_u32(out, msg.source_index);
-          put_u8(out, static_cast<std::uint8_t>(msg.priority));
-          put_i64(out, msg.deadline_us);
-        } else if constexpr (std::is_same_v<T, SubmitOk>) {
-          put_u64(out, msg.request_id);
-        } else if constexpr (std::is_same_v<T, SubmitErr>) {
-          put_u64(out, msg.request_id);
-          put_u8(out, static_cast<std::uint8_t>(msg.reason));
-        } else if constexpr (std::is_same_v<T, Result>) {
-          REVTR_CHECK(msg.hops.size() <= kMaxResultHops);
-          put_u64(out, msg.request_id);
-          put_u8(out, static_cast<std::uint8_t>(msg.status));
-          const std::uint8_t flags =
-              static_cast<std::uint8_t>((msg.shed ? 1u : 0u) |
-                                        (msg.deadline_missed ? 2u : 0u));
-          put_u8(out, flags);
-          put_i64(out, msg.sim_latency_us);
-          put_u64(out, msg.probes);
-          put_u64(out, msg.coalesced_probes);
-          put_u16(out, util::checked_cast<std::uint16_t>(msg.hops.size()));
-          for (const ResultHop& hop : msg.hops) {
-            put_u32(out, hop.addr.value());
-            put_u8(out, static_cast<std::uint8_t>(hop.source));
-          }
-        } else if constexpr (std::is_same_v<T, Poll>) {
-          put_u32(out, msg.max_results);
-        } else if constexpr (std::is_same_v<T, PollDone>) {
-          put_u32(out, msg.returned);
-          put_u32(out, msg.pending);
-        } else if constexpr (std::is_same_v<T, Stats>) {
-          // Empty payload.
-        } else if constexpr (std::is_same_v<T, StatsReply>) {
-          REVTR_CHECK(msg.json.size() <= kMaxFramePayload - 4);
-          put_u32(out, util::checked_cast<std::uint32_t>(msg.json.size()));
-          put_string(out, msg.json);
-        } else if constexpr (std::is_same_v<T, Drain>) {
-          // Empty payload.
-        } else if constexpr (std::is_same_v<T, DrainDone>) {
-          put_u64(out, msg.completed);
-          put_u64(out, msg.shed);
-        } else if constexpr (std::is_same_v<T, AgentRegister>) {
-          REVTR_CHECK(msg.name.size() <= kMaxTenantNameLen);
-          put_u32(out, msg.proto_version);
-          put_u32(out, msg.window);
-          put_u8(out, util::checked_cast<std::uint8_t>(msg.name.size()));
-          put_string(out, msg.name);
-        } else if constexpr (std::is_same_v<T, AgentProbe>) {
-          REVTR_CHECK(msg.spec.prespec.size() <= kMaxAgentPrespec);
-          put_u64(out, msg.ticket);
-          put_u8(out, static_cast<std::uint8_t>(msg.spec.type));
-          put_u8(out, static_cast<std::uint8_t>(msg.spec.trace_scope));
-          put_u32(out, msg.spec.from);
-          put_u32(out, msg.spec.target.value());
-          put_u8(out, msg.spec.spoof_as.has_value() ? 1 : 0);
-          if (msg.spec.spoof_as.has_value()) {
-            put_u32(out, msg.spec.spoof_as->value());
-          }
-          put_u8(out,
-                 util::checked_cast<std::uint8_t>(msg.spec.prespec.size()));
-          for (const net::Ipv4Addr addr : msg.spec.prespec) {
-            put_u32(out, addr.value());
-          }
-        } else if constexpr (std::is_same_v<T, AgentProbeResult>) {
-          REVTR_CHECK(msg.reply.slots.size() <= kMaxAgentSlots);
-          REVTR_CHECK(msg.reply.stamped.size() <= kMaxAgentPrespec);
-          REVTR_CHECK(msg.reply.traceroute.hops.size() <= kMaxAgentTrHops);
-          put_u64(out, msg.ticket);
-          put_u8(out, msg.reply.responded ? 1 : 0);
-          put_u8(out, util::checked_cast<std::uint8_t>(msg.reply.slots.size()));
-          for (const net::Ipv4Addr addr : msg.reply.slots) {
-            put_u32(out, addr.value());
-          }
-          put_u8(out,
-                 util::checked_cast<std::uint8_t>(msg.reply.stamped.size()));
-          for (const bool stamp : msg.reply.stamped) {
-            put_u8(out, stamp ? 1 : 0);
-          }
-          put_u8(out, msg.reply.traceroute.reached ? 1 : 0);
-          put_i64(out, msg.reply.traceroute.duration_us);
-          put_u8(out, util::checked_cast<std::uint8_t>(
-                          msg.reply.traceroute.hops.size()));
-          for (const probing::TracerouteHop& hop : msg.reply.traceroute.hops) {
-            put_u8(out, hop.addr.has_value() ? 1 : 0);
-            if (hop.addr.has_value()) put_u32(out, hop.addr->value());
-            put_i64(out, hop.rtt_us);
-          }
-          put_u64(out, msg.reply.traceroute.packets);
-          put_i64(out, msg.reply.duration_us);
-          put_u64(out, msg.reply.packets);
-        } else if constexpr (std::is_same_v<T, AgentHeartbeat>) {
-          put_u32(out, msg.inflight);
-          put_u64(out, msg.executed);
-        } else {
-          static_assert(std::is_same_v<T, AgentDrain>);
-          put_u64(out, msg.executed);
-        }
-      },
-      message);
+void layout(auto& io, Is<AgentRegister> auto& m) {
+  io.u32(m.proto_version);
+  io.u32(m.window);
+  io.string(m.name, kMaxTenantNameLen);
 }
 
-std::optional<RejectReason> read_reject_reason(util::ByteReader& reader) {
-  const std::uint8_t raw = reader.u8();
-  if (!reader.ok() || raw > kMaxRejectReason) return std::nullopt;
-  return static_cast<RejectReason>(raw);
+void layout(auto& io, Is<AgentProbe> auto& m) {
+  io.u64(m.ticket);
+  io.enumerator(m.spec.type, probing::ProbeType::kTraceroute);
+  io.enumerator(m.spec.trace_scope, probing::TraceScope::kLastHop);
+  io.u32(m.spec.from);
+  io.addr(m.spec.target);
+  io.optional_addr(m.spec.spoof_as);
+  io.count8(m.spec.prespec, kMaxAgentPrespec, /*min_bytes=*/4);
+  for (auto& addr : m.spec.prespec) io.addr(addr);
 }
+
+void layout(auto& io, Is<probing::TracerouteHop> auto& m) {  // >= 9 bytes.
+  io.optional_addr(m.addr);
+  io.non_negative(m.rtt_us);
+}
+
+void layout(auto& io, Is<AgentProbeResult> auto& m) {
+  io.u64(m.ticket);
+  io.flag(m.reply.responded);
+  io.count8(m.reply.slots, kMaxAgentSlots, /*min_bytes=*/4);
+  for (auto& addr : m.reply.slots) io.addr(addr);
+  io.count8(m.reply.stamped, kMaxAgentPrespec, /*min_bytes=*/1);
+  for (auto&& stamp : m.reply.stamped) io.flag(stamp);
+  io.flag(m.reply.traceroute.reached);
+  io.non_negative(m.reply.traceroute.duration_us);
+  io.count8(m.reply.traceroute.hops, kMaxAgentTrHops, /*min_bytes=*/9);
+  for (auto& hop : m.reply.traceroute.hops) layout(io, hop);
+  io.u64(m.reply.traceroute.packets);
+  io.non_negative(m.reply.duration_us);
+  io.u64(m.reply.packets);
+}
+
+void layout(auto& io, Is<AgentHeartbeat> auto& m) {
+  io.u32(m.inflight);
+  io.u64(m.executed);
+}
+
+void layout(auto& io, Is<AgentDrain> auto& m) { io.u64(m.executed); }
+
+// FrameType numbers Message's alternatives from 1, in order: the type byte
+// is the alternative index + 1, both ways.
+static_assert(std::variant_size_v<Message> ==
+              static_cast<std::size_t>(FrameType::kAgentDrain));
+static_assert(std::is_same_v<std::variant_alternative_t<0, Message>, Hello>);
+static_assert(
+    std::is_same_v<std::variant_alternative_t<
+                       static_cast<std::size_t>(FrameType::kResult) - 1,
+                       Message>,
+                   Result>);
+
+// One decoder per alternative, indexed by FrameType - 1: each fills a
+// default message through its layout.
+template <std::size_t... I>
+constexpr auto decoder_table(std::index_sequence<I...> /*indices*/) {
+  return std::array<std::optional<Message> (*)(Reader&), sizeof...(I)>{
+      [](Reader& reader) {
+        std::optional<Message> decoded(std::in_place, std::in_place_index<I>);
+        layout(reader, std::get<I>(*decoded));
+        return decoded;
+      }...};
+}
+constexpr auto kDecoders = decoder_table(
+    std::make_index_sequence<std::variant_size_v<Message>>{});
 
 std::optional<Message> fail(FrameError* error, FrameError reason) {
   if (error != nullptr) *error = reason;
@@ -283,65 +411,29 @@ std::string_view to_string(RejectReason reason) {
 }
 
 FrameType frame_type_of(const Message& message) {
-  return std::visit(
-      [](const auto& msg) {
-        using T = std::decay_t<decltype(msg)>;
-        if constexpr (std::is_same_v<T, Hello>) {
-          return FrameType::kHello;
-        } else if constexpr (std::is_same_v<T, HelloOk>) {
-          return FrameType::kHelloOk;
-        } else if constexpr (std::is_same_v<T, HelloErr>) {
-          return FrameType::kHelloErr;
-        } else if constexpr (std::is_same_v<T, Submit>) {
-          return FrameType::kSubmit;
-        } else if constexpr (std::is_same_v<T, SubmitOk>) {
-          return FrameType::kSubmitOk;
-        } else if constexpr (std::is_same_v<T, SubmitErr>) {
-          return FrameType::kSubmitErr;
-        } else if constexpr (std::is_same_v<T, Result>) {
-          return FrameType::kResult;
-        } else if constexpr (std::is_same_v<T, Poll>) {
-          return FrameType::kPoll;
-        } else if constexpr (std::is_same_v<T, PollDone>) {
-          return FrameType::kPollDone;
-        } else if constexpr (std::is_same_v<T, Stats>) {
-          return FrameType::kStats;
-        } else if constexpr (std::is_same_v<T, StatsReply>) {
-          return FrameType::kStatsReply;
-        } else if constexpr (std::is_same_v<T, Drain>) {
-          return FrameType::kDrain;
-        } else if constexpr (std::is_same_v<T, DrainDone>) {
-          return FrameType::kDrainDone;
-        } else if constexpr (std::is_same_v<T, AgentRegister>) {
-          return FrameType::kAgentRegister;
-        } else if constexpr (std::is_same_v<T, AgentProbe>) {
-          return FrameType::kAgentProbe;
-        } else if constexpr (std::is_same_v<T, AgentProbeResult>) {
-          return FrameType::kAgentProbeResult;
-        } else if constexpr (std::is_same_v<T, AgentHeartbeat>) {
-          return FrameType::kAgentHeartbeat;
-        } else {
-          static_assert(std::is_same_v<T, AgentDrain>);
-          return FrameType::kAgentDrain;
-        }
-      },
-      message);
+  return static_cast<FrameType>(message.index() + 1);
+}
+
+void append_frame(std::vector<std::uint8_t>& out, const Message& message) {
+  const std::size_t start = out.size();
+  Writer writer(out);
+  writer.u16(kFrameMagic);
+  writer.u8(kProtoVersion);
+  writer.u8(static_cast<std::uint8_t>(frame_type_of(message)));
+  writer.u32(0);  // Payload length; patched below.
+  std::visit([&writer](const auto& msg) { layout(writer, msg); }, message);
+  const std::size_t payload_len = out.size() - start - kFrameHeaderSize;
+  REVTR_CHECK(payload_len <= kMaxFramePayload);
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[start + 4 + i] =
+        util::truncate_cast<std::uint8_t>(payload_len >> (24 - 8 * i));
+  }
 }
 
 std::vector<std::uint8_t> encode_frame(const Message& message) {
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderSize + 64);
-  put_u16(out, kFrameMagic);
-  put_u8(out, kProtoVersion);
-  put_u8(out, static_cast<std::uint8_t>(frame_type_of(message)));
-  put_u32(out, 0);  // Placeholder; patched below.
-  encode_payload(message, out);
-  const std::size_t payload_len = out.size() - kFrameHeaderSize;
-  REVTR_CHECK(payload_len <= kMaxFramePayload);
-  out[4] = util::truncate_cast<std::uint8_t>(payload_len >> 24);
-  out[5] = util::truncate_cast<std::uint8_t>(payload_len >> 16);
-  out[6] = util::truncate_cast<std::uint8_t>(payload_len >> 8);
-  out[7] = util::truncate_cast<std::uint8_t>(payload_len);
+  append_frame(out, message);
   return out;
 }
 
@@ -381,236 +473,11 @@ std::optional<Message> decode_payload(FrameType type,
                                       std::span<const std::uint8_t> payload,
                                       FrameError* error) {
   if (error != nullptr) *error = FrameError::kNone;
-  util::ByteReader reader(payload);
-  std::optional<Message> decoded;
-  switch (type) {
-    case FrameType::kHello: {
-      Hello msg;
-      msg.proto_version = reader.u32();
-      const std::uint8_t flags = reader.u8();
-      const std::uint8_t key_len = reader.u8();
-      if (flags > 1 || key_len > kMaxApiKeyLen)
-        return fail(error, FrameError::kBadPayload);
-      msg.push_results = flags != 0;
-      msg.api_key = read_string(reader, key_len);
-      decoded = std::move(msg);
-      break;
-    }
-    case FrameType::kHelloOk: {
-      HelloOk msg;
-      msg.tenant = reader.u32();
-      msg.server_now_us = read_i64(reader);
-      const std::uint8_t name_len = reader.u8();
-      if (name_len > kMaxTenantNameLen)
-        return fail(error, FrameError::kBadPayload);
-      msg.tenant_name = read_string(reader, name_len);
-      decoded = std::move(msg);
-      break;
-    }
-    case FrameType::kHelloErr: {
-      const auto reason = read_reject_reason(reader);
-      if (!reason.has_value()) return fail(error, FrameError::kBadPayload);
-      decoded = HelloErr{*reason};
-      break;
-    }
-    case FrameType::kSubmit: {
-      Submit msg;
-      msg.request_id = read_u64(reader);
-      msg.dest_index = reader.u32();
-      msg.source_index = reader.u32();
-      const std::uint8_t priority = reader.u8();
-      if (priority >= kPriorityLevels)
-        return fail(error, FrameError::kBadPayload);
-      msg.priority = static_cast<Priority>(priority);
-      msg.deadline_us = read_i64(reader);
-      if (msg.deadline_us < 0) return fail(error, FrameError::kBadPayload);
-      decoded = msg;
-      break;
-    }
-    case FrameType::kSubmitOk: {
-      decoded = SubmitOk{read_u64(reader)};
-      break;
-    }
-    case FrameType::kSubmitErr: {
-      SubmitErr msg;
-      msg.request_id = read_u64(reader);
-      const auto reason = read_reject_reason(reader);
-      if (!reason.has_value()) return fail(error, FrameError::kBadPayload);
-      msg.reason = *reason;
-      decoded = msg;
-      break;
-    }
-    case FrameType::kResult: {
-      Result msg;
-      msg.request_id = read_u64(reader);
-      const std::uint8_t status = reader.u8();
-      if (status > static_cast<std::uint8_t>(core::RevtrStatus::kUnreachable))
-        return fail(error, FrameError::kBadPayload);
-      msg.status = static_cast<core::RevtrStatus>(status);
-      const std::uint8_t flags = reader.u8();
-      if (flags > 3) return fail(error, FrameError::kBadPayload);
-      msg.shed = (flags & 1) != 0;
-      msg.deadline_missed = (flags & 2) != 0;
-      msg.sim_latency_us = read_i64(reader);
-      msg.probes = read_u64(reader);
-      msg.coalesced_probes = read_u64(reader);
-      const std::uint16_t hop_count = reader.u16();
-      if (hop_count > kMaxResultHops)
-        return fail(error, FrameError::kBadPayload);
-      // Bound the reserve by what the payload can actually hold, so a lying
-      // count on a short buffer cannot balloon the allocation before the
-      // reader latches the overrun.
-      if (reader.remaining() < std::size_t{hop_count} * 5)
-        return fail(error, FrameError::kBadPayload);
-      msg.hops.reserve(hop_count);
-      for (std::uint16_t i = 0; i < hop_count; ++i) {
-        ResultHop hop;
-        hop.addr = net::Ipv4Addr(reader.u32());
-        const std::uint8_t source = reader.u8();
-        if (source >
-            static_cast<std::uint8_t>(core::HopSource::kSuspiciousGap))
-          return fail(error, FrameError::kBadPayload);
-        hop.source = static_cast<core::HopSource>(source);
-        msg.hops.push_back(hop);
-      }
-      decoded = std::move(msg);
-      break;
-    }
-    case FrameType::kPoll: {
-      decoded = Poll{reader.u32()};
-      break;
-    }
-    case FrameType::kPollDone: {
-      PollDone msg;
-      msg.returned = reader.u32();
-      msg.pending = reader.u32();
-      decoded = msg;
-      break;
-    }
-    case FrameType::kStats: {
-      decoded = Stats{};
-      break;
-    }
-    case FrameType::kStatsReply: {
-      const std::uint32_t len = reader.u32();
-      if (!reader.ok() || len != reader.remaining())
-        return fail(error, FrameError::kBadPayload);
-      decoded = StatsReply{read_string(reader, len)};
-      break;
-    }
-    case FrameType::kDrain: {
-      decoded = Drain{};
-      break;
-    }
-    case FrameType::kDrainDone: {
-      DrainDone msg;
-      msg.completed = read_u64(reader);
-      msg.shed = read_u64(reader);
-      decoded = msg;
-      break;
-    }
-    case FrameType::kAgentRegister: {
-      AgentRegister msg;
-      msg.proto_version = reader.u32();
-      msg.window = reader.u32();
-      const std::uint8_t name_len = reader.u8();
-      if (name_len > kMaxTenantNameLen)
-        return fail(error, FrameError::kBadPayload);
-      msg.name = read_string(reader, name_len);
-      decoded = std::move(msg);
-      break;
-    }
-    case FrameType::kAgentProbe: {
-      AgentProbe msg;
-      msg.ticket = read_u64(reader);
-      const std::uint8_t type_raw = reader.u8();
-      if (type_raw > static_cast<std::uint8_t>(probing::ProbeType::kTraceroute))
-        return fail(error, FrameError::kBadPayload);
-      msg.spec.type = static_cast<probing::ProbeType>(type_raw);
-      const std::uint8_t scope_raw = reader.u8();
-      if (scope_raw > static_cast<std::uint8_t>(probing::TraceScope::kLastHop))
-        return fail(error, FrameError::kBadPayload);
-      msg.spec.trace_scope = static_cast<probing::TraceScope>(scope_raw);
-      msg.spec.from = reader.u32();
-      msg.spec.target = net::Ipv4Addr(reader.u32());
-      const std::uint8_t has_spoof = reader.u8();
-      if (has_spoof > 1) return fail(error, FrameError::kBadPayload);
-      if (has_spoof != 0) msg.spec.spoof_as = net::Ipv4Addr(reader.u32());
-      const std::uint8_t prespec_count = reader.u8();
-      if (prespec_count > kMaxAgentPrespec ||
-          reader.remaining() < std::size_t{prespec_count} * 4)
-        return fail(error, FrameError::kBadPayload);
-      msg.spec.prespec.reserve(prespec_count);
-      for (std::uint8_t i = 0; i < prespec_count; ++i) {
-        msg.spec.prespec.push_back(net::Ipv4Addr(reader.u32()));
-      }
-      decoded = std::move(msg);
-      break;
-    }
-    case FrameType::kAgentProbeResult: {
-      AgentProbeResult msg;
-      msg.ticket = read_u64(reader);
-      const std::uint8_t responded = reader.u8();
-      if (responded > 1) return fail(error, FrameError::kBadPayload);
-      msg.reply.responded = responded != 0;
-      const std::uint8_t slot_count = reader.u8();
-      if (slot_count > kMaxAgentSlots ||
-          reader.remaining() < std::size_t{slot_count} * 4)
-        return fail(error, FrameError::kBadPayload);
-      msg.reply.slots.reserve(slot_count);
-      for (std::uint8_t i = 0; i < slot_count; ++i) {
-        msg.reply.slots.push_back(net::Ipv4Addr(reader.u32()));
-      }
-      const std::uint8_t stamp_count = reader.u8();
-      if (stamp_count > kMaxAgentPrespec)
-        return fail(error, FrameError::kBadPayload);
-      msg.reply.stamped.reserve(stamp_count);
-      for (std::uint8_t i = 0; i < stamp_count; ++i) {
-        const std::uint8_t stamp = reader.u8();
-        if (stamp > 1) return fail(error, FrameError::kBadPayload);
-        msg.reply.stamped.push_back(stamp != 0);
-      }
-      const std::uint8_t reached = reader.u8();
-      if (reached > 1) return fail(error, FrameError::kBadPayload);
-      msg.reply.traceroute.reached = reached != 0;
-      msg.reply.traceroute.duration_us = read_i64(reader);
-      const std::uint8_t hop_count = reader.u8();
-      // Bound the reserve by what the payload can actually hold (a hop is
-      // at least 9 bytes), so a lying count cannot balloon the allocation.
-      if (hop_count > kMaxAgentTrHops ||
-          reader.remaining() < std::size_t{hop_count} * 9)
-        return fail(error, FrameError::kBadPayload);
-      msg.reply.traceroute.hops.reserve(hop_count);
-      for (std::uint8_t i = 0; i < hop_count; ++i) {
-        probing::TracerouteHop hop;
-        const std::uint8_t has_addr = reader.u8();
-        if (has_addr > 1) return fail(error, FrameError::kBadPayload);
-        if (has_addr != 0) hop.addr = net::Ipv4Addr(reader.u32());
-        hop.rtt_us = read_i64(reader);
-        if (hop.rtt_us < 0) return fail(error, FrameError::kBadPayload);
-        msg.reply.traceroute.hops.push_back(hop);
-      }
-      msg.reply.traceroute.packets = read_u64(reader);
-      msg.reply.duration_us = read_i64(reader);
-      msg.reply.packets = read_u64(reader);
-      if (msg.reply.duration_us < 0 || msg.reply.traceroute.duration_us < 0)
-        return fail(error, FrameError::kBadPayload);
-      decoded = std::move(msg);
-      break;
-    }
-    case FrameType::kAgentHeartbeat: {
-      AgentHeartbeat msg;
-      msg.inflight = reader.u32();
-      msg.executed = read_u64(reader);
-      decoded = msg;
-      break;
-    }
-    case FrameType::kAgentDrain: {
-      decoded = AgentDrain{read_u64(reader)};
-      break;
-    }
-  }
-  if (!decoded.has_value()) return fail(error, FrameError::kUnknownType);
+  // Wraps to a huge index for type 0.
+  const std::size_t index = static_cast<std::size_t>(type) - 1;
+  if (index >= kDecoders.size()) return fail(error, FrameError::kUnknownType);
+  Reader reader(payload);
+  std::optional<Message> decoded = kDecoders[index](reader);
   if (!reader.ok()) return fail(error, FrameError::kBadPayload);
   if (!reader.at_end()) return fail(error, FrameError::kTrailingBytes);
   return decoded;

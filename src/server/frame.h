@@ -275,12 +275,16 @@ using Message = std::variant<Hello, HelloOk, HelloErr, Submit, SubmitOk,
                              AgentProbe, AgentProbeResult, AgentHeartbeat,
                              AgentDrain>;
 
+// The type byte of `message`: FrameType numbers Message's alternatives from
+// 1, in order.
 FrameType frame_type_of(const Message& message);
 
 // Serializes one message as a complete frame (header + payload). Encoding
 // is infallible for messages within the documented caps; oversize fields
 // are a programming error (REVTR_CHECK).
 std::vector<std::uint8_t> encode_frame(const Message& message);
+// encode_frame appended to `out` (a stream's output buffer).
+void append_frame(std::vector<std::uint8_t>& out, const Message& message);
 
 struct FrameHeader {
   FrameType type = FrameType::kHello;
@@ -301,8 +305,9 @@ std::optional<Message> decode_payload(FrameType type,
                                       FrameError* error = nullptr);
 
 // Total decode of exactly one whole frame. Convenience for tests and the
-// fuzzer; stream readers use decode_frame_header + decode_payload so a
-// partial read is "wait for more bytes", not an error.
+// fuzzer; stream readers go through FrameStream (server/stream.h), which
+// pairs decode_frame_header + decode_payload so a partial read is "wait for
+// more bytes", not an error.
 std::optional<Message> decode_frame(std::span<const std::uint8_t> bytes,
                                     FrameError* error = nullptr);
 

@@ -274,15 +274,18 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::commit_locked(
 
 std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
     PrefixId prefix, std::span<const HostId> vps, util::Rng& rng,
-    std::span<const HostId> exclude) {
+    std::span<const HostId> exclude, probing::ProbeCounters* offline) {
   // Surveys go through the shared control-plane prober, so serializing the
   // whole survey (not just the map insert) is required for correctness, not
   // merely convenience.
   const util::ExclusiveLock lock(mu_);
   // The survey is offline measurement (Q3): its probes must never appear in
   // a request's online budget, whichever caller triggers it.
-  const probing::Prober::OfflineScope offline(prober_);
-  return commit_locked(probe(prefix, vps, exclude, prober_), rng);
+  const probing::Prober::OfflineScope scope(prober_);
+  const probing::ProbeCounters before = prober_.offline_counters();
+  auto plan = commit_locked(probe(prefix, vps, exclude, prober_), rng);
+  if (offline != nullptr) *offline = prober_.offline_counters() - before;
+  return plan;
 }
 
 void IngressDiscovery::discover_all(std::span<const PrefixId> prefixes,

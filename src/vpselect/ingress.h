@@ -140,6 +140,11 @@ class IngressDiscovery {
   // phase runs the greedy set cover (the only consumer of `rng`) and
   // publishes the plan and the revtr_ingress_* metrics.
   //
+  // `offline`, when set, receives what the survey sent: the discovery
+  // prober's offline-counter change, taken under the lock. A caller probing
+  // on another prober (a campaign or daemon worker) has no other way to
+  // see the survey it triggered.
+  //
   // Thread safety: discover() runs both phases on the discovery prober
   // under an internal mutex; plan_for() takes it shared, so concurrent
   // campaign workers can read plans freely. Both return an immutable
@@ -148,7 +153,8 @@ class IngressDiscovery {
   // consistent (if stale) plan instead of racing an in-place rebuild.
   std::shared_ptr<const PrefixPlan> discover(
       topology::PrefixId prefix, std::span<const topology::HostId> vps,
-      util::Rng& rng, std::span<const topology::HostId> exclude = {});
+      util::Rng& rng, std::span<const topology::HostId> exclude = {},
+      probing::ProbeCounters* offline = nullptr);
 
   // Surveys every prefix of `prefixes` (no exclusions). The plans, the
   // draws taken from `rng` and the discovery prober's counters and

@@ -5,9 +5,13 @@
 // mid-campaign reassigns work without losing or double-delivering requests,
 // and invariant I7 holds over the dispatcher's audit trail.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
@@ -19,6 +23,7 @@
 #include "server/client.h"
 #include "server/daemon.h"
 #include "server/frame.h"
+#include "server/stream.h"
 
 namespace revtr {
 namespace {
@@ -306,6 +311,60 @@ TEST(AgentSplit, BusyAgentStaysAliveOnResultsAlone) {
   EXPECT_EQ(stats.agents_expired, 0u);
   EXPECT_EQ(stats.reassigned, 0u);
   EXPECT_TRUE(clean);
+}
+
+// revtr_agentd exits 0 on a controller hang-up whether a read or a send
+// sees it first. A fake controller takes the REGISTER, shuts its read side
+// down, and then assigns one probe (from a vantage point the agent does not
+// have, so it answers at once): the agent's result send fails with EPIPE.
+TEST(AgentSplit, ControllerHangUpSeenOnSendIsACleanExit) {
+  const auto options = controller_options("hangup");
+  unlink(options.socket_path.c_str());
+  const int listener = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(options.socket_path.size(), sizeof(addr.sun_path));
+  std::memcpy(addr.sun_path, options.socket_path.c_str(),
+              options.socket_path.size() + 1);
+  ASSERT_EQ(bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                 sizeof(addr)),
+            0);
+  ASSERT_EQ(listen(listener, 1), 0);
+
+  agent::AgentDaemon agent(agent_options(options, "vp-hangup", 2));
+  bool clean = false;
+  std::thread thread([&] { clean = agent.run(); });
+
+  server::FrameStream controller;
+  controller.adopt(accept4(listener, nullptr, nullptr, SOCK_CLOEXEC));
+  std::optional<server::Message> reg;
+  const bool registered =
+      controller.read(reg, /*timeout_ms=*/30'000) ==
+          server::FrameStream::Status::kOk &&
+      std::holds_alternative<server::AgentRegister>(*reg);
+  EXPECT_TRUE(registered);
+  if (registered) {
+    EXPECT_EQ(shutdown(controller.fd(), SHUT_RD), 0);
+    server::HelloOk ack;
+    ack.tenant = 1;
+    controller.queue(ack);
+    server::AgentProbe probe;
+    probe.ticket = 1;
+    probe.spec.from = topology::kInvalidId;
+    controller.queue(probe);
+    EXPECT_EQ(controller.flush(), server::FrameStream::Status::kOk);
+  } else {
+    controller.close();  // Releases the agent with an EOF.
+  }
+
+  thread.join();
+  EXPECT_TRUE(clean) << "a controller hang-up seen on a send is a clean end";
+  EXPECT_EQ(agent.counters().executed, 1u);
+  EXPECT_EQ(agent.counters().invalid_specs, 1u);
+  controller.close();
+  close(listener);
+  unlink(options.socket_path.c_str());
 }
 
 }  // namespace

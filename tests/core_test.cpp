@@ -563,6 +563,33 @@ TEST_F(OnDemandSurvey, StagedRequestSurveysInsideItsOwnSpan) {
   EXPECT_TRUE(scheduler.idle());
 }
 
+// An engine on a worker stack (its own Network and Prober over the Lab's
+// topology, atlas and ingress, like the daemon's and parallel campaigns'
+// workers) counts the survey it triggers, although the survey probes on
+// the Lab's discovery prober, not on the worker's.
+TEST_F(OnDemandSurvey, WorkerStackCountsTheSurveyItTriggered) {
+  ASSERT_NE(destination_, topology::kInvalidId);
+  const auto blocking = unsurveyed_lab();
+  const ReverseTraceroute want = measure(*blocking, destination_, seed_);
+  ASSERT_GT(want.offline_probes.total(), 0u);
+
+  const auto lab = unsurveyed_lab();
+  constexpr std::uint64_t kLabSeed = 7;  // eval::Lab's default seed.
+  sim::Network network(lab->topo, lab->plane, kLabSeed);
+  probing::Prober prober(network);
+  RevtrEngine engine(prober, lab->topo, lab->atlas, lab->ingress, lab->ip2as,
+                     lab->relationships, EngineConfig::revtr2(), kLabSeed);
+  util::SimClock clock;
+  clock.advance_to(kStartUs);
+  engine.reseed(seed_);
+  const ReverseTraceroute got =
+      engine.measure(destination_, lab->topo.vantage_points()[0], clock);
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.hops, want.hops);
+  EXPECT_EQ(got.offline_probes, want.offline_probes);
+  EXPECT_EQ(prober.offline_counters().total(), 0u);
+}
+
 // Two requests that reach the same unplanned prefix together survey it once:
 // the first surveys, the second reads its plan, as consecutive blocking
 // requests do. Both find the same path.

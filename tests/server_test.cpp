@@ -9,6 +9,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 
@@ -17,6 +19,7 @@
 #include "server/client.h"
 #include "server/daemon.h"
 #include "server/frame.h"
+#include "server/stream.h"
 #include "service/service.h"
 #include "util/json.h"
 
@@ -527,6 +530,81 @@ TEST(ServerDaemon, SigtermDrainsThenExits) {
   EXPECT_EQ(counters.completed, 1u);
   daemon.stop();
   ServerDaemon::install_signal_handlers(nullptr);
+}
+
+// Undecodable bytes cost only the connection that sent them: the daemon
+// counts one protocol error and closes it, and a well-behaved client on
+// another connection is still served.
+TEST(ServerDaemon, GarbageClosesOnlyItsConnection) {
+  const auto options = small_daemon_options("garbage");
+  ServerDaemon daemon(options);
+  ASSERT_TRUE(daemon.start());
+  {
+    DaemonClient client;
+    ASSERT_TRUE(client.connect(options.socket_path));
+    ASSERT_TRUE(client.hello("demo-key").has_value());
+
+    FrameStream garbage;
+    ASSERT_TRUE(garbage.connect(options.socket_path, /*retries=*/0));
+    const std::string junk = "not a frame, not even close";
+    garbage.queue(std::span(reinterpret_cast<const std::uint8_t*>(junk.data()),
+                            junk.size()));
+    ASSERT_EQ(garbage.flush(), FrameStream::Status::kOk);
+    std::optional<Message> reply;
+    EXPECT_EQ(garbage.read(reply, /*timeout_ms=*/10'000),
+              FrameStream::Status::kHungUp)
+        << "the daemon must close a connection that sent garbage";
+
+    Submit request;
+    request.request_id = 1;
+    ASSERT_TRUE(client.submit(request));
+    std::optional<Result> result;
+    ASSERT_EQ(client.next_result_for(result, /*timeout_ms=*/30'000),
+              DaemonClient::WaitStatus::kOk);
+    EXPECT_EQ(result->request_id, 1u);
+    const auto stats = client.stats();
+    ASSERT_TRUE(stats.has_value());
+    const auto parsed = util::Json::parse(*stats);
+    ASSERT_TRUE(parsed.has_value()) << *stats;
+    const util::Json* errors = parsed->find("protocol_errors");
+    ASSERT_NE(errors, nullptr);
+    EXPECT_EQ(errors->as_double(), 1.0);
+  }
+  EXPECT_EQ(daemon.counters().protocol_errors, 1u);
+  daemon.stop();
+}
+
+// stop() lands in the same net-loop iteration as the last completion often
+// enough to matter: the RESULT must still reach its client, once per
+// accepted request, before the daemon closes the connection.
+TEST(ServerDaemon, StopDeliversTheLastResult) {
+  constexpr int kRounds = 10;
+  const auto options = small_daemon_options("stop_last");
+  for (int round = 0; round < kRounds; ++round) {
+    ServerDaemon daemon(options);
+    ASSERT_TRUE(daemon.start());
+    DaemonClient client;
+    ASSERT_TRUE(client.connect(options.socket_path));
+    ASSERT_TRUE(client.hello("demo-key").has_value());
+    daemon.set_worker_hold(true);
+    Submit request;
+    request.request_id = 40 + static_cast<std::uint64_t>(round);
+    request.dest_index = static_cast<std::uint32_t>(round);
+    ASSERT_TRUE(client.submit(request));
+    std::thread stopper([&daemon] { daemon.stop(); });
+    while (!daemon.draining()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    daemon.set_worker_hold(false);
+    std::optional<Result> result;
+    EXPECT_EQ(client.next_result_for(result, /*timeout_ms=*/30'000),
+              DaemonClient::WaitStatus::kOk)
+        << "round " << round << ": stop() dropped the last RESULT";
+    stopper.join();
+    if (result.has_value()) {
+      EXPECT_EQ(result->request_id, request.request_id);
+    }
+  }
 }
 
 }  // namespace

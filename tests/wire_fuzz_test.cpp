@@ -16,19 +16,24 @@
 //
 // Everything is driven by revtr::util::Rng with fixed seeds: failures
 // reproduce bit-for-bit from the iteration number alone.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include <string>
+#include <string_view>
 
 #include "net/checksum.h"
 #include "net/ip_options.h"
 #include "net/packet.h"
 #include "net/wire.h"
 #include "server/frame.h"
+#include "server/stream.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -571,6 +576,52 @@ TEST(FrameFuzz, SeedCorpusRoundTripsExactly) {
   }
 }
 
+// The wire bytes themselves, one frame per corpus message (header + payload,
+// hex). A round trip cannot see a layout change the encoder and the decoder
+// make together; these bytes can. Changing one means a protocol change
+// (kProtoVersion) on purpose.
+TEST(FrameFuzz, GoldenBytesPinTheWire) {
+  const std::vector<std::string_view> golden = {
+      "525602010000000e00000002000864656d6f2d6b6579",
+      "525602020000001c0000000300000000075bcd150f6d6561737572656d656e742d"
+      "6c6162",
+      "525602030000000100",
+      "52560204000000190123456789abcdef0000002a00000001020000000001c9c380",
+      "52560205000000080000000000000007",
+      "5256020600000009000000000000000906",
+      "5256020700000047000000000000000b0002000000000369def0000000000000002d0000"
+      "00000000000300070a000000000a000001010a000002020a000003030a000004040a0000"
+      "05050a00000606",
+      "525602080000000400000010",
+      "52560209000000080000000200000005",
+      "5256020a00000000",
+      "5256020b00000015000000117b226163636570746564223a203230307d",
+      "5256020c00000000",
+      "5256020d0000001000000000000000640000000000000007",
+      "5256020e0000001300000002000000080a76702d6167656e742d31",
+      "5256020f0000002000000000feedface04000000000c0a010203010a090909020a010201"
+      "0a010202",
+      "5256020f0000001400000000000000010500000000030a0405060000",
+      "5256020f0000001400000000000000010501000000030a0405060000",
+      "525602100000004d00000000feedface01020a0001010a00010202010001000000000000"
+      "138802010a00020100000000000004b0000000000000000960000000000000000300000"
+      "00000001b580000000000000003",
+      "525602110000000c000000040000000000000200",
+      "52560212000000080000000000000063",
+  };
+  const auto corpus = frame_corpus();
+  ASSERT_EQ(corpus.size(), golden.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    std::string hex;
+    for (const std::uint8_t byte : encode_frame(corpus[i])) {
+      constexpr char kDigits[] = "0123456789abcdef";
+      hex += kDigits[byte >> 4];
+      hex += kDigits[byte & 0xf];
+    }
+    EXPECT_EQ(hex, golden[i]) << to_string(frame_type_of(corpus[i]));
+  }
+}
+
 TEST(FrameFuzz, AgentProbeCarriesTheTraceScopeByte) {
   AgentProbe probe;
   probe.ticket = 5;
@@ -657,6 +708,136 @@ TEST(FrameFuzz, TypedErrorsMatchTheLie) {
   // decoder must fail on payload grounds, not length grounds.
   EXPECT_FALSE(decode_frame(lying, &error).has_value());
   EXPECT_EQ(error, FrameError::kBadPayload);
+}
+
+// --- FrameStream: one reassembly loop and one error policy for every
+// speaker of the protocol (server/stream.h), over a real socketpair. ----------
+
+// A connected pair: `reader` decodes, `writer` sends raw bytes.
+struct StreamPair {
+  FrameStream reader;
+  FrameStream writer;
+
+  explicit StreamPair(bool nonblocking_reader) {
+    int fds[2] = {-1, -1};
+    REVTR_CHECK(socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) == 0);
+    if (nonblocking_reader) {
+      REVTR_CHECK(fcntl(fds[0], F_SETFL, O_NONBLOCK) == 0);
+    }
+    reader.adopt(fds[0]);
+    writer.adopt(fds[1]);
+  }
+
+  void write(std::span<const std::uint8_t> bytes) {
+    writer.queue(bytes);
+    REVTR_CHECK(writer.flush() == FrameStream::Status::kOk);
+  }
+};
+
+std::vector<std::uint8_t> concatenated_corpus() {
+  std::vector<std::uint8_t> bytes;
+  for (const auto& message : frame_corpus()) append_frame(bytes, message);
+  return bytes;
+}
+
+// Whatever offset splits the byte stream, both read paths deliver the same
+// messages in order: the daemon's (non-blocking fill + next) and the
+// blocking callers' (read with a timeout).
+TEST(FrameStream, ReassemblesTheCorpusCutAtEveryOffset) {
+  const auto corpus = frame_corpus();
+  const auto bytes = concatenated_corpus();
+  for (const bool blocking : {false, true}) {
+    for (std::size_t cut = 1; cut < bytes.size(); ++cut) {
+      StreamPair pair(/*nonblocking_reader=*/!blocking);
+      std::vector<Message> got;
+      const auto drain = [&] {
+        if (blocking) {
+          std::optional<Message> message;
+          while (pair.reader.read(message, /*timeout_ms=*/0) ==
+                 FrameStream::Status::kOk) {
+            got.push_back(*std::move(message));
+          }
+        } else {
+          pair.reader.fill();
+          while (auto message = pair.reader.next()) {
+            got.push_back(*std::move(message));
+          }
+        }
+      };
+      pair.write(std::span(bytes).first(cut));
+      drain();
+      pair.write(std::span(bytes).subspan(cut));
+      drain();
+      ASSERT_EQ(got.size(), corpus.size()) << "cut " << cut;
+      EXPECT_TRUE(got == corpus) << "cut " << cut;
+      EXPECT_FALSE(pair.reader.protocol_error());
+      EXPECT_FALSE(pair.reader.hung_up());
+    }
+  }
+}
+
+// After N good frames, undecodable bytes yield exactly N messages and then
+// a protocol error that sticks: a good frame behind the garbage is never
+// read.
+TEST(FrameStream, GarbageAfterGoodFramesIsAStickyProtocolError) {
+  const auto corpus = frame_corpus();
+  auto bad_header = encode_frame(Poll{8});
+  bad_header[0] ^= 0xff;  // Magic.
+  auto bad_payload = encode_frame(HelloErr{RejectReason::kBadApiKey});
+  bad_payload.back() = 0xff;  // Reason out of range.
+  for (const auto& garbage : {bad_header, bad_payload}) {
+    StreamPair pair(/*nonblocking_reader=*/false);
+    const auto good = concatenated_corpus();
+    pair.write(good);
+    pair.write(garbage);
+    pair.write(encode_frame(Drain{}));
+    std::optional<Message> message;
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+      ASSERT_EQ(pair.reader.read(message, /*timeout_ms=*/1000),
+                FrameStream::Status::kOk)
+          << "frame " << i;
+      EXPECT_TRUE(*message == corpus[i]) << "frame " << i;
+    }
+    EXPECT_EQ(pair.reader.read(message, 1000),
+              FrameStream::Status::kProtocolError);
+    EXPECT_FALSE(message.has_value());
+    EXPECT_EQ(pair.reader.read(message, 1000),
+              FrameStream::Status::kProtocolError);
+    pair.reader.fill();
+    EXPECT_FALSE(pair.reader.next().has_value());
+    EXPECT_TRUE(pair.reader.protocol_error());
+  }
+}
+
+// EOF is a hang-up, not an error, and frames sent before it still arrive;
+// a send to a closed peer reports the hang-up instead of raising SIGPIPE.
+TEST(FrameStream, PeerCloseIsAHangUpOnReadAndOnSend) {
+  StreamPair pair(/*nonblocking_reader=*/false);
+  pair.write(encode_frame(SubmitOk{5}));
+  pair.writer.close();
+  std::optional<Message> message;
+  ASSERT_EQ(pair.reader.read(message, 1000), FrameStream::Status::kOk);
+  EXPECT_TRUE(*message == Message{SubmitOk{5}});
+  EXPECT_EQ(pair.reader.read(message, 1000), FrameStream::Status::kHungUp);
+  EXPECT_TRUE(pair.reader.hung_up());
+  EXPECT_FALSE(pair.reader.protocol_error());
+
+  StreamPair other(/*nonblocking_reader=*/false);
+  other.reader.close();
+  EXPECT_EQ(other.writer.send(Drain{}), FrameStream::Status::kHungUp);
+  EXPECT_TRUE(other.writer.hung_up());
+}
+
+TEST(FrameStream, ReadTimesOutOnAPartialFrame) {
+  StreamPair pair(/*nonblocking_reader=*/false);
+  const auto frame = encode_frame(PollDone{2, 5});
+  pair.write(std::span(frame).first(frame.size() - 1));
+  std::optional<Message> message;
+  EXPECT_EQ(pair.reader.read(message, /*timeout_ms=*/20),
+            FrameStream::Status::kTimeout);
+  pair.write(std::span(frame).last(1));
+  ASSERT_EQ(pair.reader.read(message, 1000), FrameStream::Status::kOk);
+  EXPECT_TRUE((*message == Message{PollDone{2, 5}}));
 }
 
 }  // namespace
