@@ -1,17 +1,18 @@
-// Parallel campaign scaling: wall-clock speedup from running one batch
-// campaign on 1/2/4/8 real worker threads (service/parallel.h).
+// Parallel campaign scaling: one batch campaign on 1/2/4/8 real worker
+// threads (service/parallel.h), every worker multiplexing its requests over
+// one shared probe scheduler.
 //
-// The deployment's campaign throughput is latency-bound, not CPU-bound:
-// a request spends most of its life waiting out 10 s spoofed-batch
-// timeouts (§5.2.4), so additional workers overlap those waits even on a
-// single core. --pacing holds each worker slot for that wait (real seconds
-// per simulated second of request latency); --pacing=0 degenerates to a
-// pure CPU benchmark where extra workers cannot help on one core.
-//
-// Besides timing, the bench asserts the driver's core promise: every worker
-// count measures the *same* set of reverse traceroutes (per-request
-// signature over endpoints, status, and hop sequence). The final line is a
-// machine-readable JSON object.
+// Wall time here is CPU time: the simulator answers a probe at once, so a
+// request's simulated 10 s spoofed-batch waits (§5.2.4) cost no real time,
+// and extra workers help only as far as the host has cores for them. The
+// bench asserts the driver's core promise: every worker count measures the
+// *same* set of reverse traceroutes (per-request signature over endpoints,
+// status, and hop sequence). A duplicate-heavy campaign then shows what
+// cross-request coalescing saves. scripts/bench_delta.py gates three
+// figures from here besides simulated latency: a single-worker campaign's
+// wire probes per request (exact for a fixed seed) and CPU per request, and
+// the CPU per request of the 4-worker overhead runs (each a median over
+// --overhead-reps runs). The final line is a machine-readable JSON object.
 #include <algorithm>
 #include <ctime>
 #include <cstdio>
@@ -54,7 +55,6 @@ int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
   auto setup = bench::parse_setup(flags);
   setup.revtrs = static_cast<std::size_t>(flags.get_int("revtrs", 500));
-  const double pacing = flags.get_double("pacing", 2e-3);
   const auto dup_revtrs =
       static_cast<std::size_t>(flags.get_int("dup-revtrs", 96));
   const std::size_t sample_every = static_cast<std::size_t>(
@@ -75,8 +75,8 @@ int main(int argc, char** argv) {
     pairs.emplace_back(dests[i % dests.size()], source);
   }
 
-  const service::CampaignDeps deps{lab.topo,  lab.plane, lab.atlas,
-                                   lab.ingress, lab.ip2as, lab.relationships};
+  const core::StackDeps deps{lab.topo,    lab.plane, lab.atlas,
+                             lab.ingress, lab.ip2as, lab.relationships};
   const std::vector<std::size_t> worker_counts = {1, 2, 4, 8};
 
   util::TextTable table({"workers", "wall (s)", "speedup", "revtr/s (wall)",
@@ -91,7 +91,6 @@ int main(int argc, char** argv) {
     service::ParallelCampaignOptions options;
     options.workers = workers;
     options.seed = setup.seed;
-    options.pacing_scale = pacing;
     service::ParallelCampaignDriver driver(deps, options);
     const auto report = driver.run(pairs);
 
@@ -128,60 +127,57 @@ int main(int argc, char** argv) {
   std::printf("identical measurement sets across worker counts: %s\n",
               identical_sets ? "yes" : "NO — DETERMINISM BROKEN");
 
-  // --- Duplicate-heavy workload: blocking vs staged coalescing. -----------
+  // --- Duplicate-heavy workload: coalescing off vs on. -------------------
   // Many requests over few destinations is the cross-request coalescing
   // sweet spot (think a campaign re-measuring a small target set from one
   // source). Engine caches are off on BOTH sides so every probe a request
   // wants is genuinely demanded — the shared RR cache would otherwise hide
-  // the comparison — and the staged scheduler's in-flight dedup is the only
-  // thing collapsing duplicates.
+  // the comparison. With coalescing off every demand issues its own wire
+  // probe; with it on, a demand identical to one in flight rides on it.
   const std::size_t dup_dests = std::min<std::size_t>(4, dests.size());
   std::vector<std::pair<topology::HostId, topology::HostId>> dup_pairs;
   for (std::size_t i = 0; i < dup_revtrs; ++i) {
     dup_pairs.emplace_back(dests[i % dup_dests], source);
   }
-  const auto dup_run = [&](service::EngineMode mode) {
+  const auto dup_run = [&](bool coalesce) {
     service::ParallelCampaignOptions options;
     options.workers = 4;
     options.seed = setup.seed;
-    options.pacing_scale = pacing;
     options.engine.use_cache = false;
-    options.mode = mode;
+    options.sched.coalesce = coalesce;
     service::ParallelCampaignDriver driver(deps, options);
     return driver.run(dup_pairs);
   };
-  const auto dup_blocking = dup_run(service::EngineMode::kBlocking);
-  const auto dup_staged = dup_run(service::EngineMode::kStaged);
-  const bool dup_identical = campaign_signature(dup_blocking.results) ==
-                             campaign_signature(dup_staged.results);
-  const std::uint64_t blocking_issued = dup_blocking.stats.probes.total();
-  const std::uint64_t staged_issued = dup_staged.stats.probes.total();
+  const auto dup_off = dup_run(false);
+  const auto dup_on = dup_run(true);
+  const bool dup_identical = campaign_signature(dup_off.results) ==
+                             campaign_signature(dup_on.results);
+  const std::uint64_t off_issued = dup_off.stats.probes.total();
+  const std::uint64_t on_issued = dup_on.stats.probes.total();
   const double issued_reduction =
-      staged_issued == 0 ? 0.0
-                         : static_cast<double>(blocking_issued) /
-                               static_cast<double>(staged_issued);
-  const auto& dup_sched = *dup_staged.sched;
+      on_issued == 0 ? 0.0
+                     : static_cast<double>(off_issued) /
+                           static_cast<double>(on_issued);
   std::printf("\nduplicate-heavy (%zu requests over %zu destinations, "
               "caches off, 4 workers):\n",
               dup_pairs.size(), dup_dests);
-  std::printf("  blocking: %llu probes issued, %.2f s wall\n",
-              static_cast<unsigned long long>(blocking_issued),
-              dup_blocking.wall_seconds);
-  std::printf("  staged:   %llu probes issued (%llu demands, %llu "
-              "coalesced), %.2f s wall\n",
-              static_cast<unsigned long long>(staged_issued),
-              static_cast<unsigned long long>(dup_sched.demanded),
-              static_cast<unsigned long long>(dup_sched.coalesced),
-              dup_staged.wall_seconds);
+  std::printf("  coalescing off: %llu probes issued, %.3f s wall\n",
+              static_cast<unsigned long long>(off_issued),
+              dup_off.wall_seconds);
+  std::printf("  coalescing on:  %llu probes issued (%llu demands, %llu "
+              "coalesced), %.3f s wall\n",
+              static_cast<unsigned long long>(on_issued),
+              static_cast<unsigned long long>(dup_on.sched.demanded),
+              static_cast<unsigned long long>(dup_on.sched.coalesced),
+              dup_on.wall_seconds);
   std::printf("  probes-issued reduction: %.2fx; identical measurement "
               "sets: %s\n",
               issued_reduction,
               dup_identical ? "yes" : "NO — DETERMINISM BROKEN");
 
   // --- Instrumentation overhead: metrics-off vs metrics-on. ---------------
-  // Pacing is disabled here: with pacing, wall time is sleep-dominated and
-  // any overhead vanishes into it. Pacing off is the worst case for the
-  // sharded counters — a pure CPU race through the probe path. The ratio is
+  // A pure CPU race through the probe path is the worst case for the
+  // sharded counters. The ratio is
   // taken over process CPU time, not wall: on a loaded shared box, wall
   // time folds in whatever else the scheduler ran, while CPU time charges
   // exactly the cycles this campaign burned — which is what the
@@ -206,7 +202,6 @@ int main(int argc, char** argv) {
     service::ParallelCampaignOptions options;
     options.workers = workers;
     options.seed = setup.seed;
-    options.pacing_scale = 0.0;
     if (with_metrics) {
       options.metrics = &registry;
       options.trace_sink = &sink;
@@ -230,58 +225,72 @@ int main(int argc, char** argv) {
   // the occasional rep landing on a busy scheduler slot.
   OverheadRun best_off, best_on;
   std::vector<double> ratios;
+  std::vector<double> four_worker_cpu;  // Metrics-on reps, for the median.
   for (int rep = 0; rep < overhead_reps; ++rep) {
     const OverheadRun off = timed_run(4, false);
     const OverheadRun on = timed_run(4, true);
     if (rep == 0 || off.cpu < best_off.cpu) best_off = off;
     if (rep == 0 || on.cpu < best_on.cpu) best_on = on;
     if (off.cpu > 0) ratios.push_back(on.cpu / off.cpu);
+    four_worker_cpu.push_back(on.cpu);
   }
   std::sort(ratios.begin(), ratios.end());
   const double overhead_pct =
       ratios.empty() ? 0.0 : (ratios[ratios.size() / 2] - 1.0) * 100.0;
+  std::sort(four_worker_cpu.begin(), four_worker_cpu.end());
   std::printf("instrumentation: %.3f s CPU off, %.3f s CPU on (metrics + "
               "1/%zu trace sampling) -> %+.1f%% overhead\n",
               best_off.cpu, best_on.cpu, sample_every, overhead_pct);
 
-  // --- Single-worker pure-CPU throughput. ---------------------------------
-  // The per-core counterpart of the scaling section: one worker, pacing off,
-  // metrics on. This is the single-thread hot-path number ROADMAP item 3
-  // tracks across PRs — scripts/bench_delta.py gates regressions on it.
-  OverheadRun best_single;
+  // --- Single worker: the two gated figures. -----------------------------
+  // One worker, metrics on. One thread fills the shared caches in one order,
+  // so its wire-probe count is a pure function of the seed: it moves only
+  // when the engine sends different probes, and every rep must agree. CPU
+  // per request is process CPU time over the campaign, taken from the
+  // median rep, which a single slow rep cannot move.
+  std::vector<OverheadRun> singles;
   for (int rep = 0; rep < overhead_reps; ++rep) {
-    const OverheadRun single = timed_run(1, true);
-    if (rep == 0 || single.cpu < best_single.cpu) best_single = single;
+    singles.push_back(timed_run(1, true));
   }
+  const bool single_probes_exact =
+      std::all_of(singles.begin(), singles.end(), [&](const OverheadRun& r) {
+        return r.probes == singles.front().probes;
+      });
+  std::sort(singles.begin(), singles.end(),
+            [](const OverheadRun& a, const OverheadRun& b) {
+              return a.cpu < b.cpu;
+            });
+  const OverheadRun& single = singles[singles.size() / 2];
+  const double requests = static_cast<double>(overhead_pairs.size());
+  const double single_worker_probes_per_request =
+      static_cast<double>(single.probes) / requests;
+  const double single_worker_cpu_us_per_request = single.cpu * 1e6 / requests;
   const double single_worker_rps =
-      best_single.wall > 0
-          ? static_cast<double>(overhead_pairs.size()) / best_single.wall
-          : 0.0;
+      single.wall > 0 ? requests / single.wall : 0.0;
   const double single_worker_pps =
-      best_single.wall > 0
-          ? static_cast<double>(best_single.probes) / best_single.wall
-          : 0.0;
-  std::printf("single worker (pacing off, metrics on): %.1f requests/s, "
-              "%.0f probes/s\n",
-              single_worker_rps, single_worker_pps);
+      single.wall > 0 ? static_cast<double>(single.probes) / single.wall
+                      : 0.0;
+  std::printf("single worker (metrics on, median of %zu): %.2f probes and "
+              "%.1f us CPU per request; %.1f requests/s, %.0f probes/s%s\n",
+              singles.size(), single_worker_probes_per_request,
+              single_worker_cpu_us_per_request, single_worker_rps,
+              single_worker_pps,
+              single_probes_exact ? "" : " — PROBE COUNT VARIED ACROSS REPS");
 
   // Headline throughput and latency: the best metrics-on overhead rep (4
-  // workers, pacing off) is the pure-CPU wall-clock service rate; simulated
+  // workers) is the wall-clock service rate, which swings by tens of percent
+  // between identical runs on a shared host and so is reported, not gated;
+  // the median metrics-on rep gives the 4-worker CPU per request, which
+  // includes what workers spend waiting on each other's probes; simulated
   // request latency quantiles come from the revtr_request_latency_us
-  // histogram the same runs populated in `registry`.
+  // histogram every metrics-on run populated in `registry`.
   const double requests_per_second =
-      best_on.wall > 0
-          ? static_cast<double>(overhead_pairs.size()) / best_on.wall
-          : 0.0;
+      best_on.wall > 0 ? requests / best_on.wall : 0.0;
   const double probes_per_second =
       best_on.wall > 0 ? static_cast<double>(best_on.probes) / best_on.wall
                        : 0.0;
-  // Informational beside the gated probes_per_second, which a probe saving
-  // lowers just as a slower simulator would: this field tells them apart.
-  const double probes_per_request =
-      overhead_pairs.empty() ? 0.0
-                             : static_cast<double>(best_on.probes) /
-                                   static_cast<double>(overhead_pairs.size());
+  const double four_worker_cpu_us_per_request =
+      four_worker_cpu[four_worker_cpu.size() / 2] * 1e6 / requests;
   double sim_latency_p50_us = 0.0;
   double sim_latency_p99_us = 0.0;
   for (const auto& h : registry.snapshot().histograms) {
@@ -291,22 +300,24 @@ int main(int argc, char** argv) {
       break;
     }
   }
-  std::printf("throughput: %.1f requests/s, %.0f probes/s (%.2f per "
-              "request) | simulated request latency p50 %.0f us, p99 %.0f us "
+  std::printf("4 workers: %.1f requests/s, %.0f probes/s, %.1f us CPU per "
+              "request | simulated request latency p50 %.0f us, p99 %.0f us "
               "| peak RSS %.1f MiB\n",
-              requests_per_second, probes_per_second, probes_per_request,
-              sim_latency_p50_us,
+              requests_per_second, probes_per_second,
+              four_worker_cpu_us_per_request, sim_latency_p50_us,
               sim_latency_p99_us,
               static_cast<double>(bench::peak_rss_bytes()) / (1024.0 * 1024.0));
 
   util::Json out = util::Json::object();
   out["revtrs"] = static_cast<double>(pairs.size());
-  out["pacing_scale"] = pacing;
   out["identical_sets"] = identical_sets;
   out["speedup_at_4_workers"] = speedup_at_4;
   out["requests_per_second"] = requests_per_second;
   out["probes_per_second"] = probes_per_second;
-  out["probes_per_request"] = probes_per_request;
+  out["four_worker_cpu_us_per_request"] = four_worker_cpu_us_per_request;
+  out["single_worker_probes_per_request"] = single_worker_probes_per_request;
+  out["single_worker_cpu_us_per_request"] = single_worker_cpu_us_per_request;
+  out["single_worker_probes_exact"] = single_probes_exact;
   out["single_worker_requests_per_second"] = single_worker_rps;
   out["single_worker_probes_per_second"] = single_worker_pps;
   out["sim_latency_p50_us"] = sim_latency_p50_us;
@@ -324,22 +335,25 @@ int main(int argc, char** argv) {
   util::Json duplicate_heavy = util::Json::object();
   duplicate_heavy["requests"] = static_cast<double>(dup_pairs.size());
   duplicate_heavy["destinations"] = static_cast<double>(dup_dests);
-  duplicate_heavy["blocking_probes_issued"] =
-      static_cast<double>(blocking_issued);
-  duplicate_heavy["staged_probes_issued"] = static_cast<double>(staged_issued);
-  duplicate_heavy["staged_probes_demanded"] =
-      static_cast<double>(dup_sched.demanded);
-  duplicate_heavy["staged_probes_coalesced"] =
-      static_cast<double>(dup_sched.coalesced);
-  duplicate_heavy["blocking_wall_seconds"] = dup_blocking.wall_seconds;
-  duplicate_heavy["staged_wall_seconds"] = dup_staged.wall_seconds;
+  duplicate_heavy["coalesce_off_probes_issued"] =
+      static_cast<double>(off_issued);
+  duplicate_heavy["coalesce_on_probes_issued"] = static_cast<double>(on_issued);
+  duplicate_heavy["coalesce_on_probes_demanded"] =
+      static_cast<double>(dup_on.sched.demanded);
+  duplicate_heavy["coalesce_on_probes_coalesced"] =
+      static_cast<double>(dup_on.sched.coalesced);
+  duplicate_heavy["coalesce_off_wall_seconds"] = dup_off.wall_seconds;
+  duplicate_heavy["coalesce_on_wall_seconds"] = dup_on.wall_seconds;
   duplicate_heavy["issued_reduction"] = issued_reduction;
   duplicate_heavy["identical_sets"] = dup_identical;
   out["duplicate_heavy"] = std::move(duplicate_heavy);
   std::printf("%s\n", out.dump().c_str());
   bench::write_bench_artifact("parallel_campaign", out);
   // A duplicate-heavy campaign that fails to at least halve issued probes
-  // means coalescing regressed; fail loudly, like a determinism break.
-  const bool ok = identical_sets && dup_identical && issued_reduction >= 2.0;
+  // means coalescing regressed; fail loudly, like a determinism break. So
+  // does a single-worker probe count that varies: the gate on it assumes it
+  // is exact.
+  const bool ok = identical_sets && dup_identical && issued_reduction >= 2.0 &&
+                  single_probes_exact;
   return ok ? 0 : 1;
 }

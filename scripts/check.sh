@@ -13,8 +13,8 @@
 #               state sweep under ASan is the deepest memory check we run).
 #   4. ubsan    UndefinedBehaviorSanitizer with -fno-sanitize-recover=all
 #               (any UB aborts the test), full ctest suite.
-#   5. tsan     ThreadSanitizer over the concurrency suite (thread pool,
-#               synchronized Distribution, striped caches, sharded metrics,
+#   5. tsan     ThreadSanitizer over the concurrency suite (synchronized
+#               Distribution, striped caches, sharded metrics,
 #               parallel campaign driver, probes executing outside the
 #               scheduler lock, lazily built routing tables and the AS cone
 #               table under concurrent readers) plus the ServerDaemon and
@@ -23,11 +23,11 @@
 #               REVTR_CHECK_TSAN=0 skips the stage; REVTR_CHECK_TSAN=full
 #               runs the whole ctest suite under TSan.
 #
-# Both gates also run an observability smoke: a small instrumented campaign
-# through revtr_cli, whose Prometheus snapshot must parse and contain the
-# core metric families (requests, probes, request latency, engine stages) —
-# plus a scheduler smoke: a staged campaign with overlapping destinations
-# whose revtr_probes_coalesced_total sample must come out positive and whose
+# Both gates also run a campaign smoke: a small instrumented campaign over
+# overlapping destinations through revtr_cli, which must warn of no unknown
+# flag, whose Prometheus snapshot must parse and contain the core metric
+# families (requests, probes, request latency, engine stages), whose
+# revtr_probes_coalesced_total sample must come out positive and whose
 # demanded probes must equal issued + coalesced (the scheduler carries wire
 # probes only, so every demand is one or the other). The full
 # gate adds a serverd smoke: two 5 s daemonbench open_mixed runs through
@@ -75,34 +75,64 @@ for arg in "$@"; do
     esac
 done
 
-# Observability smoke: run a small instrumented campaign, then validate the
-# exported Prometheus text — every non-comment line must be a well-formed
-# `name{labels} integer` sample, and the families the dashboards are built
-# on must be present.
-obs_smoke() {
-    echo "==> [default] obs smoke (instrumented campaign + snapshot check)"
-    out="build/obs_smoke_metrics.prom"
+# Campaign smoke: one small instrumented campaign over overlapping
+# destinations (60 requests over 20 probe hosts) through revtr_cli, which
+# must print no unknown-flag warning. Its exported Prometheus text must
+# parse — every non-comment line a well-formed `name{labels} integer`
+# sample — and carry the families the dashboards are built on; its
+# revtr_probes_coalesced_total sample has to be positive, or cross-request
+# dedup silently died; and it must account for every demand:
+# revtr_sched_probes_demanded_total equals revtr_sched_probes_issued_total +
+# revtr_probes_coalesced_total (the scheduler carries wire probes only, so
+# every demand is one or the other).
+campaign_smoke() {
+    echo "==> [default] campaign smoke (instrumented campaign, snapshot" \
+         "check, coalescing metric > 0, demanded = issued + coalesced)"
+    out="build/campaign_smoke_metrics.prom"
     # campaign exits 4 when some revtrs were incomplete — fine for the smoke,
     # which only needs the metrics snapshot.
-    ./build/tools/revtr_cli campaign --ases=150 --vps=10 --probes=60 \
-        --revtrs=40 --parallel=2 --trace-sample=8 \
-        --metrics-out="$out" >/dev/null || [ $? -eq 4 ]
+    ./build/tools/revtr_cli campaign --ases=150 --vps=10 --probes=20 \
+        --revtrs=60 --parallel=2 --trace-sample=8 \
+        --metrics-out="$out" >/dev/null 2>build/campaign_smoke.err ||
+        [ $? -eq 4 ]
+    if grep 'unknown flag' build/campaign_smoke.err >&2; then
+        echo "campaign smoke: revtr_cli ignored a flag" >&2
+        exit 1
+    fi
     awk '
         /^# (HELP|TYPE) / { next }
         /^[A-Za-z_][A-Za-z0-9_]*(\{[^}]*\})? -?[0-9]+$/ { ++samples; next }
-        { printf "obs smoke: malformed line %d: %s\n", NR, $0; bad = 1 }
+        { printf "campaign smoke: malformed line %d: %s\n", NR, $0; bad = 1 }
         END {
-            if (samples == 0) { print "obs smoke: no samples"; bad = 1 }
+            if (samples == 0) { print "campaign smoke: no samples"; bad = 1 }
             exit bad
         }' "$out"
     for family in revtr_requests_total revtr_probes_total \
                   revtr_request_latency_us_count revtr_engine_stage_total; do
         if ! grep -q "^$family" "$out"; then
-            echo "obs smoke: metric family $family missing from $out" >&2
+            echo "campaign smoke: metric family $family missing from $out" >&2
             exit 1
         fi
     done
-    echo "obs smoke: snapshot ok ($(grep -c '^revtr_' "$out") samples)"
+    coalesced="$(awk '/^revtr_probes_coalesced_total /{print $2}' "$out")"
+    if [ -z "$coalesced" ] || [ "$coalesced" -le 0 ]; then
+        echo "campaign smoke:" \
+             "revtr_probes_coalesced_total=${coalesced:-missing}" \
+             "on an overlapping-destination campaign" >&2
+        exit 1
+    fi
+    demanded="$(awk '/^revtr_sched_probes_demanded_total /{print $2}' "$out")"
+    issued="$(awk '/^revtr_sched_probes_issued_total /{print $2}' "$out")"
+    if [ -z "$demanded" ] || [ -z "$issued" ] ||
+       [ "$demanded" -ne $((issued + coalesced)) ]; then
+        echo "campaign smoke:" \
+             "revtr_sched_probes_demanded_total=${demanded:-missing}" \
+             "!= revtr_sched_probes_issued_total=${issued:-missing}" \
+             "+ revtr_probes_coalesced_total=$coalesced" >&2
+        exit 1
+    fi
+    echo "campaign smoke: ok ($(grep -c '^revtr_' "$out") samples;" \
+         "$coalesced of $demanded demanded probes coalesced, $issued issued)"
 }
 
 # Bench-artifact smoke: scaled-down runs of every artifact-emitting bench
@@ -128,10 +158,11 @@ bench_smoke() {
     rm -f build/BENCH_parallel_campaign.json build/BENCH_throughput.json \
           build/BENCH_micro_net.json
     REVTR_BENCH_DIR=build ./build/bench/bench_parallel_campaign \
-        --ases=150 --vps=8 --probes=60 --revtrs=24 --pacing=0 \
-        --dup-revtrs=48 --overhead-reps=1 --overhead-revtrs=200 >/dev/null
+        --ases=150 --vps=8 --probes=60 --revtrs=24 \
+        --dup-revtrs=48 --overhead-reps=5 --overhead-revtrs=2000 >/dev/null
     require_bench_fields build/BENCH_parallel_campaign.json \
-        requests_per_second probes_per_second probes_per_request \
+        single_worker_probes_per_request single_worker_cpu_us_per_request \
+        requests_per_second probes_per_second four_worker_cpu_us_per_request \
         sim_latency_p50_us sim_latency_p99_us peak_rss_bytes \
         single_worker_requests_per_second single_worker_probes_per_second
     REVTR_BENCH_DIR=build ./build/bench/bench_throughput \
@@ -158,8 +189,9 @@ bench_smoke() {
         benchmark_count peak_rss_bytes
     echo "bench smoke: all artifact schemas ok (incl. cwd-independent dir)"
     # Bench-delta gate: the smoke-scale artifacts written above must not
-    # regress past tolerance against the committed smoke baselines (>10%
-    # drop in requests/probes per second, >15% rise in sim_latency_p99_us).
+    # regress past tolerance against the committed smoke baselines (>1%
+    # rise in single-worker wire probes per request, >25% rise in CPU per
+    # request at one worker or at four, >15% rise in sim_latency_p99_us).
     # Full-scale baselines are compared advisorily by run_all.sh instead —
     # see README "Bench-delta gate" for the refresh procedure.
     echo "==> [default] bench delta vs bench/baselines/smoke"
@@ -201,38 +233,6 @@ lint_selftest_guard() {
              "$LINT_SELFTEST_BASELINE" >&2
         exit 1
     fi
-}
-
-# Scheduler smoke: a staged campaign whose destinations heavily overlap must
-# actually coalesce — the exported snapshot's revtr_probes_coalesced_total
-# sample has to be positive, or cross-request dedup silently died — and must
-# account for every demand: revtr_sched_probes_demanded_total equals
-# revtr_sched_probes_issued_total + revtr_probes_coalesced_total.
-sched_smoke() {
-    echo "==> [default] sched smoke (staged campaign, coalescing metric > 0," \
-         "demanded = issued + coalesced)"
-    out="build/sched_smoke_metrics.prom"
-    ./build/tools/revtr_cli campaign --ases=120 --vps=8 --probes=20 \
-        --revtrs=60 --parallel=2 --staged \
-        --metrics-out="$out" >/dev/null || [ $? -eq 4 ]
-    coalesced="$(awk '/^revtr_probes_coalesced_total /{print $2}' "$out")"
-    if [ -z "$coalesced" ] || [ "$coalesced" -le 0 ]; then
-        echo "sched smoke: revtr_probes_coalesced_total=${coalesced:-missing}" \
-             "on an overlapping-destination campaign" >&2
-        exit 1
-    fi
-    demanded="$(awk '/^revtr_sched_probes_demanded_total /{print $2}' "$out")"
-    issued="$(awk '/^revtr_sched_probes_issued_total /{print $2}' "$out")"
-    if [ -z "$demanded" ] || [ -z "$issued" ] ||
-       [ "$demanded" -ne $((issued + coalesced)) ]; then
-        echo "sched smoke:" \
-             "revtr_sched_probes_demanded_total=${demanded:-missing}" \
-             "!= revtr_sched_probes_issued_total=${issued:-missing}" \
-             "+ revtr_probes_coalesced_total=$coalesced" >&2
-        exit 1
-    fi
-    echo "sched smoke: ok ($coalesced of $demanded demanded probes coalesced," \
-         "$issued issued)"
 }
 
 # Checks the JSON result line daemonbench/run.py prints last: a correct
@@ -426,8 +426,7 @@ if [ "$QUICK" = "1" ]; then
     ./build/tools/revtr_lint .
     echo "==> [default] unit tests (no fuzzer, no model-checker sweep)"
     ctest --preset default -E 'wire_fuzz|revtr_mc'
-    obs_smoke
-    sched_smoke
+    campaign_smoke
     echo "check.sh: quick gate passed (full gate: scripts/check.sh)"
     exit 0
 fi
@@ -435,8 +434,7 @@ fi
 run_config default
 echo "==> [default] lint self-test fixture floor"
 lint_selftest_guard
-obs_smoke
-sched_smoke
+campaign_smoke
 serverd_smoke
 agent_smoke
 bench_smoke
@@ -459,7 +457,7 @@ case "${REVTR_CHECK_TSAN:-1}" in
         echo "==> [tsan] build"
         cmake --build --preset tsan -j "$JOBS"
         echo "==> [tsan] concurrency suite"
-        ctest --preset tsan -R 'ThreadPool|Distribution|StripedMap|ShardedMetrics|ParallelCampaign|Atlas|Ingress|ServerDaemon|AgentSplit|SchedConcurrency|RoutingConcurrency|AsmapConcurrency'
+        ctest --preset tsan -R 'Distribution|StripedMap|ShardedMetrics|ParallelCampaign|Atlas|Ingress|ServerDaemon|AgentSplit|SchedConcurrency|RoutingConcurrency|AsmapConcurrency'
         ;;
 esac
 

@@ -8,8 +8,8 @@
 #include <utility>
 #include <variant>
 
+#include "core/worker_stack.h"
 #include "probing/transport.h"
-#include "util/rng.h"
 
 namespace revtr::agent {
 
@@ -140,9 +140,8 @@ bool AgentDaemon::run() {
   lab_ = std::make_unique<eval::Lab>(options_.topo,
                                      core::EngineConfig::revtr2(),
                                      options_.seed);
-  const std::uint64_t net_seed = util::mix_hash(options_.seed, 0x6e7ULL);
-  network_ =
-      std::make_unique<sim::Network>(lab_->topo, lab_->plane, net_seed);
+  network_ = std::make_unique<sim::Network>(
+      lab_->topo, lab_->plane, core::WorkerStack::network_seed(options_.seed));
   prober_ = std::make_unique<probing::Prober>(*network_);
 
   // Retry while the controller is still binding, like DaemonClient.

@@ -240,9 +240,23 @@ void RequestTask::begin_record_route() {
         entry && entry->expires_at > clock_.now()) {
       if (metrics() != nullptr) metrics()->rr_cache_replay->add();
       open_stage("rr-cache-replay");
-      annotate_stage("hops", std::to_string(entry->reverse_hops.size()));
-      const bool progressed =
-          append_reverse_hops(entry->reverse_hops, entry->source);
+      // Walk the rounds as the live stage did: stop at the first that
+      // makes progress for this request.
+      auto& round = scratch_->revealed;
+      std::size_t hops = 0;
+      bool progressed = false;
+      const auto end = entry->hops.end();
+      for (auto hop = entry->hops.begin(); hop != end && !progressed;) {
+        const HopSource source = hop->source;
+        round.clear();
+        for (bool last = false; !last && hop != end; ++hop) {
+          round.push_back(hop->addr);
+          last = hop->ends_round;
+        }
+        hops += round.size();
+        progressed = append_reverse_hops(round, source);
+      }
+      annotate_stage("hops", std::to_string(hops));
       close_stage();
       stage_ = progressed ? Stage::kLoopHead : Stage::kAfterRr;
       return;
@@ -250,6 +264,7 @@ void RequestTask::begin_record_route() {
   }
 
   // Direct RR ping from the source (Fig 1b).
+  rr_reveals_.clear();
   open_stage("rr-direct");
   sched::ProbeDemand demand;
   demand.type = probing::ProbeType::kRecordRoute;
@@ -259,14 +274,22 @@ void RequestTask::begin_record_route() {
   stage_ = Stage::kRrDirectWait;
 }
 
-void RequestTask::remember_rr(std::span<const Ipv4Addr> revealed,
-                              HopSource how) {
+bool RequestTask::append_rr_round(std::span<const Ipv4Addr> revealed,
+                                  HopSource how) {
+  const bool progressed = append_reverse_hops(revealed, how);
   if (config().use_cache) {
-    engine_.caches_->rr.insert_or_assign(
-        rr_key_,
-        RrCacheEntry{std::vector<Ipv4Addr>(revealed.begin(), revealed.end()),
-                     how, clock_.now() + config().cache_ttl});
+    for (const Ipv4Addr addr : revealed) {
+      rr_reveals_.push_back(RrCacheEntry::Hop{addr, how, false});
+    }
+    if (!revealed.empty()) rr_reveals_.back().ends_round = true;
+    if (progressed) {
+      engine_.caches_->rr.insert_or_assign(
+          rr_key_,
+          RrCacheEntry{{rr_reveals_.begin(), rr_reveals_.end()},
+                       clock_.now() + config().cache_ttl});
+    }
   }
+  return progressed;
 }
 
 void RequestTask::on_rr_direct(std::span<const sched::ProbeOutcome> outcomes) {
@@ -277,8 +300,7 @@ void RequestTask::on_rr_direct(std::span<const sched::ProbeOutcome> outcomes) {
     const auto revealed =
         RevtrEngine::extract_reverse_hops(probe.slots, current_);
     if (!revealed.empty() &&
-        append_reverse_hops(revealed, HopSource::kRecordRoute)) {
-      remember_rr(revealed, HopSource::kRecordRoute);
+        append_rr_round(revealed, HopSource::kRecordRoute)) {
       annotate_stage("hit", "1");
       if (metrics() != nullptr) metrics()->rr_direct_hit->add();
       close_stage();
@@ -442,8 +464,7 @@ void RequestTask::on_dbr_verify(std::span<const sched::ProbeOutcome> outcomes) {
 
 void RequestTask::finish_spoof_round() {
   const auto& revealed = scratch_->revealed;
-  if (append_reverse_hops(revealed, HopSource::kSpoofedRecordRoute)) {
-    remember_rr(revealed, HopSource::kSpoofedRecordRoute);
+  if (append_rr_round(revealed, HopSource::kSpoofedRecordRoute)) {
     if (metrics() != nullptr) metrics()->rr_spoofed_hit->add();
     stage_ = Stage::kLoopHead;
     return;

@@ -17,8 +17,8 @@
 //     staged machine run to completion with a trivial scheduler.
 //   * RequestExecutor (below) multiplexes many tasks over a
 //     sched::ProbeScheduler, which coalesces identical in-flight demands
-//     across requests. The daemon's workers, staged campaigns and revtr_mc's
-//     twins all drive tasks through it.
+//     across requests. The daemon's workers, campaign workers and
+//     revtr_mc's twins all drive tasks through it.
 // Because simulated probe outcomes are content-addressed (DESIGN.md §8), the
 // two executors produce byte-identical ReverseTraceroutes — pinned by
 // tests/concurrency_test.cpp and swept by revtr_mc (invariant I7).
@@ -55,7 +55,7 @@ class RequestTask {
   // `engine` supplies the collaborators and config; `clock`, `rng`, and
   // `trace` belong to this request and must outlive the task. Multiplexed
   // tasks must each get their own clock and RNG stream (the parallel driver
-  // seeds per request from (campaign seed, index), same as blocking mode).
+  // seeds per request from (campaign seed, index)).
   RequestTask(RevtrEngine& engine, topology::HostId destination,
               topology::HostId source, util::SimClock& clock, util::Rng& rng,
               obs::Trace* trace);
@@ -147,7 +147,10 @@ class RequestTask {
   bool append_reverse_hops(std::span<const net::Ipv4Addr> revealed,
                            HopSource source);
   bool already_in_path(net::Ipv4Addr addr) const;
-  void remember_rr(std::span<const net::Ipv4Addr> revealed, HopSource how);
+  // One RR reveal: appends it, records it as a round of this key's cache
+  // entry, and stores the entry once a round makes progress.
+  bool append_rr_round(std::span<const net::Ipv4Addr> revealed,
+                       HopSource how);
   void finalize_flags();
   void finish();
 
@@ -203,6 +206,7 @@ class RequestTask {
 
   // RR technique state.
   std::uint64_t rr_key_ = 0;
+  std::vector<RrCacheEntry::Hop> rr_reveals_;  // This key's rounds so far.
   std::size_t next_attempt_ = 0;
   util::FlatMap<std::size_t, int> rank_failures_;
 

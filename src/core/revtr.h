@@ -233,13 +233,22 @@ struct EngineConfig {
   std::string name() const;
 };
 
-// Cached outcome of the RR technique at one (hop, source) key.
+// Cached outcome of the RR technique at one (hop, source) key: every reveal
+// the stage appended, in order — the direct RR reveal, then each spoofed
+// round — up to the one that made progress. Each reveal is a pure function
+// of the key (content-addressed probes over a fixed attempt plan), so a
+// replay that walks the rounds and stops at the first that progresses
+// appends what a live measurement of the key would have appended, with the
+// same provenance, whichever request filled the entry. Replays must keep
+// the original provenance: a direct-RR hop must not resurface labelled as
+// spoofed (Insight 1.10 — users judge trust hop by hop).
 struct RrCacheEntry {
-  std::vector<net::Ipv4Addr> reverse_hops;
-  // How the cached hops were originally measured. Replays must keep the
-  // original provenance: a direct-RR hop must not resurface labelled as
-  // spoofed (Insight 1.10 — users judge trust hop by hop).
-  HopSource source = HopSource::kSpoofedRecordRoute;
+  struct Hop {
+    net::Ipv4Addr addr;
+    HopSource source = HopSource::kSpoofedRecordRoute;  // Of its round.
+    bool ends_round = false;  // Last hop of its round's reveal.
+  };
+  std::vector<Hop> hops;  // The rounds' reveals, concatenated in order.
   util::SimClock::Micros expires_at = 0;
 };
 
@@ -330,7 +339,7 @@ class RevtrEngine {
   // RequestExecutor (core/request_task.h). `clock`/`rng`/`trace` belong to
   // the request and must outlive the task; multiplexed requests need their
   // own clock and RNG stream each (the campaign driver seeds per request
-  // from (campaign seed, index), exactly as blocking mode does via
+  // from (campaign seed, index), as a sequential measure() loop does via
   // reseed()).
   std::unique_ptr<RequestTask> start_request(topology::HostId destination,
                                              topology::HostId source,
@@ -362,9 +371,9 @@ class RevtrEngine {
   // sampled request and publishes it after the measurement returns.
   void set_trace(obs::Trace* trace) noexcept { trace_ = trace; }
 
-  // Restarts the engine's private RNG stream. The driver reseeds per
-  // request from (campaign seed, request index) so measurement outcomes are
-  // independent of which worker runs the request and in what order.
+  // Restarts the engine's private RNG stream. A sequential measure() loop
+  // reseeds per request from (campaign seed, request index) to draw the
+  // streams the campaign driver gives its requests.
   void reseed(std::uint64_t seed) noexcept { rng_.reseed(seed); }
 
   // Extracts the reverse hops that follow `current`'s stamp in an RR reply,

@@ -1,6 +1,6 @@
 #include "eval/harness.h"
 
-#include "util/thread_pool.h"
+#include "util/cpus.h"
 
 namespace revtr::eval {
 

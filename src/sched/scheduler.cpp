@@ -168,7 +168,27 @@ void ProbeScheduler::deliver_locked(std::uint64_t set_id, std::size_t slot,
   DemandSet& set = sets_.at(set_id);
   set.outcomes[slot] = std::move(outcome);
   REVTR_CHECK(set.remaining > 0);
-  if (--set.remaining == 0) ready_.push_back(set_id);
+  if (--set.remaining == 0) {
+    ready_.push_back(set_id);
+    if (parked_ > 0) owner_cv_.notify_all();
+  }
+}
+
+bool ProbeScheduler::owner_has_work_locked(std::size_t owner) const {
+  for (const std::uint64_t set_id : ready_) {
+    if (sets_.at(set_id).owner == owner) return true;
+  }
+  for (const std::uint64_t pending_id : queue_) {
+    if (pending_.at(pending_id).owner == owner) return true;
+  }
+  return false;
+}
+
+void ProbeScheduler::wait_for_owner(std::size_t owner) {
+  util::MutexLock lock(mu_);
+  ++parked_;
+  while (!owner_has_work_locked(owner)) owner_cv_.wait(lock);
+  --parked_;
 }
 
 std::vector<std::uint64_t> ProbeScheduler::claim_round_locked(
@@ -222,8 +242,6 @@ void ProbeScheduler::account_and_deliver_locked(std::uint64_t pending_id,
   ++stats_.issued;
   if (metrics_ != nullptr) metrics_->issued->add();
   ++result.issued;
-  result.round_duration_us =
-      std::max(result.round_duration_us, outcome.duration_us);
   if (audit_ != nullptr) {
     audit_->issues.push_back(SchedulerAudit::Issue{
         issue_id, pending.key, issue_round, pending.demand.from, digest});

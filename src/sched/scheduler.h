@@ -30,6 +30,7 @@
 // and is re-checked adversarially by invariant I7 over the SchedulerAudit.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -177,10 +178,6 @@ class ProbeScheduler {
 
   struct PumpResult {
     std::size_t issued = 0;  // Wire probes put on the network this round.
-    // Longest single-probe duration issued this round: the simulated time
-    // the round takes with all probes conceptually concurrent (the same
-    // batches-are-parallel rule the Prober documents).
-    util::SimClock::Micros round_duration_us = 0;
   };
 
   explicit ProbeScheduler(SchedOptions options = {});
@@ -267,6 +264,14 @@ class ProbeScheduler {
   // Tasks of `owner` whose whole demand set resolved since the last call.
   std::vector<Ready> collect_ready(std::size_t owner);
 
+  // Parks the calling pump loop until `owner` has a resolved demand set to
+  // collect or a queued demand to claim; returns at once if it has either.
+  // For a loop whose demands all ride on probes that other owners issue:
+  // the delivery that resolves one of its sets wakes it, where a yield()
+  // loop would keep a core busy. Every owner's loop must keep pumping its
+  // own demands, since riders on them park until they are delivered.
+  void wait_for_owner(std::size_t owner) REVTR_EXCLUDES(mu_);
+
   bool idle() const;  // No queued probes and no undelivered sets.
   // Unfinished demand sets currently inside the scheduler (submitted, not
   // yet collected). The admission controller's backpressure signal: demand
@@ -331,6 +336,8 @@ class ProbeScheduler {
                                   PumpResult& result) REVTR_REQUIRES(mu_);
   void deliver_locked(std::uint64_t set_id, std::size_t slot,
                       ProbeOutcome outcome) REVTR_REQUIRES(mu_);
+  // wait_for_owner's wake condition.
+  bool owner_has_work_locked(std::size_t owner) const REVTR_REQUIRES(mu_);
   // Requeues every assignment in flight on `agent` (detach/expiry path).
   std::size_t requeue_agent_locked(AgentId agent) REVTR_REQUIRES(mu_);
 
@@ -367,6 +374,9 @@ class ProbeScheduler {
       REVTR_GUARDED_BY(mu_);
   // Completed set ids awaiting collection.
   std::deque<std::uint64_t> ready_ REVTR_GUARDED_BY(mu_);
+  // Pump loops parked in wait_for_owner; a set turning ready wakes them.
+  std::condition_variable_any owner_cv_;
+  std::size_t parked_ REVTR_GUARDED_BY(mu_) = 0;
   // Remote dispatch state: registered agents and ticketed assignments.
   util::FlatMap<AgentId, AgentState> agents_ REVTR_GUARDED_BY(mu_);
   util::FlatMap<std::uint64_t, Assigned> assigned_ REVTR_GUARDED_BY(mu_);

@@ -16,9 +16,7 @@
 #include <utility>
 
 #include "core/request_task.h"
-#include "probing/prober.h"
 #include "server/stream.h"
-#include "sim/network.h"
 #include "util/check.h"
 #include "util/json.h"
 
@@ -36,26 +34,6 @@ void drain_signal_handler(int /*signum*/) {
 }
 
 }  // namespace
-
-// One worker's private measurement stack, mirroring the parallel campaign
-// driver: members reference earlier members, so stacks live behind
-// unique_ptr and never move. All stacks share one EngineCaches and one
-// network seed — a request measures the same path on any worker.
-struct ServerDaemon::WorkerStack {
-  sim::Network network;
-  probing::Prober prober;
-  core::RevtrEngine engine;
-
-  WorkerStack(eval::Lab& lab, const core::EngineConfig& config,
-              std::uint64_t net_seed,
-              std::shared_ptr<core::EngineCaches> caches)
-      : network(lab.topo, lab.plane, net_seed),
-        prober(network),
-        engine(prober, lab.topo, lab.atlas, lab.ingress, lab.ip2as,
-               lab.relationships, config, net_seed) {
-    engine.set_shared_caches(std::move(caches));
-  }
-};
 
 // Per-connection state, owned exclusively by the net thread (no locks).
 struct ServerDaemon::Conn {
@@ -190,11 +168,12 @@ bool ServerDaemon::start() {
   }
 
   caches_ = std::make_shared<core::EngineCaches>();
-  const std::uint64_t net_seed = util::mix_hash(options_.seed, 0x6e7ULL);
+  const core::StackDeps deps{lab_->topo,    lab_->plane, lab_->atlas,
+                             lab_->ingress, lab_->ip2as, lab_->relationships};
   const std::size_t workers = std::max<std::size_t>(options_.workers, 1);
   for (std::size_t w = 0; w < workers; ++w) {
-    stacks_.push_back(std::make_unique<WorkerStack>(*lab_, options_.engine,
-                                                    net_seed, caches_));
+    stacks_.push_back(std::make_unique<core::WorkerStack>(
+        deps, options_.engine, options_.seed, caches_));
     stacks_.back()->prober.set_metrics(&*probe_metrics_);
     stacks_.back()->engine.set_metrics(&*engine_metrics_);
   }
@@ -723,7 +702,7 @@ void ServerDaemon::net_loop() {
 // --- Workers. ---------------------------------------------------------------
 
 void ServerDaemon::worker_loop(std::size_t w) {
-  WorkerStack& stack = *stacks_[w];
+  core::WorkerStack& stack = *stacks_[w];
   core::RequestExecutor executor(stack.engine, *scheduler_, w);
 
   // Folds one finished request into the daemon state and queues its RESULT

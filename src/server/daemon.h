@@ -16,10 +16,10 @@
 //                 (buffers, auth, pull-mode result queues) without locks —
 //                 nothing else touches a connection. Parses frames, runs
 //                 admission, enqueues accepted requests.
-//   workers       each own a private Network + Prober + RevtrEngine
-//                 stack, pop queued requests, drive them through a
-//                 core::RequestExecutor over the shared scheduler (as
-//                 staged campaigns do), execute the probes their own
+//   workers       each own a core::WorkerStack (private Network + Prober
+//                 + RevtrEngine), pop queued requests, drive them through
+//                 a core::RequestExecutor over the shared scheduler (as
+//                 campaign workers do), execute the probes their own
 //                 requests demanded on their own stack (outside the
 //                 scheduler lock), and push encoded RESULT frames back
 //                 through the completion queue.
@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "core/revtr.h"
+#include "core/worker_stack.h"
 #include "eval/harness.h"
 #include "obs/metrics.h"
 #include "sched/scheduler.h"
@@ -241,8 +242,7 @@ class ServerDaemon {
       scheduler_;  // lint: lock-free(internally synchronized)
   std::shared_ptr<core::EngineCaches>
       caches_;  // lint: lock-free(internally synchronized)
-  struct WorkerStack;
-  std::vector<std::unique_ptr<WorkerStack>>
+  std::vector<std::unique_ptr<core::WorkerStack>>
       stacks_;  // lint: lock-free(each stack private to one worker)
   std::vector<topology::HostId>
       source_hosts_;  // lint: lock-free(immutable after start)

@@ -101,8 +101,9 @@ class REVTR_CAPABILITY("shared_mutex") SharedMutex {
 
 // RAII guard over util::Mutex, replacing std::lock_guard/std::unique_lock in
 // src/. Exposes lock()/unlock() so std::condition_variable_any can park on
-// it (ThreadPool); the annotations keep the analysis aware that a wait
-// releases and reacquires the capability.
+// it (the daemon's work and drain waits, the scheduler's owner wait); the
+// annotations keep the analysis aware that a wait releases and reacquires
+// the capability.
 class REVTR_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) REVTR_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }

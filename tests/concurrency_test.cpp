@@ -1,166 +1,32 @@
 // Concurrency regression suite. Everything here is meant to run under TSan
 // (scripts/check.sh builds the tsan preset and runs this binary): the tests
-// exercise exactly the shared paths of a parallel campaign — the thread
-// pool, the synchronized Distribution, the lock-striped caches — plus the
-// end-to-end guarantee that a campaign's measurement set is independent of
-// worker count.
+// exercise exactly the shared paths of a parallel campaign — the
+// synchronized Distribution, the lock-striped caches, the sharded metrics —
+// plus the end-to-end guarantee that a campaign's measurement set is
+// independent of worker count and equal to the engine's own sequential
+// loop.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <memory>
-#include <stdexcept>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/probe_log.h"
+#include "core/worker_stack.h"
 #include "eval/harness.h"
 #include "obs/metrics.h"
 #include "service/parallel.h"
 #include "util/stats.h"
 #include "util/striped_map.h"
-#include "util/thread_pool.h"
 
 namespace revtr {
 namespace {
 
 using topology::HostId;
-
-// --- ThreadPool ----------------------------------------------------------
-
-TEST(ThreadPool, SingleWorkerPreservesSubmissionOrder) {
-  util::ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([i, &order] { order.push_back(i); }));
-  }
-  for (auto& f : futures) f.get();
-  ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(ThreadPool, RunsEveryTaskAcrossWorkers) {
-  util::ThreadPool pool(4);
-  std::atomic<int> done{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&done] {
-      const std::size_t w = util::ThreadPool::current_worker();
-      EXPECT_LT(w, 4u);
-      done.fetch_add(1, std::memory_order_relaxed);
-    }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(done.load(), 200);
-}
-
-TEST(ThreadPool, SubmitReturnsTaskValue) {
-  util::ThreadPool pool(2);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
-  util::ThreadPool pool(2);
-  auto boom = pool.submit([]() -> int {
-    throw std::runtime_error("probe batch failed");
-  });
-  EXPECT_THROW(boom.get(), std::runtime_error);
-  // The worker that threw must keep serving tasks.
-  auto ok = pool.submit([] { return 7; });
-  EXPECT_EQ(ok.get(), 7);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedWork) {
-  std::atomic<int> done{0};
-  {
-    util::ThreadPool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&done] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        done.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-  }  // Destructor must wait for all 50, not just the running one.
-  EXPECT_EQ(done.load(), 50);
-}
-
-TEST(ThreadPool, TinyQueueStillCompletesEverything) {
-  // Capacity 1 forces submitters to block on the not-full condition; every
-  // task must still run exactly once.
-  util::ThreadPool pool(2, /*queue_capacity=*/1);
-  std::atomic<int> done{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit(
-        [&done] { done.fetch_add(1, std::memory_order_relaxed); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(done.load(), 64);
-}
-
-TEST(ThreadPool, CurrentWorkerOutsidePoolIsSentinel) {
-  EXPECT_EQ(util::ThreadPool::current_worker(), util::ThreadPool::kNotAWorker);
-}
-
-// Shutdown racing a submitter parked on a full queue: the destructor's
-// shutdown broadcast must wake the blocked submitter into a throw, not a
-// deadlock (submitter waiting on not_full_ forever, destructor waiting on
-// join) and not a process abort.
-TEST(ThreadPool, ShutdownWhileQueueFullThrowsInsteadOfDeadlocking) {
-  std::atomic<bool> release{false};
-  std::atomic<bool> submitter_threw{false};
-  std::atomic<bool> submitter_parked{false};
-  auto pool = std::make_unique<util::ThreadPool>(1, /*queue_capacity=*/1);
-
-  // Occupy the single worker until released...
-  pool->submit([&release] {
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  // ...and fill the one queue slot behind it.
-  auto queued = pool->submit([] {});
-
-  // The submitter must not read the unique_ptr itself once the destroyer
-  // starts reset()ing it — only the pool object, whose destructor cannot
-  // finish while the worker is pinned on `release`.
-  util::ThreadPool& pool_ref = *pool;
-  std::thread submitter([&pool_ref, &submitter_threw, &submitter_parked] {
-    submitter_parked.store(true, std::memory_order_release);
-    try {
-      // Queue is full: this blocks on not_full_ until shutdown wakes it.
-      pool_ref.submit([] {});
-    } catch (const std::runtime_error&) {
-      submitter_threw.store(true, std::memory_order_release);
-    }
-  });
-  while (!submitter_parked.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Give the submitter time to actually park inside submit().
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  // The worker is still pinned on `release`, so the queue slot cannot free
-  // up: the only thing that can wake the parked submitter is the
-  // destructor's shutdown broadcast, and it must wake into a throw.
-  std::thread destroyer([&pool] { pool.reset(); });
-  submitter.join();
-  EXPECT_TRUE(submitter_threw.load());
-  // Now let the worker finish so the destructor can drain and join.
-  release.store(true, std::memory_order_release);
-  destroyer.join();
-  queued.get();  // Work queued before shutdown is never dropped.
-
-  // And an unambiguous post-shutdown submit on a live-then-dead pool also
-  // throws rather than aborting (can't test after reset; recreate).
-  util::ThreadPool fresh(1);
-  auto ok = fresh.submit([] { return 3; });
-  EXPECT_EQ(ok.get(), 3);
-}
 
 // --- Distribution (the const_cast data race, fixed) ----------------------
 
@@ -287,29 +153,38 @@ TEST(StripedMap, OverlappingChurnWithConcurrentReaders) {
 
 // --- Sharded metrics ------------------------------------------------------
 
-// Pool workers and non-pool threads hammer the same counter cells; the
-// merged total must equal the number of adds. TSan validates that the
-// relaxed per-shard atomics really are race-free.
+// Runs `task(t)` for t in [0, tasks) on `thread_count` concurrent threads,
+// each thread claiming task indices from a shared cursor, and joins them.
+template <typename Task>
+void run_tasks(std::size_t thread_count, int tasks, const Task& task) {
+  std::atomic<int> next{0};
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < thread_count; ++w) {
+    threads.emplace_back([&] {
+      for (int t = next.fetch_add(1); t < tasks; t = next.fetch_add(1)) {
+        task(t);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+}
+
+// Four threads running many tasks, plus one more thread, hammer the same
+// counter cells; the merged total must equal the number of adds. TSan
+// validates that the relaxed per-shard atomics really are race-free.
 TEST(ShardedMetrics, ConcurrentCounterAddsMergeExactly) {
   obs::MetricsRegistry registry;
   obs::Counter& counter = registry.counter("revtr_test_adds_total");
   constexpr int kTasks = 64;
   constexpr std::uint64_t kAddsPerTask = 5000;
-  {
-    util::ThreadPool pool(4);
-    std::vector<std::future<void>> futures;
-    for (int t = 0; t < kTasks; ++t) {
-      futures.push_back(pool.submit([&counter] {
-        for (std::uint64_t i = 0; i < kAddsPerTask; ++i) counter.add();
-      }));
-    }
-    // A plain thread writes its own shard concurrently with the workers.
-    std::thread outsider([&counter] {
-      for (std::uint64_t i = 0; i < kAddsPerTask; ++i) counter.add(2);
-    });
-    for (auto& f : futures) f.get();
-    outsider.join();
-  }
+  // One more thread writes its own shard concurrently with the four.
+  std::thread outsider([&counter] {
+    for (std::uint64_t i = 0; i < kAddsPerTask; ++i) counter.add(2);
+  });
+  run_tasks(4, kTasks, [&counter](int) {
+    for (std::uint64_t i = 0; i < kAddsPerTask; ++i) counter.add();
+  });
+  outsider.join();
   EXPECT_EQ(counter.total(), (kTasks + 2) * kAddsPerTask);
 }
 
@@ -320,16 +195,9 @@ TEST(ShardedMetrics, ConcurrentHistogramRecordsMergeExactly) {
   constexpr std::uint64_t kSamplesPerTask = 2000;
   std::uint64_t want_sum = 0;
   for (std::uint64_t i = 0; i < kSamplesPerTask; ++i) want_sum += i * 7;
-  {
-    util::ThreadPool pool(4);
-    std::vector<std::future<void>> futures;
-    for (int t = 0; t < kTasks; ++t) {
-      futures.push_back(pool.submit([&hist] {
-        for (std::uint64_t i = 0; i < kSamplesPerTask; ++i) hist.record(i * 7);
-      }));
-    }
-    for (auto& f : futures) f.get();
-  }
+  run_tasks(4, kTasks, [&hist](int) {
+    for (std::uint64_t i = 0; i < kSamplesPerTask; ++i) hist.record(i * 7);
+  });
   EXPECT_EQ(hist.count(), kTasks * kSamplesPerTask);
   EXPECT_EQ(hist.sum(), static_cast<std::uint64_t>(kTasks) * want_sum);
   std::uint64_t bucket_total = 0;
@@ -340,8 +208,8 @@ TEST(ShardedMetrics, ConcurrentHistogramRecordsMergeExactly) {
 }
 
 // The daemon's workers and net thread, campaign pumps and survey helpers are
-// plain std::threads, not pool workers: each must still write a shard of its
-// own, kept for the thread's lifetime, and the merged totals stay exact.
+// plain std::threads: each must write a shard of its own, kept for the
+// thread's lifetime, and the merged totals stay exact.
 TEST(ShardedMetrics, PlainThreadsGetTheirOwnShard) {
   obs::MetricsRegistry registry;
   obs::Counter& counter = registry.counter("revtr_test_plain_adds_total");
@@ -387,23 +255,15 @@ TEST(ShardedMetrics, SnapshotAndRegistrationDuringConcurrentWrites) {
   });
   constexpr int kTasks = 32;
   constexpr std::uint64_t kAddsPerTask = 3000;
-  {
-    util::ThreadPool pool(4);
-    std::vector<std::future<void>> futures;
-    for (int t = 0; t < kTasks; ++t) {
-      futures.push_back(pool.submit([&registry, &counter, t] {
-        // Same-name registration from many threads must converge on one cell.
-        obs::Counter& again = registry.counter("revtr_test_probes_total");
-        EXPECT_EQ(&again, &counter);
-        obs::Gauge& mine = registry.gauge(
-            "revtr_test_worker_gauge{worker=\"" + std::to_string(t % 4) +
-            "\"}");
-        mine.set(t);
-        for (std::uint64_t i = 0; i < kAddsPerTask; ++i) again.add();
-      }));
-    }
-    for (auto& f : futures) f.get();
-  }
+  run_tasks(4, kTasks, [&registry, &counter](int t) {
+    // Same-name registration from many threads must converge on one cell.
+    obs::Counter& again = registry.counter("revtr_test_probes_total");
+    EXPECT_EQ(&again, &counter);
+    obs::Gauge& mine = registry.gauge(
+        "revtr_test_worker_gauge{worker=\"" + std::to_string(t % 4) + "\"}");
+    mine.set(t);
+    for (std::uint64_t i = 0; i < kAddsPerTask; ++i) again.add();
+  });
   stop.store(true, std::memory_order_relaxed);
   reader.join();
   EXPECT_EQ(counter.total(), kTasks * kAddsPerTask);
@@ -705,6 +565,25 @@ TEST(IngressConcurrency, WireOrderDependentSurveyStaysSerial) {
 
 // --- ParallelCampaignDriver ----------------------------------------------
 
+// The driver's sequential reference: RevtrEngine::measure(), request by
+// request, on one core::WorkerStack built with the campaign seed (the
+// simulator's ECMP salt derives from it), each request reseeded from
+// (seed, index) and clocked from 0 as the driver's executors do.
+std::vector<core::ReverseTraceroute> measure_sequentially(
+    const core::StackDeps& deps, const core::EngineConfig& config,
+    std::uint64_t seed, std::span<const std::pair<HostId, HostId>> pairs) {
+  core::WorkerStack stack(deps, config, seed,
+                          std::make_shared<core::EngineCaches>());
+  std::vector<core::ReverseTraceroute> results;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    stack.engine.reseed(util::mix_hash(seed, i, 0xca3aULL));
+    util::SimClock clock;
+    results.push_back(
+        stack.engine.measure(pairs[i].first, pairs[i].second, clock));
+  }
+  return results;
+}
+
 class ParallelCampaignTest : public ::testing::Test {
  protected:
   static topology::TopologyConfig small_config() {
@@ -721,6 +600,9 @@ class ParallelCampaignTest : public ::testing::Test {
     lab_ = std::make_unique<eval::Lab>(small_config());
     source_ = lab_->topo.vantage_points()[0];
     lab_->bootstrap_source(source_, 30);
+    // Every plan up front: the driver's runs and the sequential reference
+    // then read the same ingress plans.
+    lab_->precompute_all_ingresses();
     const auto dests = lab_->responsive_destinations(true);
     for (std::size_t i = 0; i < 16 && i < dests.size(); ++i) {
       pairs_.emplace_back(dests[i], source_);
@@ -728,23 +610,32 @@ class ParallelCampaignTest : public ::testing::Test {
     ASSERT_GE(pairs_.size(), 8u);
   }
 
-  service::CampaignDeps deps() {
+  core::StackDeps deps() {
     return {lab_->topo,  lab_->plane, lab_->atlas,
             lab_->ingress, lab_->ip2as, lab_->relationships};
   }
 
-  service::ParallelCampaignReport run_with(
-      std::size_t workers, bool use_cache = true,
-      service::EngineMode mode = service::EngineMode::kBlocking,
-      bool coalesce = true) {
+  static core::EngineConfig engine_config(bool use_cache) {
+    core::EngineConfig config = core::EngineConfig::revtr2();
+    config.use_cache = use_cache;
+    return config;
+  }
+
+  service::ParallelCampaignReport run_with(std::size_t workers,
+                                           bool use_cache = true,
+                                           bool coalesce = true) {
     service::ParallelCampaignOptions options;
     options.workers = workers;
-    options.seed = 7;
-    options.engine.use_cache = use_cache;
-    options.mode = mode;
+    options.seed = kSeed;
+    options.engine = engine_config(use_cache);
     options.sched.coalesce = coalesce;
     service::ParallelCampaignDriver driver(deps(), options);
     return driver.run(pairs_);
+  }
+
+  std::vector<core::ReverseTraceroute> reference(bool use_cache) {
+    return measure_sequentially(deps(), engine_config(use_cache), kSeed,
+                                pairs_);
   }
 
   // The measurement identity the driver promises is worker-count-invariant:
@@ -761,6 +652,7 @@ class ParallelCampaignTest : public ::testing::Test {
     return s;
   }
 
+  static constexpr std::uint64_t kSeed = 7;
   std::unique_ptr<eval::Lab> lab_;
   HostId source_ = topology::kInvalidId;
   std::vector<std::pair<HostId, HostId>> pairs_;
@@ -815,26 +707,27 @@ TEST_F(ParallelCampaignTest, MergedStatsAreConsistent) {
   EXPECT_GE(stats.processed_per_second(), stats.completed_per_second());
 }
 
-// The tentpole equivalence: the staged scheduler-driven engine must measure
-// the exact same paths as the blocking engine, for every worker count, with
+// The executor equivalence: the driver's scheduler-multiplexed requests must
+// measure the exact same paths as the engine's own blocking loop
+// (RevtrEngine::measure(), request by request), for every worker count, with
 // coalescing on or off. Probe *accounting* may differ under coalescing (a
 // coalesced demand moves to coalesced_probes instead of the issued-probe
 // counters); with coalescing off even the probe counters must match.
 TEST_F(ParallelCampaignTest, StagedMatchesBlockingAcrossWorkersAndCoalescing) {
   // Caches off for the strict comparison: with the shared cache on, probe
-  // totals are legitimately schedule-dependent (staged admits every request
-  // before the cache warms; blocking warms it request by request), exactly
-  // as they already are between blocking worker counts.
-  const auto blocking = run_with(1, /*use_cache=*/false);
-  ASSERT_EQ(blocking.results.size(), pairs_.size());
+  // totals are legitimately schedule-dependent (the driver admits every
+  // request before the cache warms; the sequential loop warms it request by
+  // request).
+  const auto blocking = reference(/*use_cache=*/false);
+  ASSERT_EQ(blocking.size(), pairs_.size());
+  service::CampaignStats blocking_stats;
+  for (const auto& result : blocking) blocking_stats.record(result);
   for (const std::size_t workers : {1u, 2u, 4u}) {
     for (const bool coalesce : {true, false}) {
-      const auto staged = run_with(workers, /*use_cache=*/false,
-                                   service::EngineMode::kStaged, coalesce);
+      const auto staged = run_with(workers, /*use_cache=*/false, coalesce);
       ASSERT_EQ(staged.results.size(), pairs_.size());
-      ASSERT_TRUE(staged.sched.has_value());
       for (std::size_t i = 0; i < pairs_.size(); ++i) {
-        const auto& b = blocking.results[i];
+        const auto& b = blocking[i];
         const auto& s = staged.results[i];
         EXPECT_EQ(signature(b), signature(s))
             << "request " << i << " diverged (workers=" << workers
@@ -852,34 +745,23 @@ TEST_F(ParallelCampaignTest, StagedMatchesBlockingAcrossWorkersAndCoalescing) {
           EXPECT_EQ(s.coalesced_probes, 0u) << "request " << i;
         }
       }
-      EXPECT_EQ(blocking.stats.completed, staged.stats.completed);
-      EXPECT_EQ(blocking.stats.aborted, staged.stats.aborted);
-      EXPECT_EQ(blocking.stats.unreachable, staged.stats.unreachable);
+      EXPECT_EQ(blocking_stats.completed, staged.stats.completed);
+      EXPECT_EQ(blocking_stats.aborted, staged.stats.aborted);
+      EXPECT_EQ(blocking_stats.unreachable, staged.stats.unreachable);
       // Every demand is a wire probe, accounted exactly once: issued or
       // coalesced.
-      EXPECT_EQ(staged.sched->demanded,
-                staged.sched->issued + staged.sched->coalesced);
+      EXPECT_EQ(staged.sched.demanded,
+                staged.sched.issued + staged.sched.coalesced);
     }
   }
-  // With the shared cache on, the measurement *set* must still be mode-
-  // invariant even though probe accounting shifts with replay scheduling.
-  const auto warm_blocking = run_with(1);
-  const auto warm_staged =
-      run_with(2, /*use_cache=*/true, service::EngineMode::kStaged);
+  // With the shared cache on, the measurement *set* must still match the
+  // sequential loop even though probe accounting shifts with replay
+  // scheduling.
+  const auto warm_blocking = reference(/*use_cache=*/true);
+  const auto warm_staged = run_with(2, /*use_cache=*/true);
   for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    EXPECT_EQ(signature(warm_blocking.results[i]),
-              signature(warm_staged.results[i]))
+    EXPECT_EQ(signature(warm_blocking[i]), signature(warm_staged.results[i]))
         << "request " << i << " diverged with warm caches";
-  }
-}
-
-// Blocking mode must never report coalesced probes: the field exists so the
-// service can refund them, and the blocking path issues every demand itself.
-TEST_F(ParallelCampaignTest, BlockingModeReportsNoCoalescedProbes) {
-  const auto report = run_with(2);
-  EXPECT_FALSE(report.sched.has_value());
-  for (const auto& result : report.results) {
-    EXPECT_EQ(result.coalesced_probes, 0u);
   }
 }
 
@@ -897,13 +779,11 @@ TEST_F(ParallelCampaignTest, StagedCoalescesDuplicateDemands) {
   options.seed = 7;
   // Cache off: replay would otherwise hide duplicates from the scheduler.
   options.engine.use_cache = false;
-  options.mode = service::EngineMode::kStaged;
   service::ParallelCampaignDriver driver(deps(), options);
   const auto report = driver.run(dup_pairs);
 
-  ASSERT_TRUE(report.sched.has_value());
-  EXPECT_GT(report.sched->coalesced, 0u);
-  EXPECT_LT(report.sched->issued, report.sched->demanded);
+  EXPECT_GT(report.sched.coalesced, 0u);
+  EXPECT_LT(report.sched.issued, report.sched.demanded);
   std::uint64_t charged = 0;
   std::uint64_t coalesced = 0;
   for (const auto& result : report.results) {
@@ -913,7 +793,7 @@ TEST_F(ParallelCampaignTest, StagedCoalescesDuplicateDemands) {
   // Wire probes all land in some worker's prober; merged counters must see
   // exactly the probes the requests charged themselves — no more, no less.
   EXPECT_EQ(charged, report.stats.probes.total());
-  EXPECT_EQ(coalesced, report.sched->coalesced);
+  EXPECT_EQ(coalesced, report.sched.coalesced);
   // All 24 requests are the same 3 measurements.
   for (std::size_t i = 3; i < dup_pairs.size(); ++i) {
     EXPECT_EQ(signature(report.results[i]), signature(report.results[i % 3]));
@@ -921,10 +801,10 @@ TEST_F(ParallelCampaignTest, StagedCoalescesDuplicateDemands) {
 }
 
 // Cache replay racing an in-flight duplicate: with the lock-striped
-// EngineCaches shared across staged workers, one request's rr-cache insert
-// races another's lookup of the same key while a third holds the identical
-// demand in the scheduler. TSan (scripts/check.sh) validates the striping;
-// the measurement set must stay worker-count-invariant throughout.
+// EngineCaches shared across workers, one request's rr-cache insert races
+// another's lookup of the same key while a third holds the identical demand
+// in the scheduler. TSan (scripts/check.sh) validates the striping; the
+// measurement set must stay equal to the engine's sequential loop.
 TEST(StripedMapEngineCaches, ReplayHitRacesInFlightDuplicate) {
   topology::TopologyConfig config;
   config.seed = 91;
@@ -935,50 +815,92 @@ TEST(StripedMapEngineCaches, ReplayHitRacesInFlightDuplicate) {
   eval::Lab lab(config);
   const HostId source = lab.topo.vantage_points()[0];
   lab.bootstrap_source(source, 30);
+  // The driver's runs and the sequential reference read the same plans.
+  lab.precompute_all_ingresses();
   const auto dests = lab.responsive_destinations(true);
   ASSERT_GE(dests.size(), 4u);
   std::vector<std::pair<HostId, HostId>> pairs;
   for (std::size_t i = 0; i < 32; ++i) {
     pairs.emplace_back(dests[i % 4], source);
   }
-  service::CampaignDeps deps{lab.topo,    lab.plane, lab.atlas,
+  const core::StackDeps deps{lab.topo,    lab.plane, lab.atlas,
                              lab.ingress, lab.ip2as, lab.relationships};
   service::ParallelCampaignOptions options;
   options.workers = 4;
   options.seed = 11;
   options.engine.use_cache = true;  // Shared striped caches on the hot path.
-  options.mode = service::EngineMode::kStaged;
   service::ParallelCampaignDriver staged_driver(deps, options);
   const auto staged = staged_driver.run(pairs);
 
-  options.mode = service::EngineMode::kBlocking;
-  options.workers = 1;
-  service::ParallelCampaignDriver blocking_driver(deps, options);
-  const auto blocking = blocking_driver.run(pairs);
+  const auto blocking =
+      measure_sequentially(deps, options.engine, options.seed, pairs);
 
-  ASSERT_EQ(staged.results.size(), blocking.results.size());
+  ASSERT_EQ(staged.results.size(), blocking.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(blocking.results[i].status, staged.results[i].status);
-    ASSERT_EQ(blocking.results[i].hops.size(), staged.results[i].hops.size())
+    EXPECT_EQ(blocking[i].status, staged.results[i].status);
+    ASSERT_EQ(blocking[i].hops.size(), staged.results[i].hops.size())
         << "request " << i;
-    for (std::size_t h = 0; h < blocking.results[i].hops.size(); ++h) {
-      EXPECT_EQ(blocking.results[i].hops[h].addr,
-                staged.results[i].hops[h].addr);
+    for (std::size_t h = 0; h < blocking[i].hops.size(); ++h) {
+      EXPECT_EQ(blocking[i].hops[h].addr, staged.results[i].hops[h].addr);
+      EXPECT_EQ(blocking[i].hops[h].source, staged.results[i].hops[h].source)
+          << "request " << i << " hop " << h;
     }
   }
 }
 
-TEST_F(ParallelCampaignTest, PacingHoldsWorkerSlots) {
+// A replayed RR entry carries each hop's provenance as a live measurement of
+// the key would have labelled it, whichever request filled the entry. On this
+// topology a direct RR reveals a private hop without making progress and the
+// spoofed round that follows does: the request that measured the key labels
+// that hop `rr`, and a replay of a spoofed-only entry used to label it
+// `spoofed-rr`. So which request filled the key first (input order in the
+// sequential loop, thread timing across workers) changed results.
+TEST(StripedMapEngineCaches, ReplayedProvenanceIsFillOrderIndependent) {
+  topology::TopologyConfig config;
+  config.seed = 7;
+  config.num_ases = 800;
+  config.num_vps = 30;
+  config.num_vps_2016 = 10;
+  config.num_probe_hosts = 250;
+  eval::Lab lab(config);
+  const HostId source = lab.topo.vantage_points()[0];
+  lab.bootstrap_source(source, 60);
+  lab.precompute_all_ingresses();
+  const auto dests = lab.responsive_destinations(true);
+  std::vector<std::pair<HostId, HostId>> pairs;
+  for (std::size_t i = 0; i < 500; ++i) {
+    pairs.emplace_back(dests[i % dests.size()], source);
+  }
+  const core::StackDeps deps{lab.topo,    lab.plane, lab.atlas,
+                             lab.ingress, lab.ip2as, lab.relationships};
   service::ParallelCampaignOptions options;
-  options.workers = 2;
   options.seed = 7;
-  options.pacing_scale = 1e-4;
-  service::ParallelCampaignDriver driver(deps(), options);
-  const auto report = driver.run(pairs_);
-  // Each request held its slot for latency * scale real seconds; with two
-  // workers the wall clock must cover at least half the total hold time.
-  EXPECT_GE(report.wall_seconds,
-            options.pacing_scale * report.stats.busy_seconds / 2 * 0.5);
+  const auto sequential =
+      measure_sequentially(deps, options.engine, options.seed, pairs);
+  std::size_t private_rr_hops = 0;
+  for (const std::size_t workers : {1u, 4u}) {
+    options.workers = workers;
+    service::ParallelCampaignDriver driver(deps, options);
+    const auto report = driver.run(pairs);
+    ASSERT_EQ(report.results.size(), sequential.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const auto& a = sequential[i].hops;
+      const auto& b = report.results[i].hops;
+      ASSERT_EQ(a.size(), b.size()) << "request " << i;
+      for (std::size_t h = 0; h < a.size(); ++h) {
+        EXPECT_EQ(a[h].addr, b[h].addr) << "request " << i << " hop " << h;
+        EXPECT_EQ(a[h].source, b[h].source)
+            << "request " << i << " hop " << h << " (" << workers
+            << " workers)";
+        if (a[h].source == core::HopSource::kRecordRoute &&
+            a[h].addr.is_private()) {
+          ++private_rr_hops;
+        }
+      }
+    }
+  }
+  // The topology still holds the case this test exists for.
+  EXPECT_GT(private_rr_hops, 0u);
 }
 
 }  // namespace

@@ -5,11 +5,11 @@
 // Commands:
 //   topology   summarize the generated Internet
 //   measure    one reverse traceroute (--dest=K --source=K [--json])
-//   campaign   batch measurement run on real worker threads
-//              (--revtrs=N --parallel=K [--pacing=S] [--archive=FILE]
-//              writes an NDJSON archive; --staged runs resumable requests
-//              over the probe scheduler, tuned by [--sched-window=N]
-//              [--sched-pacing=TOKENS] [--sched-no-coalesce])
+//   campaign   batch measurement run on real worker threads, requests
+//              multiplexed over one probe scheduler (--revtrs=N --parallel=K
+//              [--archive=FILE] writes an NDJSON archive; the scheduler is
+//              tuned by [--sched-window=N] [--sched-pacing=TOKENS]
+//              [--sched-no-coalesce])
 //   atlas      show a source's traceroute atlas (--source=K)
 //   ingress    show a prefix's ingress plan (--prefix=K)
 //   client     submit one request to a running revtr_serverd
@@ -17,6 +17,8 @@
 //              [--deadline-ms=N] [--priority=high|normal|low] [--pull]
 //              [--timeout=MS] gives up waiting for the RESULT after MS
 //              milliseconds instead of blocking forever)
+//
+// A flag the command never reads is reported on stderr after it runs.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage, 3 daemon rejected the
 // request, 4 campaign finished with incomplete measurements, 5 daemon
@@ -135,6 +137,20 @@ int cmd_campaign(eval::Lab& lab, const util::Flags& flags) {
   const std::string trace_path = flags.get_string("trace-out", "");
   const auto trace_sample =
       static_cast<std::size_t>(flags.get_int("trace-sample", 0));
+  service::ParallelCampaignOptions options;
+  options.workers = parallel == 0 ? 1 : parallel;
+  options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  // The sched-* knobs tune the probe scheduler (DESIGN.md §10): its per-VP
+  // window, token refill, and cross-request coalescing.
+  options.sched.vp_window = static_cast<std::size_t>(flags.get_int(
+      "sched-window", static_cast<std::int64_t>(options.sched.vp_window)));
+  // Fractional rates are legal: e.g. --sched-pacing=0.5 issues one probe
+  // from a VP every second pump round.
+  options.sched.vp_tokens_per_round =
+      flags.get_double("sched-pacing", options.sched.vp_tokens_per_round);
+  if (flags.get_bool("sched-no-coalesce", false)) {
+    options.sched.coalesce = false;
+  }
 
   // One registry covers the whole campaign: control-plane activity (source
   // bootstrap, atlas builds, ingress surveys) and the worker probe/engine
@@ -169,27 +185,8 @@ int cmd_campaign(eval::Lab& lab, const util::Flags& flags) {
 
   // The campaign itself runs on real threads: each worker owns a private
   // measurement stack and the workers share the lock-striped engine caches.
-  const service::CampaignDeps deps{lab.topo,  lab.plane, lab.atlas,
-                                   lab.ingress, lab.ip2as, lab.relationships};
-  service::ParallelCampaignOptions options;
-  options.workers = parallel == 0 ? 1 : parallel;
-  options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
-  options.pacing_scale = flags.get_double("pacing", 0.0);
-  // --staged multiplexes requests as resumable tasks over the probe
-  // scheduler (DESIGN.md §10); the sched-* knobs tune its per-VP window,
-  // token refill, and cross-request coalescing.
-  if (flags.get_bool("staged", false)) {
-    options.mode = service::EngineMode::kStaged;
-  }
-  options.sched.vp_window = static_cast<std::size_t>(flags.get_int(
-      "sched-window", static_cast<std::int64_t>(options.sched.vp_window)));
-  // Fractional rates are legal: e.g. --sched-pacing=0.5 issues one probe
-  // from a VP every second pump round.
-  options.sched.vp_tokens_per_round =
-      flags.get_double("sched-pacing", options.sched.vp_tokens_per_round);
-  if (flags.get_bool("sched-no-coalesce", false)) {
-    options.sched.coalesce = false;
-  }
+  const core::StackDeps deps{lab.topo,    lab.plane, lab.atlas,
+                             lab.ingress, lab.ip2as, lab.relationships};
   options.metrics = &registry;
   options.trace_sink = &trace_sink;
   options.trace_sample_every = trace_sample;
@@ -215,17 +212,15 @@ int cmd_campaign(eval::Lab& lab, const util::Flags& flags) {
   std::printf("probes: %llu total (%llu spoofed RR)\n",
               static_cast<unsigned long long>(stats.probes.total()),
               static_cast<unsigned long long>(stats.probes.spoofed_rr));
-  if (report.sched.has_value()) {
-    const auto& sched = *report.sched;
-    std::printf("sched: %llu demanded, %llu issued, %llu coalesced; "
-                "%llu throttled, %llu spoof batches, %llu rounds\n",
-                static_cast<unsigned long long>(sched.demanded),
-                static_cast<unsigned long long>(sched.issued),
-                static_cast<unsigned long long>(sched.coalesced),
-                static_cast<unsigned long long>(sched.throttled),
-                static_cast<unsigned long long>(sched.wire_batches),
-                static_cast<unsigned long long>(sched.rounds));
-  }
+  const auto& sched = report.sched;
+  std::printf("sched: %llu demanded, %llu issued, %llu coalesced; "
+              "%llu throttled, %llu spoof batches, %llu rounds\n",
+              static_cast<unsigned long long>(sched.demanded),
+              static_cast<unsigned long long>(sched.issued),
+              static_cast<unsigned long long>(sched.coalesced),
+              static_cast<unsigned long long>(sched.throttled),
+              static_cast<unsigned long long>(sched.wire_batches),
+              static_cast<unsigned long long>(sched.rounds));
   const auto archive_stats = archive.stats();
   std::printf("archive: %zu measurements, %zu flagged\n",
               archive_stats.total, archive_stats.flagged);
@@ -270,6 +265,9 @@ int cmd_client(const util::Flags& flags) {
   const std::string api_key = flags.get_string("key", "demo-key");
   const std::string priority_name = flags.get_string("priority", "normal");
   const bool pull = flags.get_bool("pull", false);
+  const auto deadline_ms = flags.get_int("deadline-ms", 0);
+  // --timeout bounds the whole wait for the RESULT; 0 waits forever.
+  const auto timeout_ms = static_cast<int>(flags.get_int("timeout", 0));
 
   server::Submit request;
   request.request_id = 1;
@@ -303,7 +301,6 @@ int cmd_client(const util::Flags& flags) {
     std::fprintf(stderr, "hello failed (daemon gone?)\n");
     return 1;
   }
-  const auto deadline_ms = flags.get_int("deadline-ms", 0);
   if (deadline_ms > 0) {
     request.deadline_us = welcome->server_now_us + deadline_ms * 1000;
   }
@@ -317,11 +314,9 @@ int cmd_client(const util::Flags& flags) {
     std::fprintf(stderr, "submit failed (daemon gone?)\n");
     return 1;
   }
-  // --timeout bounds the whole wait for the RESULT; 0 waits forever. The
-  // daemon vanishing mid-wait is exit 5 either way — distinct from the
+  // The daemon vanishing mid-wait is exit 5 either way — distinct from the
   // generic runtime failure so scripts can retry connect-level trouble
   // without re-submitting a request the daemon may still be measuring.
-  const auto timeout_ms = static_cast<int>(flags.get_int("timeout", 0));
   std::optional<server::Result> result;
   if (pull) {
     const auto give_up = std::chrono::steady_clock::now() +
@@ -387,13 +382,13 @@ int cmd_client(const util::Flags& flags) {
 int cmd_atlas(eval::Lab& lab, const util::Flags& flags) {
   const auto source_index =
       static_cast<std::size_t>(flags.get_int("source", 0));
+  const auto size = static_cast<std::size_t>(flags.get_int("size", 50));
   if (source_index >= lab.topo.vantage_points().size()) {
     std::fprintf(stderr, "index out of range\n");
     return 1;
   }
   const auto source = lab.topo.vantage_points()[source_index];
-  lab.bootstrap_source(source, static_cast<std::size_t>(
-                                   flags.get_int("size", 50)));
+  lab.bootstrap_source(source, size);
   const auto& traceroutes = lab.atlas.traceroutes(source);
   std::printf("atlas for %s: %zu traceroutes, %zu RR-learned addresses\n",
               lab.topo.host(source).addr.to_string().c_str(),
@@ -440,19 +435,7 @@ int cmd_ingress(eval::Lab& lab, const util::Flags& flags) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: revtr_cli "
-                 "<topology|measure|campaign|atlas|ingress|client> "
-                 "[--ases=N --seed=N ...]\n");
-    return 2;
-  }
-  const std::string command = argv[1];
-  const util::Flags flags(argc, argv);
-
+int run_command(const std::string& command, const util::Flags& flags) {
   // `client` talks to a daemon that already owns the simulated Internet —
   // don't spend seconds building a second one here.
   if (command == "client") return cmd_client(flags);
@@ -465,4 +448,24 @@ int main(int argc, char** argv) {
   if (command == "ingress") return cmd_ingress(lab, flags);
   std::fprintf(stderr, "unknown command: %s\n", command.c_str());
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) {
+    std::fprintf(stderr,
+                 "usage: revtr_cli "
+                 "<topology|measure|campaign|atlas|ingress|client> "
+                 "[--ases=N --seed=N ...]\n");
+    return 2;
+  }
+  const util::Flags flags(argc, argv);
+  const int status = run_command(argv[1], flags);
+  // Each command reads its flags before its first early return, so a flag
+  // still unread here is one no command takes (a typo, or a retired one).
+  for (const auto& name : flags.unknown()) {
+    std::fprintf(stderr, "warning: unknown flag --%s\n", name.c_str());
+  }
+  return status;
 }

@@ -383,7 +383,7 @@ std::string own_body(const std::string& code, const SwitchSpan& span,
 const std::map<std::pair<std::string, std::string>, int>& lock_order_table() {
   static const std::map<std::pair<std::string, std::string>, int> kOrder = {
       {{"util", "mu"}, 0},             // StripedMap stripe mutexes.
-      {{"util", "mu_"}, 0},            // Distribution, ThreadPool.
+      {{"util", "mu_"}, 0},            // Distribution.
       {{"obs", "mu_"}, 10},            // MetricsRegistry, TraceSink.
       {{"sched", "mu_"}, 60},          // ProbeScheduler.
       {{"vpselect", "mu_"}, 70},       // IngressDiscovery.
@@ -2375,7 +2375,7 @@ int run_self_test() {
     linter.lint_source("src/obs/trace.h", "mutable std::mutex mu_;\n");
     linter.lint_source("src/atlas/atlas.cpp",
                        "const std::shared_lock<std::shared_mutex> l(mu_);\n");
-    linter.lint_source("src/util/thread_pool.h",
+    linter.lint_source("src/server/daemon.h",
                        "std::condition_variable cv_;\n");
     expect(count_rule(linter, "mutex-capability") == 3,
            "raw std sync types flagged in src/");
@@ -2383,7 +2383,7 @@ int run_self_test() {
   {  // The annotated wrappers, condition_variable_any, annotate.h itself
      // (which wraps the std types), and tests are all fine.
     Linter linter{fs::path(".")};
-    linter.lint_source("src/util/thread_pool.h",
+    linter.lint_source("src/server/daemon.h",
                        "util::Mutex mu_;\n"
                        "std::condition_variable_any not_empty_;\n");
     linter.lint_source("src/util/annotate.h", "std::mutex mu_;\n");
@@ -2464,8 +2464,8 @@ int run_self_test() {
     expect(count_rule(linter, "raii-guard") == 1,  // Both on one line.
            "manual lock/unlock flagged");
     Linter clean{fs::path(".")};
-    clean.lint_source("src/util/thread_pool.cpp",
-                      "not_empty_.wait(lock);\n");
+    clean.lint_source("src/server/daemon.cpp",
+                      "work_cv_.wait(lock);\n");
     clean.lint_source("tests/x_test.cpp", "mu.lock();\nmu.unlock();\n");
     clean.lint_source(
         "src/util/once.cpp",
