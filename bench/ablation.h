@@ -17,6 +17,7 @@
 #include "core/revtr.h"
 #include "eval/harness.h"
 #include "eval/metrics.h"
+#include "util/cpus.h"
 #include "util/stats.h"
 
 namespace revtr::bench {
@@ -104,9 +105,11 @@ inline AblationResult run_ablation(const BenchSetup& setup,
   // --- Offline phase. ---
   const auto vps = lab.topo.vantage_points();
   const std::size_t sources = std::min(setup.sources, vps.size());
-  for (std::size_t s = 0; s < sources; ++s) {
-    lab.atlas.build(vps[s], setup.atlas_size, lab.rng);
-    if (config.engine.use_rr_atlas) lab.atlas.build_rr_alias_index(vps[s]);
+  lab.atlas.build(vps.first(sources), setup.atlas_size, lab.rng,
+                  util::available_cpus(),
+                  [](std::size_t, util::SimClock::Micros) { return 0; });
+  if (config.engine.use_rr_atlas) {
+    lab.atlas.build_rr_alias_index(vps.first(sources), util::available_cpus());
   }
   lab.precompute_all_ingresses();
 

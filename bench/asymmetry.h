@@ -38,9 +38,7 @@ inline AsymmetryCampaign run_asymmetry_campaign(eval::Lab& lab,
   AsymmetryCampaign campaign;
   const auto vps = lab.topo.vantage_points();
   const std::size_t sources = std::min(setup.sources, vps.size());
-  for (std::size_t s = 0; s < sources; ++s) {
-    lab.bootstrap_source(vps[s], setup.atlas_size);
-  }
+  lab.bootstrap_sources(vps.first(sources), setup.atlas_size);
   lab.precompute_all_ingresses();
   lab.prober.reset_counters();
 

@@ -32,9 +32,7 @@ int main(int argc, char** argv) {
   eval::Lab lab(setup.topo, config, setup.seed);
   const auto vps = lab.topo.vantage_points();
   const std::size_t sources = std::min(setup.sources, vps.size());
-  for (std::size_t s = 0; s < sources; ++s) {
-    lab.bootstrap_source(vps[s], setup.atlas_size);
-  }
+  lab.bootstrap_sources(vps.first(sources), setup.atlas_size);
   lab.precompute_all_ingresses();
 
   // Train bdrmap-lite on the traceroute atlas (what the real system would

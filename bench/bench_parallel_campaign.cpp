@@ -78,6 +78,14 @@ int main(int argc, char** argv) {
   const core::StackDeps deps{lab.topo,    lab.plane, lab.atlas,
                              lab.ingress, lab.ip2as, lab.relationships};
   const std::vector<std::size_t> worker_counts = {1, 2, 4, 8};
+  {
+    // Survey every prefix once, untimed, as the first run() would with the
+    // same seed: the scaling table then times campaigns alone, not the
+    // 1-worker run's survey.
+    service::ParallelCampaignOptions options;
+    options.seed = setup.seed;
+    service::ParallelCampaignDriver(deps, options).precompute_ingress_plans();
+  }
 
   util::TextTable table({"workers", "wall (s)", "speedup", "revtr/s (wall)",
                          "completed", "probes"});

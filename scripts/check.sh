@@ -315,7 +315,7 @@ serverd_smoke() {
              "(see build/serverd_smoke_daemon.log)" >&2
         exit 1
     fi
-    if ! grep -q 'started in lab [0-9.]* s + survey [0-9.]* s + atlas' \
+    if ! grep -q 'started in lab [0-9.]* s + tables [0-9.]* s + survey [0-9.]* s + atlas' \
             build/serverd_smoke_daemon.log; then
         echo "serverd smoke: no start-up phase line in" \
              "build/serverd_smoke_daemon.log" >&2

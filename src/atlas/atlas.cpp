@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "probing/fan_out.h"
+
 namespace revtr::atlas {
 
 namespace {
@@ -30,27 +32,24 @@ TracerouteAtlas::TracerouteAtlas(probing::Prober& prober,
                                  const topology::Topology& topo)
     : prober_(prober), topo_(topo) {}
 
-util::SimClock::Micros TracerouteAtlas::measure_into(
-    SourceAtlas& atlas, HostId source, std::span<const HostId> probes,
-    util::SimClock::Micros now) {
+TracerouteAtlas::Measured TracerouteAtlas::measure(
+    HostId source, std::span<const HostId> probes,
+    probing::Prober& prober) const {
   const Ipv4Addr source_addr = topo_.host(source).addr;
-  // Atlas construction is maintenance traffic, not part of any request's
-  // online budget (Table 4 separates the two).
-  const probing::Prober::OfflineScope offline(prober_);
-  util::SimClock::Micros longest = 0;
+  Measured out;
+  out.traceroutes.reserve(probes.size());
   for (const HostId probe : probes) {
-    const auto result = prober_.traceroute(probe, source_addr);
+    const auto result = prober.traceroute(probe, source_addr);
     AtlasTraceroute tr;
     tr.probe = probe;
     tr.hops = result.responsive_hops();
     tr.reached_source = result.reached;
-    tr.measured_at = now;
-    atlas.traceroutes.push_back(std::move(tr));
+    out.traceroutes.push_back(std::move(tr));
     // Probe hosts measure concurrently; the build takes as long as the
     // slowest traceroute (matching the ~15 min bootstrap of Appx A).
-    longest = std::max(longest, result.duration_us);
+    out.duration = std::max(out.duration, result.duration_us);
   }
-  return longest;
+  return out;
 }
 
 void TracerouteAtlas::index_hops(SourceAtlas& atlas) {
@@ -83,99 +82,126 @@ const TracerouteAtlas::SourceAtlas* TracerouteAtlas::find_atlas(
   return it == sources_.end() ? nullptr : &it->second;
 }
 
+// lint: stable-ref(never-erased node map; contents striped per source)
+TracerouteAtlas::SourceAtlas& TracerouteAtlas::slot_of(HostId source) {
+  const util::ExclusiveLock lock(sources_mu_);
+  return sources_[source];
+}
+
+// lint: stable-ref(never-erased node map; contents striped per source)
+TracerouteAtlas::SourceAtlas& TracerouteAtlas::existing_slot(HostId source) {
+  const util::SharedLock lock(sources_mu_);
+  return sources_.at(source);
+}
+
+void TracerouteAtlas::rebuild(std::span<const HostId> sources,
+                              std::span<const std::vector<HostId>> probes,
+                              std::size_t threads, const Stamp& stamp,
+                              bool is_refresh) {
+  probing::offline_fan_out(
+      prober_, sources.size(), threads,
+      [&](std::size_t i, probing::Prober& prober) {
+        return measure(sources[i], probes[i], prober);
+      },
+      [&](std::size_t i, Measured measured) {
+        const util::SimClock::Micros at = stamp(i, measured.duration);
+        for (auto& tr : measured.traceroutes) tr.measured_at = at;
+        SourceAtlas& atlas = slot_of(sources[i]);
+        // The new atlas is installed in one critical section, so readers
+        // see the old traceroutes or the new ones, never a mix.
+        const util::ExclusiveLock lock(stripe_of(sources[i]));
+        if (const AtlasMetrics* metrics =
+                metrics_.load(std::memory_order_acquire);
+            metrics != nullptr) {
+          (is_refresh ? metrics->refreshes : metrics->builds)->add();
+          metrics->rr_index_entries->add(
+              -static_cast<std::int64_t>(atlas.rr_index.size()));
+        }
+        atlas.traceroutes = std::move(measured.traceroutes);
+        atlas.rr_index.clear();
+        index_hops(atlas);
+      });
+}
+
+void TracerouteAtlas::build(std::span<const HostId> sources,
+                            std::size_t count, util::Rng& rng,
+                            std::size_t threads, const Stamp& stamp) {
+  const auto probes_span = topo_.probe_hosts();
+  const std::vector<HostId> pool(probes_span.begin(), probes_span.end());
+  std::vector<std::vector<HostId>> probes;
+  probes.reserve(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    probes.push_back(rng.sample(pool, count));
+  }
+  rebuild(sources, probes, threads, stamp, /*is_refresh=*/false);
+}
+
 util::SimClock::Micros TracerouteAtlas::build(HostId source,
                                               std::size_t count,
                                               util::Rng& rng,
                                               util::SimClock::Micros now) {
-  SourceAtlas* slot;
-  {
-    const util::ExclusiveLock map_lock(sources_mu_);
-    slot = &sources_[source];
-  }
-  // unordered_map references are stable, so the contents can be rebuilt
-  // under the source's stripe without blocking lookups for other sources.
-  const util::ExclusiveLock lock(stripe_of(source));
-  SourceAtlas& atlas = *slot;
-  const AtlasMetrics* metrics = metrics_.load(std::memory_order_acquire);
-  if (metrics != nullptr) {
-    metrics->builds->add();
-    metrics->rr_index_entries->add(
-        -static_cast<std::int64_t>(atlas.rr_index.size()));
-  }
-  atlas.traceroutes.clear();
-  atlas.rr_index.clear();
-  const auto probes_span = topo_.probe_hosts();
-  const std::vector<HostId> pool(probes_span.begin(), probes_span.end());
-  const auto chosen = rng.sample(pool, count);
-  const auto duration = measure_into(atlas, source, chosen, now);
-  index_hops(atlas);
+  util::SimClock::Micros duration = 0;
+  build({&source, 1}, count, rng, 1,
+        [&](std::size_t, util::SimClock::Micros measured) {
+          duration = measured;
+          return now;
+        });
   return duration;
+}
+
+void TracerouteAtlas::refresh(std::span<const HostId> sources,
+                              util::Rng& rng, std::size_t threads,
+                              const Stamp& stamp) {
+  std::vector<std::vector<HostId>> probes;
+  probes.reserve(sources.size());
+  for (const HostId source : sources) {
+    const SourceAtlas& atlas = existing_slot(source);
+    // Keep useful probes, re-measuring them; replace the rest.
+    std::vector<HostId> keep;
+    std::unordered_set<HostId> keep_set;
+    std::size_t target = 0;
+    {
+      const util::SharedLock lock(stripe_of(source));
+      target = atlas.traceroutes.size();
+      for (const auto& tr : atlas.traceroutes) {
+        if (tr.useful) {
+          keep.push_back(tr.probe);
+          keep_set.insert(tr.probe);
+        }
+      }
+    }
+    std::vector<HostId> fresh_pool;
+    for (const HostId probe : topo_.probe_hosts()) {
+      if (!keep_set.contains(probe)) fresh_pool.push_back(probe);
+    }
+    const auto fresh = rng.sample(
+        fresh_pool, target > keep.size() ? target - keep.size() : 0);
+    keep.insert(keep.end(), fresh.begin(), fresh.end());
+    probes.push_back(std::move(keep));
+  }
+  rebuild(sources, probes, threads, stamp, /*is_refresh=*/true);
 }
 
 util::SimClock::Micros TracerouteAtlas::refresh(HostId source, util::Rng& rng,
                                                 util::SimClock::Micros now) {
-  SourceAtlas* slot;
-  {
-    const util::SharedLock map_lock(sources_mu_);
-    slot = &sources_.at(source);
-  }
-  const util::ExclusiveLock lock(stripe_of(source));
-  SourceAtlas& atlas = *slot;
-  const std::size_t target = atlas.traceroutes.size();
-
-  // Keep useful probes, re-measuring them; replace the rest.
-  std::vector<HostId> keep;
-  std::unordered_set<HostId> keep_set;
-  for (const auto& tr : atlas.traceroutes) {
-    if (tr.useful) {
-      keep.push_back(tr.probe);
-      keep_set.insert(tr.probe);
-    }
-  }
-  std::vector<HostId> fresh_pool;
-  for (const HostId probe : topo_.probe_hosts()) {
-    if (!keep_set.contains(probe)) fresh_pool.push_back(probe);
-  }
-  const auto fresh =
-      rng.sample(fresh_pool, target > keep.size() ? target - keep.size() : 0);
-
-  const AtlasMetrics* metrics = metrics_.load(std::memory_order_acquire);
-  if (metrics != nullptr) {
-    metrics->refreshes->add();
-    metrics->rr_index_entries->add(
-        -static_cast<std::int64_t>(atlas.rr_index.size()));
-  }
-  atlas.traceroutes.clear();
-  atlas.rr_index.clear();
-  auto duration = measure_into(atlas, source, keep, now);
-  duration = std::max(duration, measure_into(atlas, source, fresh, now));
-  index_hops(atlas);
+  util::SimClock::Micros duration = 0;
+  refresh({&source, 1}, rng, 1,
+          [&](std::size_t, util::SimClock::Micros measured) {
+            duration = measured;
+            return now;
+          });
   return duration;
 }
 
-void TracerouteAtlas::build_rr_alias_index(HostId source) {
-  SourceAtlas* slot;
-  {
-    const util::SharedLock map_lock(sources_mu_);
-    slot = &sources_.at(source);
-  }
-  const util::ExclusiveLock lock(stripe_of(source));
-  SourceAtlas& atlas = *slot;
-  const AtlasMetrics* metrics = metrics_.load(std::memory_order_acquire);
-  if (metrics != nullptr) {
-    metrics->rr_index_builds->add();
-    metrics->rr_index_entries->add(
-        -static_cast<std::int64_t>(atlas.rr_index.size()));
-  }
-  atlas.rr_index.clear();
-  // RR-alias indexing is offline work like the atlas build itself (Q2 runs
-  // during source bootstrap, not per request).
-  const probing::Prober::OfflineScope offline(prober_);
-  for (std::size_t t = 0; t < atlas.traceroutes.size(); ++t) {
-    if (!atlas.traceroutes[t].reached_source) continue;
-    const auto& hops = atlas.traceroutes[t].hops;
+TracerouteAtlas::RrEntries TracerouteAtlas::measure_rr_index(
+    HostId source, std::span<const AtlasTraceroute> traceroutes,
+    probing::Prober& prober) const {
+  RrEntries entries;
+  for (std::size_t t = 0; t < traceroutes.size(); ++t) {
+    if (!traceroutes[t].reached_source) continue;
+    const auto& hops = traceroutes[t].hops;
     for (std::size_t h = 0; h < hops.size(); ++h) {
-      const auto result = prober_.rr_ping(source, hops[h]);
+      const auto result = prober.rr_ping(source, hops[h]);
       if (!result.responded) continue;
       // Find the probed hop's own stamp; slots after it lie on the reverse
       // path toward the source and align with successive traceroute hops.
@@ -191,16 +217,54 @@ void TracerouteAtlas::build_rr_alias_index(HostId source) {
         // strictly before the final (source) hop, so every adopted suffix
         // still terminates at the source.
         if (h + offset + 1 >= hops.size()) break;
-        // First mapping wins: it is the one farthest from the source, which
-        // yields the longest (and in our alignment, safest) suffix.
-        atlas.rr_index.try_emplace(*it, Intersection{t, h + offset});
+        entries.emplace_back(*it, Intersection{t, h + offset});
       }
     }
   }
-  if (metrics != nullptr) {
-    metrics->rr_index_entries->add(
-        static_cast<std::int64_t>(atlas.rr_index.size()));
+  return entries;
+}
+
+void TracerouteAtlas::build_rr_alias_index(std::span<const HostId> sources,
+                                           std::size_t threads) {
+  // The lanes probe from snapshots, so lookups keep running meanwhile.
+  std::vector<std::vector<AtlasTraceroute>> snapshots;
+  snapshots.reserve(sources.size());
+  for (const HostId source : sources) {
+    const SourceAtlas& atlas = existing_slot(source);
+    const util::SharedLock lock(stripe_of(source));
+    snapshots.push_back(atlas.traceroutes);
   }
+  // RR-alias indexing is offline work like the atlas build itself (Q2 runs
+  // during source bootstrap, not per request).
+  probing::offline_fan_out(
+      prober_, sources.size(), threads,
+      [&](std::size_t i, probing::Prober& prober) {
+        return measure_rr_index(sources[i], snapshots[i], prober);
+      },
+      [&](std::size_t i, RrEntries entries) {
+        SourceAtlas& atlas = existing_slot(sources[i]);
+        const util::ExclusiveLock lock(stripe_of(sources[i]));
+        const AtlasMetrics* metrics = metrics_.load(std::memory_order_acquire);
+        if (metrics != nullptr) {
+          metrics->rr_index_builds->add();
+          metrics->rr_index_entries->add(
+              -static_cast<std::int64_t>(atlas.rr_index.size()));
+        }
+        atlas.rr_index.clear();
+        // First mapping wins: it is the one farthest from the source, which
+        // yields the longest (and in our alignment, safest) suffix.
+        for (const auto& [addr, at] : entries) {
+          atlas.rr_index.try_emplace(addr, at);
+        }
+        if (metrics != nullptr) {
+          metrics->rr_index_entries->add(
+              static_cast<std::int64_t>(atlas.rr_index.size()));
+        }
+      });
+}
+
+void TracerouteAtlas::build_rr_alias_index(HostId source) {
+  build_rr_alias_index({&source, 1}, 1);
 }
 
 std::optional<Intersection> TracerouteAtlas::intersect(
@@ -266,15 +330,11 @@ std::vector<Ipv4Addr> TracerouteAtlas::suffix_after(
 util::SimClock::Micros TracerouteAtlas::touch(HostId source,
                                               const Intersection& at,
                                               util::SimClock::Micros now) {
-  SourceAtlas* slot;
-  {
-    const util::SharedLock map_lock(sources_mu_);
-    slot = &sources_.at(source);
-  }
+  SourceAtlas& atlas = existing_slot(source);
   // The useful-flag write needs the stripe exclusively: concurrent workers
   // may touch the same traceroute, and readers walk the same vector.
   const util::ExclusiveLock lock(stripe_of(source));
-  auto& tr = slot->traceroutes.at(at.traceroute_index);
+  auto& tr = atlas.traceroutes.at(at.traceroute_index);
   tr.useful = true;
   return now - tr.measured_at;
 }

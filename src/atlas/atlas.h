@@ -18,10 +18,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "alias/alias.h"
@@ -44,21 +46,17 @@ struct AtlasTraceroute {
   util::SimClock::Micros measured_at = 0;
   bool reached_source = false;
   bool useful = false;  // Intersected by some reverse traceroute.
+
+  bool operator==(const AtlasTraceroute&) const = default;
 };
 
 struct Intersection {
   std::size_t traceroute_index = 0;
   std::size_t hop_index = 0;
+
+  bool operator==(const Intersection&) const = default;
 };
 
-// Thread safety: every entry point may be called concurrently. Per-source
-// state is guarded by lock stripes (shared for reads, exclusive for
-// touch()'s useful-flag write and for the offline mutations
-// build/refresh/build_rr_alias_index); the source map itself has its own
-// shared mutex. Lock order: sources_mu_ before a stripe; never two stripes
-// at once. traceroutes()/rr_index_entries() return snapshots by value under
-// the stripe's shared lock, so holding one across a concurrent refresh()
-// is safe — it just may be stale (pinned by tests/concurrency_test.cpp).
 // Registry handles for atlas maintenance and lookup accounting.
 struct AtlasMetrics {
   explicit AtlasMetrics(obs::MetricsRegistry& registry);
@@ -75,6 +73,18 @@ struct AtlasMetrics {
   obs::Gauge* rr_index_entries;
 };
 
+// Thread safety: lookups (intersect, suffix_after, touch and the
+// snapshot accessors) may run concurrently with each other and with the
+// maintenance calls (build, refresh, build_rr_alias_index). Per-source
+// state is guarded by lock stripes (shared for reads, exclusive for
+// touch()'s useful-flag write and for installing a measured atlas or Q2
+// index); the source map itself has its own shared mutex. Lock order:
+// sources_mu_ before a stripe; never two stripes at once.
+// traceroutes()/rr_index_entries() return snapshots by value under the
+// stripe's shared lock, so holding one across a concurrent refresh() is
+// safe — it just may be stale (pinned by tests/concurrency_test.cpp).
+// Maintenance probes through the atlas's prober, so maintenance calls must
+// not overlap one another or anything else probing through that prober.
 class TracerouteAtlas {
  public:
   TracerouteAtlas(probing::Prober& prober, const topology::Topology& topo);
@@ -84,19 +94,44 @@ class TracerouteAtlas {
     metrics_.store(metrics, std::memory_order_release);
   }
 
-  // Q1: (re)build the atlas for `source` with traceroutes from `count`
-  // random probe hosts. Returns the simulated duration of the build.
+  // Called once per source of a list build or refresh, in list order and
+  // on the calling thread, as that source's atlas is installed. `index` is the source's position in
+  // the list and `duration` the simulated duration of its measurement (the
+  // slowest traceroute: probe hosts measure concurrently). Returns the time
+  // its traceroutes count as measured at.
+  using Stamp = std::function<util::SimClock::Micros(
+      std::size_t index, util::SimClock::Micros duration)>;
+
+  // Q1: (re)builds the atlas of every source of `sources` from `count`
+  // random probe hosts each. Every source's probe hosts are drawn from
+  // `rng` in list order before any probe is sent; the sources are then
+  // measured over up to `threads` threads (probing::offline_fan_out) and
+  // installed in list order, each with its `stamp`. Atlases, draws, probe
+  // counters and metrics come out as from building the sources one by one
+  // in list order, for any `threads`.
+  void build(std::span<const topology::HostId> sources, std::size_t count,
+             util::Rng& rng, std::size_t threads, const Stamp& stamp);
+  // One source, measured at `now`. Returns the simulated duration.
   util::SimClock::Micros build(topology::HostId source, std::size_t count,
                                util::Rng& rng,
                                util::SimClock::Micros now = 0);
 
-  // Daily refresh: keep traceroutes marked useful, re-measure them, and
-  // replace the rest with fresh random probe hosts (Appx D.2.1 policy).
+  // Daily refresh of every source of `sources`: keep each source's
+  // traceroutes marked useful, re-measure them, and replace the rest with
+  // fresh random probe hosts (Appx D.2.1 policy). Draws, fan-out and
+  // installation as for build(); a source must have an atlas.
+  void refresh(std::span<const topology::HostId> sources, util::Rng& rng,
+               std::size_t threads, const Stamp& stamp);
+  // One source, measured at `now`. Returns the simulated duration.
   util::SimClock::Micros refresh(topology::HostId source, util::Rng& rng,
                                  util::SimClock::Micros now);
 
-  // Q2: issue RR pings from the source to every atlas hop and index the
-  // addresses revealed on the reverse slots.
+  // Q2: for every source of `sources`, issue RR pings from the source to
+  // every hop of its reached traceroutes and index the addresses revealed
+  // on the reverse slots. Fanned out and installed as for build(); a
+  // source must have an atlas.
+  void build_rr_alias_index(std::span<const topology::HostId> sources,
+                            std::size_t threads);
   void build_rr_alias_index(topology::HostId source);
 
   // Exact-address intersection; with use_rr_index also matches addresses
@@ -148,11 +183,35 @@ class TracerouteAtlas {
     util::FlatMap<net::Ipv4Addr, Intersection> rr_index;
   };
 
+  // One source's traceroutes, measured on a fan-out lane and waiting to be
+  // installed.
+  struct Measured {
+    std::vector<AtlasTraceroute> traceroutes;
+    util::SimClock::Micros duration = 0;  // The slowest traceroute.
+  };
+  // A source's Q2 index entries, in insertion order.
+  using RrEntries = std::vector<std::pair<net::Ipv4Addr, Intersection>>;
+
+  // The (re)build both build() and refresh() run: traces `probes[i]`
+  // toward `sources[i]` for every i over the fan-out, then installs each
+  // source in list order.
+  void rebuild(std::span<const topology::HostId> sources,
+               std::span<const std::vector<topology::HostId>> probes,
+               std::size_t threads, const Stamp& stamp, bool is_refresh);
+  // Probe phase: traceroutes from every probe host toward `source`. Takes
+  // no lock; the caller owns `prober`.
+  Measured measure(topology::HostId source,
+                   std::span<const topology::HostId> probes,
+                   probing::Prober& prober) const;
+  // Q2 probe phase over a snapshot of the source's traceroutes.
+  RrEntries measure_rr_index(topology::HostId source,
+                             std::span<const AtlasTraceroute> traceroutes,
+                             probing::Prober& prober) const;
+  // The source's atlas slot, created when absent.
+  SourceAtlas& slot_of(topology::HostId source);
+  // The source's atlas slot; throws std::out_of_range when absent.
+  SourceAtlas& existing_slot(topology::HostId source);
   void index_hops(SourceAtlas& atlas);
-  util::SimClock::Micros measure_into(SourceAtlas& atlas,
-                                      topology::HostId source,
-                                      std::span<const topology::HostId> probes,
-                                      util::SimClock::Micros now);
 
   // Lookup under sources_mu_ (shared). Returns nullptr when absent; the
   // pointer stays valid across later insertions (node-based map).

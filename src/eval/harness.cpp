@@ -20,9 +20,11 @@ Lab::Lab(const topology::TopologyConfig& topo_config,
              engine_config, seed),
       rng(seed) {}
 
-void Lab::bootstrap_source(topology::HostId source, std::size_t atlas_size) {
-  atlas.build(source, atlas_size, rng);
-  atlas.build_rr_alias_index(source);
+void Lab::bootstrap_sources(std::span<const topology::HostId> sources,
+                            std::size_t atlas_size) {
+  atlas.build(sources, atlas_size, rng, util::available_cpus(),
+              [](std::size_t, util::SimClock::Micros) { return 0; });
+  atlas.build_rr_alias_index(sources, util::available_cpus());
 }
 
 void Lab::precompute_ingresses(

@@ -7,6 +7,7 @@
 // offline ingress survey.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "asmap/asmap.h"
@@ -26,8 +27,14 @@ class Lab {
                core::EngineConfig engine_config = core::EngineConfig::revtr2(),
                std::uint64_t seed = 7);
 
-  // Builds the atlas (Q1) and RR alias index (Q2) for a source.
-  void bootstrap_source(topology::HostId source, std::size_t atlas_size);
+  // Builds the atlas (Q1) and RR alias index (Q2) of every source, measured
+  // at time 0 and fanned out over every CPU the process may use
+  // (TracerouteAtlas's list builds).
+  void bootstrap_sources(std::span<const topology::HostId> sources,
+                         std::size_t atlas_size);
+  void bootstrap_source(topology::HostId source, std::size_t atlas_size) {
+    bootstrap_sources({&source, 1}, atlas_size);
+  }
 
   // Runs the offline ingress survey (Q3) for the given prefixes on every
   // CPU the process may use (IngressDiscovery::discover_all). Its probes

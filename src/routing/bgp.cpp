@@ -76,8 +76,20 @@ const BgpTable::Column& BgpTable::column(AsIndex dest) const {
                       [&](Column& column) { compute_column(dest, column); });
 }
 
-void BgpTable::build_all() const {
-  for (AsIndex dest = 0; dest < topo_.num_ases(); ++dest) (void)column(dest);
+void BgpTable::build_all(std::size_t threads) const {
+  const std::size_t n = topo_.num_ases();
+  columns_.fill_all(
+      threads,
+      // compute_column() assigns n entries to each vector.
+      [n](std::size_t, Column& column) {
+        column.next.reserve(n);
+        column.alt.reserve(n);
+        column.path_len.reserve(n);
+        column.route_class.reserve(n);
+      },
+      [this](std::size_t dest, Column& column) {
+        compute_column(static_cast<AsIndex>(dest), column);
+      });
 }
 
 Asn BgpTable::next_hop(AsIndex dest, AsIndex from) const {

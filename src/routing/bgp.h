@@ -53,11 +53,9 @@ class BgpTable {
 
   const Column& column(topology::AsIndex dest) const;
 
-  // Computes every column now, on the calling thread. A full ingress survey
-  // crosses every column anyway (every AS originates a surveyed prefix), so
-  // it builds them all up front before fanning probes out to threads
-  // (util::LazySlots explains why).
-  void build_all() const;
+  // Computes every column not built yet, each on one of `threads` threads
+  // (util::LazySlots::fill_all: storage allocated on the calling thread).
+  void build_all(std::size_t threads) const;
 
   // Preferred next-hop ASN from `from` toward destination AS `dest`;
   // 0 when unreachable.

@@ -18,9 +18,9 @@ ForwardingPlane::ForwardingPlane(const topology::Topology& topo,
                                  const IntraRouting& intra)
     : topo_(topo), bgp_(bgp), intra_(intra) {}
 
-void ForwardingPlane::build_all() const {
-  bgp_.build_all();
-  intra_.build_all();
+void ForwardingPlane::build_all(std::size_t threads) const {
+  bgp_.build_all(threads);
+  intra_.build_all(threads);
 }
 
 RouterId ForwardingPlane::origin_router(HostId host) const {

@@ -69,9 +69,11 @@ class ForwardingPlane {
   // Convenience for single-shot queries: resolve + decide.
   Decision decide(topology::RouterId current, const PacketContext& ctx) const;
 
-  // Builds every routing table the plane consults (BgpTable::build_all,
-  // IntraRouting::build_all) on the calling thread.
-  void build_all() const;
+  // Builds every routing table the plane consults now, fanned out over
+  // `threads` threads (BgpTable::build_all, IntraRouting::build_all). A
+  // caller about to cross them all from several threads (a full ingress
+  // survey) runs this first.
+  void build_all(std::size_t threads) const;
 
   // The first router a packet from this host traverses.
   topology::RouterId origin_router(topology::HostId host) const;

@@ -25,8 +25,19 @@ const IntraRouting::AsMatrix& IntraRouting::matrix(
   return matrices_.get(as, [&](AsMatrix& m) { compute(as, m); });
 }
 
-void IntraRouting::build_all() const {
-  for (topology::AsIndex as = 0; as < topo_.num_ases(); ++as) (void)matrix(as);
+void IntraRouting::build_all(std::size_t threads) const {
+  matrices_.fill_all(
+      threads,
+      // compute() assigns n * n entries to both vectors.
+      [this](std::size_t as, AsMatrix& m) {
+        const std::size_t n =
+            topo_.as_at(static_cast<topology::AsIndex>(as)).routers.size();
+        m.hops.reserve(n * n);
+        m.dist.reserve(n * n);
+      },
+      [this](std::size_t as, AsMatrix& m) {
+        compute(static_cast<topology::AsIndex>(as), m);
+      });
 }
 
 void IntraRouting::compute(topology::AsIndex as, AsMatrix& m) const {

@@ -42,11 +42,10 @@ class IntraRouting {
   // UINT16_MAX when disconnected).
   std::uint16_t distance(topology::RouterId from, topology::RouterId to) const;
 
-  // Computes every AS's matrix now, on the calling thread. A full ingress
-  // survey touches nearly all of them (every AS a probe crosses), so it
-  // builds them up front before fanning probes out to threads
-  // (util::LazySlots explains why).
-  void build_all() const;
+  // Computes every AS's matrix not built yet, each on one of `threads`
+  // threads (util::LazySlots::fill_all: storage allocated on the calling
+  // thread).
+  void build_all(std::size_t threads) const;
 
  private:
   struct AsMatrix {

@@ -18,6 +18,7 @@
 #include "core/request_task.h"
 #include "server/stream.h"
 #include "util/check.h"
+#include "util/cpus.h"
 #include "util/json.h"
 
 namespace revtr::server {
@@ -110,6 +111,11 @@ bool ServerDaemon::start() {
   lab_ = std::make_unique<eval::Lab>(options_.topo, options_.engine,
                                      options_.seed);
   startup_.lab_s = seconds_since(phase);
+  // The survey crosses every routing table: build them all first, fanned
+  // out over the process's CPUs, each table slot on one thread.
+  phase = Clock::now();
+  lab_->plane.build_all(util::available_cpus());
+  startup_.tables_s = seconds_since(phase);
   // Every ingress plan is surveyed now so no worker ever triggers an
   // on-demand discovery mid-request (same rule as the campaign driver).
   phase = Clock::now();
@@ -127,15 +133,11 @@ bool ServerDaemon::start() {
                                                      lab_->prober, lab_->topo);
   service_->set_metrics(&*service_metrics_);
 
-  const auto& vps = lab_->topo.vantage_points();
-  const std::size_t want_sources =
-      std::min(std::max<std::size_t>(options_.sources, 1), vps.size());
-  for (std::size_t i = 0;
-       i < vps.size() && source_hosts_.size() < want_sources; ++i) {
-    if (service_->add_source(vps[i], options_.atlas_size, lab_->rng)) {
-      source_hosts_.push_back(vps[i]);
-    }
-  }
+  // The first `sources` vantage points that receive RR, each atlas and Q2
+  // index fanned out over the process's CPUs.
+  source_hosts_ = service_->add_sources(
+      lab_->topo.vantage_points(), options_.atlas_size, lab_->rng,
+      std::max<std::size_t>(options_.sources, 1));
   startup_.atlas_s = seconds_since(phase);
   if (source_hosts_.empty()) {
     std::fprintf(stderr, "revtr_serverd: no vantage point bootstrapped\n");
@@ -315,6 +317,7 @@ std::string ServerDaemon::build_stats_json() {
   json["draining"] = draining;
   json["drained"] = drained;
   json["startup_lab_s"] = startup_.lab_s;
+  json["startup_tables_s"] = startup_.tables_s;
   json["startup_survey_s"] = startup_.survey_s;
   json["startup_atlas_s"] = startup_.atlas_s;
   if (const auto* wall =

@@ -24,9 +24,13 @@
 //                 scheduler lock), and push encoded RESULT frames back
 //                 through the completion queue.
 //   caller        start() / request_drain() / wait_until_drained() / stop().
-//   survey        transient: start() fans the offline ingress survey out
-//                 over the process's CPUs (IngressDiscovery::discover_all)
-//                 and joins those threads before the others exist.
+//   start-up      transient: start() fans its offline work out over the
+//                 process's CPUs — the routing tables
+//                 (ForwardingPlane::build_all), the ingress survey
+//                 (IngressDiscovery::discover_all) and every source's atlas
+//                 and Q2 index (RevtrService::add_sources) — one fan-out
+//                 after another, each joined before the next starts and
+//                 all before the net thread and workers exist.
 //
 // mu_ (lock rank 110, above every library mutex) guards the submission
 // queue, the admission controller, the quota service, the counters, and the
@@ -110,10 +114,12 @@ struct ServerOptions {
   sched::SchedulerAudit* sched_audit = nullptr;
 };
 
-// Wall time of start()'s three phases, in seconds. The STATS reply carries
-// them as startup_lab_s / startup_survey_s / startup_atlas_s.
+// Wall time of start()'s four phases, in seconds. The STATS reply carries
+// them as startup_lab_s / startup_tables_s / startup_survey_s /
+// startup_atlas_s.
 struct StartupTimings {
-  double lab_s = 0;     // eval::Lab: topology, routing, simulator.
+  double lab_s = 0;     // eval::Lab: topology, simulator.
+  double tables_s = 0;  // Every BGP column and intra-AS matrix.
   double survey_s = 0;  // Offline ingress survey of every prefix (Q3).
   double atlas_s = 0;   // Source bootstrap: atlas + RR alias index (Q1/Q2).
 };

@@ -93,11 +93,14 @@ class ParallelCampaignDriver {
   ParallelCampaignReport run(
       std::span<const std::pair<topology::HostId, topology::HostId>> pairs);
 
- private:
   // Surveys every prefix that has no ingress plan yet
   // (IngressDiscovery::discover_all, fanned out over the process's CPUs),
-  // so workers never hit the on-demand discovery path concurrently.
+  // so workers never hit the on-demand discovery path concurrently. run()
+  // calls it first; a caller that times run() can call it beforehand, and
+  // the plans come out the same (the survey's rng derives from the seed).
   void precompute_ingress_plans();
+
+ private:
 
   core::StackDeps deps_;
   ParallelCampaignOptions options_;

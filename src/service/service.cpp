@@ -1,5 +1,7 @@
 #include "service/service.h"
 
+#include "util/cpus.h"
+
 namespace revtr::service {
 
 ServiceMetrics::ServiceMetrics(obs::MetricsRegistry& registry) {
@@ -51,38 +53,52 @@ UserId RevtrService::add_user(std::string name, UserLimits limits) {
   return id;
 }
 
-bool RevtrService::add_source(topology::HostId host, std::size_t atlas_size,
-                              util::Rng& rng) {
-  SourceRecord record;
-  record.host = host;
-  record.bootstrapped_at = clock_.now();
-
-  // Step 1: verify the candidate source can receive RR packets — an RR ping
-  // from a vantage point must come back with slots (Appx A bootstrap).
+std::vector<topology::HostId> RevtrService::add_sources(
+    std::span<const topology::HostId> candidates, std::size_t atlas_size,
+    util::Rng& rng, std::size_t max_sources) {
+  // Step 1: verify each candidate source can receive RR packets — an RR
+  // ping from a vantage point must come back with slots (Appx A bootstrap).
   const auto vps = topo_.vantage_points();
-  for (const topology::HostId vp : vps) {
-    const auto probe = prober_.rr_ping(vp, topo_.host(host).addr);
-    if (probe.responded) {
-      record.receives_rr = true;
-      break;
+  std::vector<topology::HostId> hosts;
+  for (const topology::HostId host : candidates) {
+    if (hosts.size() >= max_sources) break;
+    for (const topology::HostId vp : vps) {
+      if (prober_.rr_ping(vp, topo_.host(host).addr).responded) {
+        hosts.push_back(host);
+        break;
+      }
     }
   }
-  if (!record.receives_rr) return false;
 
   // Step 2: build the traceroute atlas (Q1) and the RR alias index (Q2).
-  const auto build_time = atlas_.build(host, atlas_size, rng, clock_.now());
-  atlas_.build_rr_alias_index(host);
-  record.atlas_size = atlas_.traceroute_count(host);
-  // The real bootstrap takes ~15 minutes, dominated by RIPE Atlas
-  // scheduling; we charge the measured traceroute time plus that overhead.
-  record.bootstrap_duration =
-      build_time + 14 * util::SimClock::kMinute;
-  clock_.advance(record.bootstrap_duration);
+  std::vector<SourceRecord> records(hosts.size());
+  atlas_.build(hosts, atlas_size, rng, util::available_cpus(),
+               [&](std::size_t i, util::SimClock::Micros build_time) {
+                 SourceRecord& record = records[i];
+                 record.host = hosts[i];
+                 record.receives_rr = true;
+                 record.bootstrapped_at = clock_.now();
+                 // The real bootstrap takes ~15 minutes, dominated by RIPE
+                 // Atlas scheduling; we charge the measured traceroute time
+                 // plus that overhead.
+                 record.bootstrap_duration =
+                     build_time + 14 * util::SimClock::kMinute;
+                 clock_.advance(record.bootstrap_duration);
+                 record.atlas_refreshed_at = clock_.now();
+                 return record.bootstrapped_at;
+               });
+  atlas_.build_rr_alias_index(hosts, util::available_cpus());
+  for (SourceRecord& record : records) {
+    record.atlas_size = atlas_.traceroute_count(record.host);
+    sources_[record.host] = record;
+    if (metrics_ != nullptr) metrics_->sources_bootstrapped->add();
+  }
+  return hosts;
+}
 
-  record.atlas_refreshed_at = clock_.now();
-  sources_[host] = record;
-  if (metrics_ != nullptr) metrics_->sources_bootstrapped->add();
-  return true;
+bool RevtrService::add_source(topology::HostId host, std::size_t atlas_size,
+                              util::Rng& rng) {
+  return !add_sources({&host, 1}, atlas_size, rng).empty();
 }
 
 RevtrService::QuotaDecision RevtrService::try_charge_request(UserId user) {
@@ -255,9 +271,14 @@ CampaignStats RevtrService::run_campaign(
 void RevtrService::daily_refresh(util::Rng& rng) {
   if (metrics_ != nullptr) metrics_->daily_refreshes->add();
   clock_.advance(util::SimClock::kDay);
+  std::vector<topology::HostId> hosts;
+  for (const auto& [host, record] : sources_) hosts.push_back(host);
+  atlas_.refresh(hosts, rng, util::available_cpus(),
+                 [this](std::size_t, util::SimClock::Micros) {
+                   return clock_.now();
+                 });
+  atlas_.build_rr_alias_index(hosts, util::available_cpus());
   for (auto& [host, record] : sources_) {
-    atlas_.refresh(host, rng, clock_.now());
-    atlas_.build_rr_alias_index(host);
     record.atlas_size = atlas_.traceroute_count(host);
     record.atlas_refreshed_at = clock_.now();
   }

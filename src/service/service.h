@@ -11,7 +11,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -151,9 +153,19 @@ class RevtrService {
   bool known_user(UserId user) const { return users_.contains(user); }
 
   // --- Sources. ---
-  // Bootstraps `host` as a source: verifies RR packets reach it, builds its
-  // atlas from `atlas_size` probe hosts, and indexes RR aliases (Q2).
-  // Returns false when the host cannot receive RR probes.
+  // Bootstraps sources from `candidates`, in order: verifies RR packets
+  // reach each candidate (online probes on the service prober) until
+  // `max_sources` have passed, then builds every passing host's atlas from
+  // `atlas_size` probe hosts (Q1) and indexes its RR aliases (Q2), both
+  // fanned out over the process's CPUs (TracerouteAtlas's list builds).
+  // Each source's bootstrap is charged to the service clock in order, so
+  // records, atlases, draws from `rng` and the clock read as if the hosts
+  // had been added one by one. Returns the bootstrapped hosts.
+  std::vector<topology::HostId> add_sources(
+      std::span<const topology::HostId> candidates, std::size_t atlas_size,
+      util::Rng& rng,
+      std::size_t max_sources = std::numeric_limits<std::size_t>::max());
+  // One candidate; false when the host cannot receive RR probes.
   bool add_source(topology::HostId host, std::size_t atlas_size,
                   util::Rng& rng);
   bool is_source(topology::HostId host) const {
@@ -233,8 +245,9 @@ class RevtrService {
       std::span<const std::pair<topology::HostId, topology::HostId>> pairs,
       std::size_t parallelism);
 
-  // Daily maintenance: refresh every source's atlas, rebuild RR indexes,
-  // reset user quotas, drop engine caches.
+  // Daily maintenance: refresh every source's atlas and rebuild its RR
+  // index (fanned out like add_sources), reset user quotas, drop engine
+  // caches.
   void daily_refresh(util::Rng& rng);
 
   util::SimClock& clock() noexcept { return clock_; }

@@ -13,10 +13,9 @@
 // Laziness pays only when some slots stay cold. A caller that is about to
 // touch every slot from several threads (the full offline ingress survey
 // crosses every BGP column and almost every intra-AS matrix) fills them all
-// from one thread first — BgpTable::build_all() / IntraRouting::build_all().
-// Otherwise the threads race to build the same cold slots, throwing the
-// losers' copies away, and the published values land scattered over the
-// threads' malloc arenas, which inflates the process's resident set.
+// first with fill_all(), which hands each slot to exactly one thread.
+// Otherwise the threads race to build the same cold slots and throw the
+// losers' copies away.
 //
 // reset() and reset_all() free published values; they must not race get().
 #pragma once
@@ -24,8 +23,10 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <vector>
 
 #include "util/check.h"
+#include "util/fan_out.h"
 
 namespace revtr::util {
 
@@ -52,14 +53,38 @@ class LazySlots {
     }
     auto fresh = std::make_unique<T>();
     build(*fresh);
-    T* expected = nullptr;
-    if (slots_[index].compare_exchange_strong(expected, fresh.get(),
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-      built_.fetch_add(1, std::memory_order_relaxed);
-      return *fresh.release();
+    return publish(index, std::move(fresh));
+  }
+
+  // Fills every empty slot now, over `threads` threads
+  // (util::ordered_fan_out). `prepare(index, T&)` runs first, for every
+  // empty slot, on the calling thread, and must allocate all the storage
+  // the value keeps; `build(index, T&)` then fills each value on the one
+  // thread that claims it, without allocating what it keeps; the calling
+  // thread publishes each one. So the values' storage comes from the
+  // calling thread's malloc arena, as in a one-thread fill: values
+  // allocated on short-lived helper threads stay scattered over the
+  // helpers' arenas, which fragments them for the rest of the process. A
+  // slot filled meanwhile by get() keeps its value.
+  template <typename Prepare, typename Build>
+  void fill_all(std::size_t threads, Prepare&& prepare, Build&& build) const {
+    std::vector<std::size_t> empty;
+    std::vector<std::unique_ptr<T>> fresh;
+    for (std::size_t i = 0; i < size_; ++i) {
+      if (slots_[i].load(std::memory_order_acquire) != nullptr) continue;
+      empty.push_back(i);
+      fresh.push_back(std::make_unique<T>());
+      prepare(i, *fresh.back());
     }
-    return *expected;  // Another thread published first; ours is dropped.
+    ordered_fan_out(
+        threads, empty.size(),
+        [&](std::size_t /*lane*/, std::size_t k) {
+          build(empty[k], *fresh[k]);
+          return k;
+        },
+        [&](std::size_t k, std::size_t /*built*/) {
+          publish(empty[k], std::move(fresh[k]));
+        });
   }
 
   // Empties one slot; its next get() rebuilds it. Not safe under readers.
@@ -81,6 +106,19 @@ class LazySlots {
   }
 
  private:
+  // Publishes `fresh` in slot `index` unless another value got there first,
+  // and returns the slot's value.
+  const T& publish(std::size_t index, std::unique_ptr<T> fresh) const {
+    T* expected = nullptr;
+    if (slots_[index].compare_exchange_strong(expected, fresh.get(),
+                                              std::memory_order_acq_rel,
+                                              std::memory_order_acquire)) {
+      built_.fetch_add(1, std::memory_order_relaxed);
+      return *fresh.release();
+    }
+    return *expected;  // Another thread published first; ours is dropped.
+  }
+
   const std::size_t size_;
   const std::unique_ptr<std::atomic<T*>[]> slots_;
   mutable std::atomic<std::size_t> built_{0};

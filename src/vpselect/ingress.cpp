@@ -1,12 +1,9 @@
 #include "vpselect/ingress.h"
 
 #include <algorithm>
-#include <future>
 #include <map>
-#include <optional>
 
-#include "sim/network.h"
-#include "util/check.h"
+#include "probing/fan_out.h"
 
 namespace revtr::vpselect {
 
@@ -291,76 +288,18 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
 void IngressDiscovery::discover_all(std::span<const PrefixId> prefixes,
                                     std::span<const HostId> vps,
                                     util::Rng& rng, std::size_t threads) {
-  // One private Network + Prober per fan-out thread. An RR ping's path is a
-  // pure function of the salt seed and its endpoints (Network::forward_pass),
-  // never of the packet ids a prober drew before it, so a copy of the
-  // discovery network gets the same replies the discovery prober would.
-  struct Lane {
-    sim::Network network;
-    probing::Prober prober;
-
-    Lane(const sim::Network& discovery, const probing::ProbeMetrics* metrics)
-        : network(discovery), prober(network) {
-      prober.set_metrics(metrics);
-    }
-  };
-  std::vector<std::unique_ptr<Lane>> lanes;
-  {
-    const util::ExclusiveLock lock(mu_);
-    // Stay serial when the outcome depends on wire order: loss draws come
-    // from one stream per Network, and an observer or a fault policy sees
-    // each probe in the order it is sent.
-    const bool wire_order = prober_.network().loss_rate() > 0.0 ||
-                            prober_.observed();
-    const std::size_t lane_count = std::min(threads, prefixes.size());
-    if (lane_count > 1 && !wire_order) {
-      for (std::size_t t = 0; t < lane_count; ++t) {
-        lanes.push_back(
-            std::make_unique<Lane>(prober_.network(), prober_.metrics()));
-      }
-    }
-  }
-  if (lanes.empty()) {
-    for (const PrefixId prefix : prefixes) discover(prefix, vps, rng);
-    return;
-  }
-  // The survey crosses every routing table anyway; building them here keeps
-  // the lanes from racing to build the same cold slots.
-  lanes.front()->network.plane().build_all();
-
-  std::atomic<std::size_t> next{0};
-  // A finished survey waits here until every earlier prefix is committed.
-  std::vector<std::optional<Survey>> finished(prefixes.size());
-  std::size_t committed = 0;
-  const auto run = [&](probing::Prober& prober) {
-    const probing::Prober::OfflineScope offline(prober);
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= prefixes.size()) return;
-      Survey done = probe(prefixes[i], vps, {}, prober);
-      const util::ExclusiveLock lock(mu_);
-      finished[i] = std::move(done);
-      // Whoever holds the lock commits the run of consecutive finished
-      // prefixes, so `rng` is drawn in prefix order.
-      for (; committed < finished.size() && finished[committed].has_value();
-           ++committed) {
-        commit_locked(std::move(*finished[committed]), rng);
-        finished[committed].reset();
-      }
-    }
-  };
-  std::vector<std::future<void>> helpers;
-  for (std::size_t t = 1; t < lanes.size(); ++t) {
-    helpers.push_back(std::async(std::launch::async, run,
-                                 std::ref(lanes[t]->prober)));
-  }
-  run(lanes.front()->prober);
-  // Joins the helpers, rethrowing the first failure.
-  for (auto& helper : helpers) helper.get();
-
-  const util::ExclusiveLock lock(mu_);
-  REVTR_CHECK(committed == prefixes.size());
-  for (const auto& lane : lanes) prober_.absorb(lane->prober);
+  // A survey of many prefixes crosses every routing table: build them all
+  // first, each slot on one thread, so the lanes never build cold slots.
+  if (prefixes.size() > 1) prober_.network().plane().build_all(threads);
+  probing::offline_fan_out(
+      prober_, prefixes.size(), threads,
+      [&](std::size_t i, probing::Prober& prober) {
+        return probe(prefixes[i], vps, {}, prober);
+      },
+      [&](std::size_t /*i*/, Survey survey) {
+        const util::ExclusiveLock lock(mu_);
+        commit_locked(std::move(survey), rng);
+      });
 }
 
 std::vector<Attempt> attempt_plan(const PrefixPlan& plan,

@@ -161,19 +161,17 @@ class IngressDiscovery {
   // packet-id sequence come out exactly as from calling discover() on each
   // prefix in order, for any `threads`.
   //
-  // Thread safety: with `threads` > 1 (capped at the number of prefixes)
-  // the probe phases fan out over that many threads, the caller included.
-  // Each probes on a private copy of the discovery prober's Network (same
-  // topology, plane and salt seed) through its own Prober, claiming
-  // prefixes from an atomic index, and never touches the discovery prober.
-  // Finished surveys are committed under the internal mutex strictly in
-  // prefix order, by whichever thread holds it; no thread waits for its
-  // turn. The helpers are joined before discover_all() returns, and their
-  // probers are then absorbed into the discovery prober. The routing
-  // tables are all built on the calling thread first. When the outcome
-  // depends on wire order — network loss is on, or an observer or fault
-  // policy is attached to the discovery prober — and when `threads` <= 1,
-  // discover_all() is the plain discover() loop on the calling thread.
+  // The probe phases fan out over up to `threads` threads, each on a
+  // private copy of the discovery prober (probing::offline_fan_out, which
+  // also holds the serial rule: loss, an observer or a fault policy keeps
+  // the survey on the discovery prober). Finished surveys are committed
+  // under the internal mutex strictly in prefix order, so plan_for() may
+  // run alongside. When it surveys more than one prefix it first builds
+  // every routing table (ForwardingPlane::build_all over `threads`).
+  //
+  // Thread safety: the fan-out owns the discovery prober for the call, so
+  // it must not overlap discover() or another discover_all(); start-up and
+  // the campaign driver run it before any worker exists.
   void discover_all(std::span<const topology::PrefixId> prefixes,
                     std::span<const topology::HostId> vps, util::Rng& rng,
                     std::size_t threads);

@@ -10,9 +10,11 @@
 #include <array>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/probe_log.h"
@@ -20,6 +22,7 @@
 #include "eval/harness.h"
 #include "obs/metrics.h"
 #include "service/parallel.h"
+#include "service/service.h"
 #include "util/stats.h"
 #include "util/striped_map.h"
 
@@ -561,6 +564,266 @@ TEST(IngressConcurrency, WireOrderDependentSurveyStaysSerial) {
     EXPECT_GT(offered, 0u);
     EXPECT_EQ(offered, lab.prober.counters().total());
   }
+}
+
+// --- TracerouteAtlas list builds (fan-out over sources) ------------------
+
+constexpr std::size_t kAtlasTraces = 12;
+// What RevtrService charges a bootstrap beside its traceroutes.
+constexpr util::SimClock::Micros kBootstrapGap = 14 * util::SimClock::kMinute;
+
+std::vector<HostId> atlas_sources(const eval::Lab& lab) {
+  const auto vps = lab.topo.vantage_points();
+  return {vps.begin(), vps.begin() + 5};
+}
+
+// Q1 then Q2 for every source. threads == 0 runs the reference: one
+// single-source call per source, in order, each build stamped at a clock
+// that advances by the build's duration plus kBootstrapGap.
+void build_atlases(eval::Lab& lab, std::span<const HostId> sources,
+                   std::size_t threads) {
+  util::SimClock::Micros clock = 0;
+  if (threads == 0) {
+    for (const HostId source : sources) {
+      const auto duration = lab.atlas.build(source, kAtlasTraces, lab.rng,
+                                            clock);
+      clock += duration + kBootstrapGap;
+    }
+    for (const HostId source : sources) lab.atlas.build_rr_alias_index(source);
+    return;
+  }
+  lab.atlas.build(sources, kAtlasTraces, lab.rng, threads,
+                  [&clock](std::size_t, util::SimClock::Micros duration) {
+                    const auto at = clock;
+                    clock += duration + kBootstrapGap;
+                    return at;
+                  });
+  lab.atlas.build_rr_alias_index(sources, threads);
+}
+
+// A day later: refresh then Q2 for every source; threads == 0 as above.
+void refresh_atlases(eval::Lab& lab, std::span<const HostId> sources,
+                     std::size_t threads) {
+  constexpr util::SimClock::Micros kNow = util::SimClock::kDay;
+  if (threads == 0) {
+    for (const HostId source : sources) {
+      lab.atlas.refresh(source, lab.rng, kNow);
+    }
+    for (const HostId source : sources) lab.atlas.build_rr_alias_index(source);
+    return;
+  }
+  lab.atlas.refresh(sources, lab.rng, threads,
+                    [](std::size_t, util::SimClock::Micros) { return kNow; });
+  lab.atlas.build_rr_alias_index(sources, threads);
+}
+
+// Everything the atlas of a source list holds, plus what maintaining it
+// cost the atlas's prober and metrics.
+struct AtlasState {
+  std::vector<std::vector<atlas::AtlasTraceroute>> traceroutes;
+  // The exact-hop index: a lookup of every traceroute hop.
+  std::vector<std::vector<std::optional<atlas::Intersection>>> hop_index;
+  std::vector<std::unordered_map<net::Ipv4Addr, atlas::Intersection>>
+      rr_index;
+  std::uint64_t builds = 0;
+  std::uint64_t refreshes = 0;
+  std::uint64_t rr_index_builds = 0;
+  std::int64_t rr_index_entries = 0;
+  probing::ProbeCounters counters;
+  probing::ProbeCounters offline;
+
+  bool operator==(const AtlasState&) const = default;
+};
+
+AtlasState capture_atlas(eval::Lab& lab, std::span<const HostId> sources,
+                         const obs::MetricsRegistry& registry) {
+  AtlasState state;
+  // Metrics first: the hop lookups below count intersections.
+  const auto snapshot = registry.snapshot();
+  state.builds = snapshot.find_counter("revtr_atlas_builds_total")->value;
+  state.refreshes =
+      snapshot.find_counter("revtr_atlas_refreshes_total")->value;
+  state.rr_index_builds =
+      snapshot.find_counter("revtr_atlas_rr_index_builds_total")->value;
+  state.rr_index_entries =
+      snapshot.find_gauge("revtr_atlas_rr_index_entries")->value;
+  state.counters = lab.prober.counters();
+  state.offline = lab.prober.offline_counters();
+  for (const HostId source : sources) {
+    state.traceroutes.push_back(lab.atlas.traceroutes(source));
+    state.rr_index.push_back(lab.atlas.rr_index_entries(source));
+    auto& lookups = state.hop_index.emplace_back();
+    for (const auto& tr : state.traceroutes.back()) {
+      for (const auto hop : tr.hops) {
+        lookups.push_back(lab.atlas.intersect(source, hop, false));
+      }
+    }
+  }
+  return state;
+}
+
+struct AtlasRun {
+  AtlasState built;
+  AtlasState refreshed;
+  std::uint64_t next_draw = 0;
+  // Pings through the atlas prober afterwards: its packet-id sequence.
+  std::vector<util::SimClock::Micros> ping_rtts;
+};
+
+// threads == 0 runs the per-source reference loop.
+AtlasRun run_atlas(std::size_t threads) {
+  eval::Lab lab(survey_config());
+  obs::MetricsRegistry registry;
+  const atlas::AtlasMetrics metrics(registry);
+  lab.atlas.set_metrics(&metrics);
+  const auto sources = atlas_sources(lab);
+
+  AtlasRun run;
+  build_atlases(lab, sources, threads);
+  run.built = capture_atlas(lab, sources, registry);
+  // Refresh keeps what requests found useful: mark every third trace.
+  for (const HostId source : sources) {
+    for (std::size_t t = 0; t < kAtlasTraces; t += 3) {
+      lab.atlas.touch(source, atlas::Intersection{t, 0},
+                      util::SimClock::kHour);
+    }
+  }
+  refresh_atlases(lab, sources, threads);
+  run.refreshed = capture_atlas(lab, sources, registry);
+  run.next_draw = lab.rng();
+  for (const HostId dest : lab.responsive_destinations()) {
+    for (const HostId vp : lab.topo.vantage_points()) {
+      run.ping_rtts.push_back(
+          lab.prober.ping(vp, lab.topo.host(dest).addr).duration_us);
+    }
+  }
+  return run;
+}
+
+// The atlas's list builds leave exactly what the per-source loop leaves:
+// traceroutes with their measurement times, both indexes, the same draws
+// from the caller's rng, the same probe accounting, packet ids and
+// metrics. Run under TSan by check.sh (the `Atlas` filter).
+TEST(AtlasConcurrency, FannedOutBuildAndRefreshMatchPerSourceLoop) {
+  const AtlasRun serial = run_atlas(0);
+  ASSERT_EQ(serial.built.traceroutes.size(), 5u);
+  ASSERT_GT(serial.built.offline.traceroute_packets, 0u);
+  ASSERT_GT(serial.built.offline.rr, 0u);
+  ASSERT_GT(serial.built.rr_index_entries, 0);
+  EXPECT_TRUE(serial.refreshed.counters == serial.refreshed.offline)
+      << "atlas probes are offline";
+  // Stamps follow the clock the builds advance: distinct per source.
+  EXPECT_NE(serial.built.traceroutes[0][0].measured_at,
+            serial.built.traceroutes[1][0].measured_at);
+  EXPECT_NE(serial.built.traceroutes, serial.refreshed.traceroutes);
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const AtlasRun run = run_atlas(threads);
+    EXPECT_TRUE(run.built == serial.built);
+    EXPECT_TRUE(run.refreshed == serial.refreshed);
+    EXPECT_EQ(run.next_draw, serial.next_draw);
+    EXPECT_TRUE(run.ping_rtts == serial.ping_rtts);
+  }
+}
+
+// Builds whose outcome depends on the order probes hit the wire stay the
+// per-source loop on the atlas's prober, whatever `threads` says.
+TEST(AtlasConcurrency, WireOrderDependentBuildStaysSerial) {
+  // An observer sees the loop's event sequence.
+  {
+    eval::Lab loop_lab(survey_config());
+    analysis::ProbeLog loop_log;
+    loop_lab.prober.set_observer(&loop_log);
+    const auto sources = atlas_sources(loop_lab);
+    build_atlases(loop_lab, sources, 0);
+    refresh_atlases(loop_lab, sources, 0);
+
+    eval::Lab lab(survey_config());
+    analysis::ProbeLog log;
+    lab.prober.set_observer(&log);
+    build_atlases(lab, sources, 4);
+    refresh_atlases(lab, sources, 4);
+    ASSERT_FALSE(loop_log.events().empty());
+    EXPECT_TRUE(log.events() == loop_log.events());
+  }
+
+  // Loss draws come from the atlas network's one stream.
+  {
+    eval::Lab loop_lab(survey_config());
+    loop_lab.network.set_loss_rate(0.3);
+    const auto sources = atlas_sources(loop_lab);
+    build_atlases(loop_lab, sources, 0);
+
+    eval::Lab lab(survey_config());
+    lab.network.set_loss_rate(0.3);
+    build_atlases(lab, sources, 4);
+    for (const HostId source : sources) {
+      EXPECT_TRUE(lab.atlas.traceroutes(source) ==
+                  loop_lab.atlas.traceroutes(source));
+      EXPECT_TRUE(lab.atlas.rr_index_entries(source) ==
+                  loop_lab.atlas.rr_index_entries(source));
+    }
+    EXPECT_EQ(lab.rng(), loop_lab.rng());
+  }
+
+  // A fault policy is offered every Q2 RR ping (traceroutes never are).
+  {
+    eval::Lab lab(survey_config());
+    std::uint64_t offered = 0;
+    lab.prober.set_fault_policy([&offered](const probing::ProbeEvent& event) {
+      EXPECT_TRUE(event.offline);
+      ++offered;
+      return false;
+    });
+    build_atlases(lab, atlas_sources(lab), 4);
+    EXPECT_GT(offered, 0u);
+    EXPECT_EQ(offered, lab.prober.counters().rr);
+  }
+}
+
+// RevtrService::add_sources bootstraps what an add_source() loop over the
+// same candidates bootstraps: the same hosts, records, service clock,
+// atlases, draws and probe accounting.
+TEST(AtlasConcurrency, ServiceBootstrapMatchesAddSourceLoop) {
+  constexpr std::size_t kWant = 5;
+  eval::Lab loop_lab(survey_config());
+  service::RevtrService loop_service(loop_lab.engine, loop_lab.atlas,
+                                     loop_lab.prober, loop_lab.topo);
+  const auto candidates = loop_lab.topo.vantage_points();
+  std::vector<HostId> looped;
+  for (const HostId vp : candidates) {
+    if (looped.size() == kWant) break;
+    if (loop_service.add_source(vp, kAtlasTraces, loop_lab.rng)) {
+      looped.push_back(vp);
+    }
+  }
+
+  eval::Lab lab(survey_config());
+  service::RevtrService service(lab.engine, lab.atlas, lab.prober, lab.topo);
+  const auto added =
+      service.add_sources(candidates, kAtlasTraces, lab.rng, kWant);
+  ASSERT_EQ(added.size(), kWant);
+  EXPECT_EQ(added, looped);
+  EXPECT_EQ(service.clock().now(), loop_service.clock().now());
+  for (const HostId host : added) {
+    const service::SourceRecord* got = service.source_record(host);
+    const service::SourceRecord* want = loop_service.source_record(host);
+    ASSERT_NE(got, nullptr);
+    ASSERT_NE(want, nullptr);
+    EXPECT_TRUE(got->receives_rr);
+    EXPECT_EQ(got->bootstrapped_at, want->bootstrapped_at);
+    EXPECT_EQ(got->bootstrap_duration, want->bootstrap_duration);
+    EXPECT_EQ(got->atlas_refreshed_at, want->atlas_refreshed_at);
+    EXPECT_EQ(got->atlas_size, want->atlas_size);
+    EXPECT_TRUE(lab.atlas.traceroutes(host) ==
+                loop_lab.atlas.traceroutes(host));
+    EXPECT_TRUE(lab.atlas.rr_index_entries(host) ==
+                loop_lab.atlas.rr_index_entries(host));
+  }
+  EXPECT_TRUE(lab.prober.counters() == loop_lab.prober.counters());
+  EXPECT_TRUE(lab.prober.offline_counters() ==
+              loop_lab.prober.offline_counters());
+  EXPECT_EQ(lab.rng(), loop_lab.rng());
 }
 
 // --- ParallelCampaignDriver ----------------------------------------------

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <latch>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -419,6 +420,23 @@ TEST_F(RoutingConcurrency, TwoThreadsFillColdTablesIdentically) {
   EXPECT_EQ(seen[0], expected);
   EXPECT_EQ(seen[1], expected);
   EXPECT_EQ(bgp.computed_columns(), topo_->num_ases());
+}
+
+TEST_F(RoutingConcurrency, FannedOutTableBuildMatchesLazyTables) {
+  // The reference: tables filled lazily by one thread's lookups.
+  const auto expected = all_lookups(*topo_, *bgp_, *intra_);
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const BgpTable bgp(*topo_);
+    const IntraRouting intra(*topo_);
+    const ForwardingPlane plane(*topo_, bgp, intra);
+    plane.build_all(threads);
+    // Every column is built before any lookup, each by the one thread that
+    // claimed it; the lookups below only read them.
+    EXPECT_EQ(bgp.computed_columns(), topo_->num_ases());
+    EXPECT_EQ(all_lookups(*topo_, bgp, intra), expected);
+    EXPECT_EQ(bgp.computed_columns(), topo_->num_ases());
+  }
 }
 
 }  // namespace

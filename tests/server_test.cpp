@@ -360,8 +360,8 @@ TEST(ServerDaemon, StatsReplyIsParseableJson) {
 }
 
 // An operator can tell where start-up went from STATS alone: the lab build,
-// the ingress survey and the atlas bootstrap, each a part of start()'s wall
-// time.
+// the routing tables, the ingress survey and the atlas bootstrap, each a
+// part of start()'s wall time.
 TEST(ServerDaemon, StatsReportStartupPhases) {
   const auto options = small_daemon_options("startup");
   ServerDaemon daemon(options);
@@ -380,7 +380,8 @@ TEST(ServerDaemon, StatsReportStartupPhases) {
     ASSERT_TRUE(parsed.has_value()) << *stats;
     double sum = 0;
     for (const char* field :
-         {"startup_lab_s", "startup_survey_s", "startup_atlas_s"}) {
+         {"startup_lab_s", "startup_tables_s", "startup_survey_s",
+          "startup_atlas_s"}) {
       const util::Json* value = parsed->find(field);
       ASSERT_NE(value, nullptr) << field;
       ASSERT_TRUE(value->is_number()) << field;

@@ -384,6 +384,8 @@ const std::map<std::pair<std::string, std::string>, int>& lock_order_table() {
   static const std::map<std::pair<std::string, std::string>, int> kOrder = {
       {{"util", "mu"}, 0},             // StripedMap stripe mutexes.
       {{"util", "mu_"}, 0},            // Distribution.
+      {{"util", "order_mu"}, 0},       // ordered_fan_out's result slots;
+                                       // never held while a commit runs.
       {{"obs", "mu_"}, 10},            // MetricsRegistry, TraceSink.
       {{"sched", "mu_"}, 60},          // ProbeScheduler.
       {{"vpselect", "mu_"}, 70},       // IngressDiscovery.

@@ -71,11 +71,13 @@ int main(int argc, char** argv) {
   server::ServerDaemon::install_signal_handlers(&daemon);
   const server::StartupTimings startup = daemon.startup_timings();
   std::printf("revtr_serverd: listening on %s (%zu workers, tenant %s%s); "
-              "started in lab %.3f s + survey %.3f s + atlas %.3f s\n",
+              "started in lab %.3f s + tables %.3f s + survey %.3f s + "
+              "atlas %.3f s\n",
               options.socket_path.c_str(), options.workers,
               tenant.name.c_str(),
               options.remote_probing ? ", remote probing" : "",
-              startup.lab_s, startup.survey_s, startup.atlas_s);
+              startup.lab_s, startup.tables_s, startup.survey_s,
+              startup.atlas_s);
   std::fflush(stdout);
 
   daemon.wait_until_drained();
