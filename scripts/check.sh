@@ -31,8 +31,8 @@
 # demanded probes must equal issued + coalesced (the scheduler carries wire
 # probes only, so every demand is one or the other). The full
 # gate adds a serverd smoke: two 5 s daemonbench open_mixed runs through
-# daemonbench/run.py, untraced and traced, and one 2 s untraced cold_pairs
-# run (built once into .bench_build/),
+# daemonbench/run.py, untraced and traced, one 2 s untraced cold_pairs run
+# and one 3 s untraced agents_cold run (built once into .bench_build/),
 # whose JSON result lines must show a correct run with no failed, shed,
 # rejected or late request and non-zero wall, CPU, start-up and RSS figures,
 # then an external revtr_serverd that logs its start-up phases, serves one
@@ -287,15 +287,19 @@ daemonbench_smoke() {
 # (below ~2.5 s a round holds no 0.5 s window and cpu_us_per_request reads
 # 0); then one 2 s untraced cold_pairs run, where every pair is measured
 # fresh and every symmetry traceroute runs, whose `correct` also covers
-# per-pair path identity across rounds and the oracle cap; then an external
-# revtr_serverd process that logs its start-up phases and serves a
-# revtr_cli client over the socket, which must drain and exit 0 on SIGTERM.
+# per-pair path identity across rounds and the oracle cap; then one 3 s
+# untraced agents_cold run, cold_pairs with every probe executed by an
+# in-process agent through the net thread's dispatch, long enough to hold a
+# CPU window; then an external revtr_serverd process that logs its start-up
+# phases and serves a revtr_cli client over the socket, which must drain
+# and exit 0 on SIGTERM.
 serverd_smoke() {
-    echo "==> [default] serverd smoke (daemonbench open_mixed and" \
-         "cold_pairs + external daemon drain)"
+    echo "==> [default] serverd smoke (daemonbench open_mixed, cold_pairs" \
+         "and agents_cold + external daemon drain)"
     daemonbench_smoke open_mixed 5 0
     daemonbench_smoke open_mixed 5 1
     daemonbench_smoke cold_pairs 2 0
+    daemonbench_smoke agents_cold 3 0
     sock="build/serverd_smoke.sock"
     rm -f "$sock"
     ./build/tools/revtr_serverd --socket="$sock" --ases=100 --vps=6 \
@@ -322,7 +326,8 @@ serverd_smoke() {
         exit 1
     fi
     echo "serverd smoke: ok (open_mixed untraced and traced; cold_pairs" \
-         "untraced; start-up phases logged; SIGTERM drain clean)"
+         "and agents_cold untraced; start-up phases logged; SIGTERM drain" \
+         "clean)"
 }
 
 # Agent smoke: the distributed controller/agent deployment (DESIGN.md §15)

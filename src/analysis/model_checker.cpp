@@ -428,10 +428,7 @@ void run_state(const Tower& tower, const Endpoints& endpoints,
                      twin = std::move(result);
                    });
   }
-  while (executor.active() > 0) {
-    scheduler.pump(twin_world.prober);
-    executor.resume_ready();
-  }
+  while (executor.active() > 0) executor.round(&twin_world.prober);
 
   ++out.staged_twins;
   out.staged_coalesced += scheduler.stats().coalesced;

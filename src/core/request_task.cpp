@@ -36,7 +36,6 @@ RequestTask::RequestTask(RevtrEngine& engine, HostId destination,
   src_addr_ = engine_.topo_.host(source).addr;
   current_ = engine_.topo_.host(destination).addr;
   result_.hops.push_back(ReverseHop{current_, HopSource::kDestination});
-  scratch_.emplace(arena_);
 }
 
 const EngineConfig& RequestTask::config() const noexcept {
@@ -181,11 +180,12 @@ void RequestTask::supply(std::span<const sched::ProbeOutcome> outcomes) {
 // --- Main loop head: termination, atlas, RR entry ---------------------------
 
 void RequestTask::step_loop_head() {
-  // All scratch from the previous technique round is dead here: destroy the
-  // containers, recycle their memory in O(1), start the round empty.
-  scratch_.reset();
-  arena_.reset();
-  scratch_.emplace(arena_);
+  // All scratch from the previous technique round is dead here: start the
+  // round empty, keeping the capacity.
+  attempts_.clear();
+  batch_attempts_.clear();
+  revealed_.clear();
+  ts_candidates_.clear();
   if (result_.hops.size() >= config().max_reverse_hops) {
     finish();  // Undecided loop exit: status stays kUnreachable.
     return;
@@ -242,7 +242,7 @@ void RequestTask::begin_record_route() {
       open_stage("rr-cache-replay");
       // Walk the rounds as the live stage did: stop at the first that
       // makes progress for this request.
-      auto& round = scratch_->revealed;
+      auto& round = revealed_;
       std::size_t hops = 0;
       bool progressed = false;
       const auto end = entry->hops.end();
@@ -339,18 +339,17 @@ void RequestTask::begin_spoofed() {
 }
 
 void RequestTask::setup_attempts(const vpselect::PrefixPlan& plan) {
-  auto& attempts = scratch_->attempts;
-  attempts.clear();
+  attempts_.clear();
   if (config().use_ingress_selection) {
     const auto planned =
         vpselect::attempt_plan(plan, config().max_per_ingress);
-    attempts.assign(planned.begin(), planned.end());
+    attempts_.assign(planned.begin(), planned.end());
   } else {
     // revtr 1.0: try every vantage point in per-prefix set-cover order.
     const auto order = vpselect::revtr1_vp_order(plan);
-    attempts.reserve(order.size());
+    attempts_.reserve(order.size());
     for (std::size_t i = 0; i < order.size(); ++i) {
-      attempts.push_back(vpselect::Attempt{order[i], Ipv4Addr{}, i});
+      attempts_.push_back(vpselect::Attempt{order[i], Ipv4Addr{}, i});
     }
   }
   rank_failures_.clear();
@@ -359,20 +358,18 @@ void RequestTask::setup_attempts(const vpselect::PrefixPlan& plan) {
 }
 
 void RequestTask::step_spoof_emit() {
-  const auto& attempts = scratch_->attempts;
-  auto& batch_attempts = scratch_->batch_attempts;
-  if (next_attempt_ >= attempts.size()) {
+  if (next_attempt_ >= attempts_.size()) {
     if (metrics() != nullptr) metrics()->rr_miss->add();
     stage_ = Stage::kAfterRr;
     return;
   }
   open_stage("rr-spoof-batch");
-  batch_attempts.clear();
-  while (next_attempt_ < attempts.size() &&
-         batch_attempts.size() < config().batch_size) {
-    const auto& attempt = attempts[next_attempt_++];
+  batch_attempts_.clear();
+  while (next_attempt_ < attempts_.size() &&
+         batch_attempts_.size() < config().batch_size) {
+    const auto& attempt = attempts_[next_attempt_++];
     if (rank_failures_[attempt.ingress_rank] >= 5) continue;  // §4.3.
-    batch_attempts.push_back(attempt);
+    batch_attempts_.push_back(attempt);
     sched::ProbeDemand demand;
     demand.type = probing::ProbeType::kSpoofedRecordRoute;
     demand.from = attempt.vp;
@@ -381,7 +378,7 @@ void RequestTask::step_spoof_emit() {
     demand.batch_ingress = attempt.expected_ingress;
     demands_.push_back(std::move(demand));
   }
-  if (batch_attempts.empty()) {
+  if (batch_attempts_.empty()) {
     // Every remaining attempt was over its failure budget: a zero-sent
     // batch, after which the attempt list is exhausted.
     close_stage();
@@ -392,10 +389,9 @@ void RequestTask::step_spoof_emit() {
 
 void RequestTask::on_spoof_batch(
     std::span<const sched::ProbeOutcome> outcomes) {
-  auto& revealed = scratch_->revealed;
-  revealed.clear();
+  revealed_.clear();
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const auto& attempt = scratch_->batch_attempts[i];
+    const auto& attempt = batch_attempts_[i];
     const auto& probe = outcomes[i];
     charge(consumed_[i], probe);
     if (!probe.responded) {
@@ -410,22 +406,22 @@ void RequestTask::on_spoof_batch(
       ++rank_failures_[attempt.ingress_rank];
     }
     const auto hops = RevtrEngine::extract_reverse_hops(probe.slots, current_);
-    if (hops.size() > revealed.size()) {
-      revealed.assign(hops.begin(), hops.end());
+    if (hops.size() > revealed_.size()) {
+      revealed_.assign(hops.begin(), hops.end());
     }
   }
   // Spoofed replies land at the source; the controller always waits out the
   // batch timeout for stragglers (§5.2.4).
   clock_.advance(config().spoof_batch_timeout);
   ++result_.spoofed_batches;
-  annotate_stage("sent", std::to_string(scratch_->batch_attempts.size()));
+  annotate_stage("sent", std::to_string(batch_attempts_.size()));
   close_stage();
-  if (revealed.empty()) {
+  if (revealed_.empty()) {
     stage_ = Stage::kSpoofEmit;
     return;
   }
-  if (config().verify_destination_based_routing && revealed.size() >= 2 &&
-      !revealed[0].is_private()) {
+  if (config().verify_destination_based_routing && revealed_.size() >= 2 &&
+      !revealed_[0].is_private()) {
     stage_ = Stage::kDbrEmit;
     return;
   }
@@ -440,7 +436,7 @@ void RequestTask::step_dbr_emit() {
   sched::ProbeDemand demand;
   demand.type = probing::ProbeType::kSpoofedRecordRoute;
   demand.from = vps[rng_.below(vps.size())];
-  demand.target = scratch_->revealed[0];
+  demand.target = revealed_[0];
   demand.spoof_as = src_addr_;
   demands_.push_back(std::move(demand));
   stage_ = Stage::kDbrVerifyWait;
@@ -452,8 +448,8 @@ void RequestTask::on_dbr_verify(std::span<const sched::ProbeOutcome> outcomes) {
   clock_.advance(check.duration_us);
   if (check.responded) {
     const auto recheck =
-        RevtrEngine::extract_reverse_hops(check.slots, scratch_->revealed[0]);
-    if (!recheck.empty() && recheck.front() != scratch_->revealed[1]) {
+        RevtrEngine::extract_reverse_hops(check.slots, revealed_[0]);
+    if (!recheck.empty() && recheck.front() != revealed_[1]) {
       result_.dbr_suspect = true;
       annotate_stage("suspect", "1");
     }
@@ -463,8 +459,7 @@ void RequestTask::on_dbr_verify(std::span<const sched::ProbeOutcome> outcomes) {
 }
 
 void RequestTask::finish_spoof_round() {
-  const auto& revealed = scratch_->revealed;
-  if (append_rr_round(revealed, HopSource::kSpoofedRecordRoute)) {
+  if (append_rr_round(revealed_, HopSource::kSpoofedRecordRoute)) {
     if (metrics() != nullptr) metrics()->rr_spoofed_hit->add();
     stage_ = Stage::kLoopHead;
     return;
@@ -484,7 +479,7 @@ void RequestTask::step_after_rr() {
     }
     open_stage("timestamp");
     const auto adjacent = engine_.adjacencies_(current_);
-    scratch_->ts_candidates.assign(adjacent.begin(), adjacent.end());
+    ts_candidates_.assign(adjacent.begin(), adjacent.end());
     ts_index_ = 0;
     ts_tried_ = 0;
     stage_ = Stage::kTsNext;
@@ -498,9 +493,8 @@ void RequestTask::step_after_rr() {
 }
 
 void RequestTask::step_ts_next() {
-  const auto& ts_candidates = scratch_->ts_candidates;
-  while (ts_index_ < ts_candidates.size()) {
-    const Ipv4Addr adjacent = ts_candidates[ts_index_++];
+  while (ts_index_ < ts_candidates_.size()) {
+    const Ipv4Addr adjacent = ts_candidates_[ts_index_++];
     if (ts_tried_++ >= config().max_ts_adjacencies) break;
     if (adjacent.is_private() || already_in_path(adjacent)) continue;
     ts_adjacent_ = adjacent;
@@ -794,6 +788,20 @@ std::size_t RequestExecutor::resume_ready() {
     step(resolved.task, request);
   }
   return ready.size();
+}
+
+std::size_t RequestExecutor::round(probing::Prober* prober) {
+  const std::size_t issued =
+      prober != nullptr ? scheduler_.pump(*prober, owner_).issued : 0;
+  const std::size_t resumed = resume_ready();
+  if (issued == 0 && resumed == 0) {
+    // Our outcomes ride on a probe someone else executes (another owner's
+    // pump, or a remote agent), or our demands are throttled until the next
+    // round's token refill: then the wait returns at once and the next pump
+    // is that round.
+    scheduler_.wait_for_owner(owner_, /*claims=*/prober != nullptr);
+  }
+  return resumed;
 }
 
 void RequestExecutor::step(sched::ProbeScheduler::TaskId id,

@@ -42,7 +42,6 @@
 #include "core/revtr.h"
 #include "obs/trace.h"
 #include "sched/scheduler.h"
-#include "util/arena.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
 #include "util/sim_clock.h"
@@ -181,29 +180,6 @@ class RequestTask {
   std::vector<sched::ProbeDemand> demands_;
   std::vector<sched::ProbeDemand> consumed_;  // Last fulfilled demand set.
 
-  // Per-round scratch containers, bump-allocated from arena_. Everything in
-  // here is dead by the time control re-enters kLoopHead (the RR attempt
-  // list, the spoof batch, revealed hops, and TS candidates all live within
-  // one technique round), so step_loop_head() destroys the containers,
-  // resets the arena in O(1), and re-creates them empty. Destroy-then-reset
-  // is mandatory: clear() alone would leave stale capacity pointing into
-  // recycled arena memory (util/arena.h lifetime rules).
-  struct Scratch {
-    template <typename T>
-    using Vec = std::vector<T, util::ArenaAllocator<T>>;
-
-    explicit Scratch(util::Arena& arena)
-        : attempts(util::ArenaAllocator<vpselect::Attempt>(arena)),
-          batch_attempts(util::ArenaAllocator<vpselect::Attempt>(arena)),
-          revealed(util::ArenaAllocator<net::Ipv4Addr>(arena)),
-          ts_candidates(util::ArenaAllocator<net::Ipv4Addr>(arena)) {}
-
-    Vec<vpselect::Attempt> attempts;
-    Vec<vpselect::Attempt> batch_attempts;  // Parallel to demands_.
-    Vec<net::Ipv4Addr> revealed;
-    Vec<net::Ipv4Addr> ts_candidates;
-  };
-
   // RR technique state.
   std::uint64_t rr_key_ = 0;
   std::vector<RrCacheEntry::Hop> rr_reveals_;  // This key's rounds so far.
@@ -215,10 +191,15 @@ class RequestTask {
   std::size_t ts_tried_ = 0;
   net::Ipv4Addr ts_adjacent_;
 
-  // arena_ before scratch_: the containers must be destroyed before the
-  // memory they point into.
-  util::Arena arena_;
-  std::optional<Scratch> scratch_;
+  // Per-round scratch. Everything in here is dead by the time control
+  // re-enters kLoopHead (the RR attempt list, the spoof batch, revealed hops
+  // and TS candidates all live within one technique round), so
+  // step_loop_head() clears them; clear() keeps their capacity for the next
+  // round.
+  std::vector<vpselect::Attempt> attempts_;
+  std::vector<vpselect::Attempt> batch_attempts_;  // Parallel to demands_.
+  std::vector<net::Ipv4Addr> revealed_;
+  std::vector<net::Ipv4Addr> ts_candidates_;
 
   // Trace bookkeeping.
   obs::Trace::SpanId root_span_ = obs::Trace::kDroppedSpan;
@@ -228,9 +209,10 @@ class RequestTask {
 
 // Drives one owner's tasks over a shared sched::ProbeScheduler: start →
 // advance → submit, then collect → supply → advance → submit or finish.
-// The caller keeps its threads and its probing step, which it runs between
-// resume_ready() calls: scheduler.pump(prober, owner), or a dispatch to
-// remote agents. One executor per owner, used by one thread at a time.
+// A driver loop keeps only its thread and calls round(); a thread that
+// drives several owners pumps each and calls resume_ready() itself, since
+// it cannot park on one owner while another owner's probe is still
+// unclaimed. One executor per owner, used by one thread at a time.
 class RequestExecutor {
  public:
   // Gets a finished request's result and the trace given to start(). Runs
@@ -252,6 +234,15 @@ class RequestExecutor {
 
   // Resumes every request whose demand set resolved. Returns how many.
   std::size_t resume_ready();
+
+  // One turn of a driver loop: claims and executes this owner's queued
+  // demands on `prober`, resumes every request whose demand set resolved,
+  // and, when neither moved anything, parks in the scheduler until a
+  // delivery resolves one of its sets, it has a demand to claim, or
+  // ProbeScheduler::wake() is called. Without a prober (remote agents
+  // execute the demands) it claims nothing and its demands do not end the
+  // wait. Returns how many requests it resumed.
+  std::size_t round(probing::Prober* prober);
 
   // Requests started and not yet finished.
   std::size_t active() const noexcept { return active_.size(); }

@@ -170,25 +170,42 @@ void ProbeScheduler::deliver_locked(std::uint64_t set_id, std::size_t slot,
   REVTR_CHECK(set.remaining > 0);
   if (--set.remaining == 0) {
     ready_.push_back(set_id);
-    if (parked_ > 0) owner_cv_.notify_all();
+    if (const auto it = waits_.find(set.owner);
+        it != waits_.end() && it->second.parked) {
+      it->second.cv.notify_one();
+    }
   }
 }
 
-bool ProbeScheduler::owner_has_work_locked(std::size_t owner) const {
+bool ProbeScheduler::owner_has_work_locked(std::size_t owner,
+                                           bool claims) const {
   for (const std::uint64_t set_id : ready_) {
     if (sets_.at(set_id).owner == owner) return true;
   }
+  if (!claims) return false;
   for (const std::uint64_t pending_id : queue_) {
     if (pending_.at(pending_id).owner == owner) return true;
   }
   return false;
 }
 
-void ProbeScheduler::wait_for_owner(std::size_t owner) {
+void ProbeScheduler::wait_for_owner(std::size_t owner, bool claims) {
   util::MutexLock lock(mu_);
-  ++parked_;
-  while (!owner_has_work_locked(owner)) owner_cv_.wait(lock);
-  --parked_;
+  OwnerWait& wait = waits_[owner];
+  wait.parked = true;
+  while (wait.wakes_seen == wakes_ && !owner_has_work_locked(owner, claims)) {
+    wait.cv.wait(lock);
+  }
+  wait.parked = false;
+  wait.wakes_seen = wakes_;
+}
+
+void ProbeScheduler::wake() {
+  const util::MutexLock lock(mu_);
+  ++wakes_;
+  for (auto& [owner, wait] : waits_) {
+    if (wait.parked) wait.cv.notify_one();
+  }
 }
 
 std::vector<std::uint64_t> ProbeScheduler::claim_round_locked(

@@ -34,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <unordered_map>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -265,12 +266,21 @@ class ProbeScheduler {
   std::vector<Ready> collect_ready(std::size_t owner);
 
   // Parks the calling pump loop until `owner` has a resolved demand set to
-  // collect or a queued demand to claim; returns at once if it has either.
-  // For a loop whose demands all ride on probes that other owners issue:
-  // the delivery that resolves one of its sets wakes it, where a yield()
-  // loop would keep a core busy. Every owner's loop must keep pumping its
-  // own demands, since riders on them park until they are delivered.
-  void wait_for_owner(std::size_t owner) REVTR_EXCLUDES(mu_);
+  // collect, or — when it `claims` its own demands — a queued demand to
+  // claim; returns at once if it has either. For a loop whose demands all
+  // ride on probes that someone else executes: the delivery that resolves
+  // one of its sets wakes it, where a yield() loop would keep a core busy.
+  // A loop whose demands remote agents execute passes claims = false. Every
+  // owner's loop that claims must keep pumping its own demands, since riders
+  // on them park until they are delivered. A wake() since this owner's last
+  // wait returned also ends the wait. One thread at a time per owner.
+  void wait_for_owner(std::size_t owner, bool claims = true)
+      REVTR_EXCLUDES(mu_);
+
+  // Ends every wait_for_owner, current or next, of every owner: work for
+  // the pump loops arrived from outside the scheduler (a daemon's admission
+  // queue). No wake is lost to a loop that checks that work and then parks.
+  void wake() REVTR_EXCLUDES(mu_);
 
   bool idle() const;  // No queued probes and no undelivered sets.
   // Unfinished demand sets currently inside the scheduler (submitted, not
@@ -336,8 +346,9 @@ class ProbeScheduler {
                                   PumpResult& result) REVTR_REQUIRES(mu_);
   void deliver_locked(std::uint64_t set_id, std::size_t slot,
                       ProbeOutcome outcome) REVTR_REQUIRES(mu_);
-  // wait_for_owner's wake condition.
-  bool owner_has_work_locked(std::size_t owner) const REVTR_REQUIRES(mu_);
+  // wait_for_owner's wake condition, wake() aside.
+  bool owner_has_work_locked(std::size_t owner, bool claims) const
+      REVTR_REQUIRES(mu_);
   // Requeues every assignment in flight on `agent` (detach/expiry path).
   std::size_t requeue_agent_locked(AgentId agent) REVTR_REQUIRES(mu_);
 
@@ -374,9 +385,16 @@ class ProbeScheduler {
       REVTR_GUARDED_BY(mu_);
   // Completed set ids awaiting collection.
   std::deque<std::uint64_t> ready_ REVTR_GUARDED_BY(mu_);
-  // Pump loops parked in wait_for_owner; a set turning ready wakes them.
-  std::condition_variable_any owner_cv_;
-  std::size_t parked_ REVTR_GUARDED_BY(mu_) = 0;
+  // An owner's pump loop runs on one thread, so at most one loop waits per
+  // owner, and a set turning ready wakes only the loop that owns it.
+  struct OwnerWait {
+    std::condition_variable_any cv;
+    bool parked = false;
+    std::uint64_t wakes_seen = 0;  // wakes_ when its last wait returned.
+  };
+  // Node-based: a parked loop's entry stays put while other owners join.
+  std::unordered_map<std::size_t, OwnerWait> waits_ REVTR_GUARDED_BY(mu_);
+  std::uint64_t wakes_ REVTR_GUARDED_BY(mu_) = 0;  // wake() calls so far.
   // Remote dispatch state: registered agents and ticketed assignments.
   util::FlatMap<AgentId, AgentState> agents_ REVTR_GUARDED_BY(mu_);
   util::FlatMap<std::uint64_t, Assigned> assigned_ REVTR_GUARDED_BY(mu_);

@@ -252,7 +252,7 @@ void ServerDaemon::stop() {
     const util::MutexLock lock(mu_);
     stopping_ = true;
   }
-  work_cv_.notify_all();
+  scheduler_->wake();
   drained_cv_.notify_all();
   wake_net();
   for (auto& thread : threads_) thread.join();
@@ -286,7 +286,7 @@ void ServerDaemon::set_worker_hold(bool hold) {
     const util::MutexLock lock(mu_);
     worker_hold_ = hold;
   }
-  work_cv_.notify_all();
+  if (scheduler_) scheduler_->wake();
 }
 
 std::string ServerDaemon::build_stats_json() {
@@ -371,6 +371,7 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
 
   if (const Submit* submit = std::get_if<Submit>(&message)) {
     std::optional<RejectReason> reject;
+    bool was_empty = false;
     if (!conn.authed) {
       reject = RejectReason::kNotAuthenticated;
     } else if (submit->dest_index >= lab_->topo.probe_hosts().size() ||
@@ -417,6 +418,7 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
         queued.accepted_us = now;
         queue_.push(static_cast<std::size_t>(submit->priority), conn.tenant,
                     queued);
+        was_empty = queued_ == 0;
         ++queued_;
         ++counters_.accepted;
         queue_depth_->set(static_cast<std::int64_t>(queued_));
@@ -433,7 +435,12 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
     } else {
       requests_total_->add();
       tenant_metrics_[conn.tenant].requests->add();
-      work_cv_.notify_one();
+      // Only a queue that was empty needs a wake: a worker parks only
+      // after it found nothing to admit (an empty queue, itself full, or
+      // the hold, whose release wakes it), a full worker looks again once
+      // a request of its own finishes, and a wake is remembered until each
+      // worker's next wait.
+      if (was_empty) scheduler_->wake();
       conn.stream.queue(SubmitOk{submit->request_id});
     }
     return;
@@ -468,7 +475,7 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
         drained_cv_.notify_all();
       }
     }
-    work_cv_.notify_all();
+    scheduler_->wake();
     conn.awaiting_drain = true;
     return;
   }
@@ -487,10 +494,6 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
     const auto agent = scheduler_->attach_agent(reg->window, now_us());
     conn.is_agent = true;
     conn.agent = agent;
-    {
-      const util::MutexLock lock(mu_);
-      agent_conns_.emplace_back(conn.id, agent);
-    }
     // The REGISTER ack reuses HELLO_OK with the agent id in the tenant
     // field (agents are not tenants; see the frame grammar).
     HelloOk ok;
@@ -498,7 +501,6 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
     ok.server_now_us = now_us();
     ok.tenant_name = reg->name;
     conn.stream.queue(ok);
-    work_cv_.notify_all();  // Workers may have demand waiting for an agent.
     return;
   }
 
@@ -508,7 +510,6 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
       // deliver_assignment; either way the result counts as liveness.
       scheduler_->deliver_assignment(conn.agent, res->ticket, res->reply,
                                      now_us());
-      work_cv_.notify_all();
       return;
     }
     // Fall through to the protocol-violation path below.
@@ -542,6 +543,7 @@ void ServerDaemon::net_loop() {
   std::uint64_t next_conn_id = 1;
   std::vector<pollfd> fds;
   std::vector<std::uint64_t> fd_conn_ids;
+  std::vector<Conn*> agents;
 
   const auto protocol_error = [this](Conn& conn) {
     {
@@ -562,8 +564,8 @@ void ServerDaemon::net_loop() {
 
   for (;;) {
     // Convert a (possibly signal-context) drain request into the guarded
-    // draining transition.
-    if (drain_requested_.load(std::memory_order_acquire)) {
+    // draining transition, once per request.
+    if (drain_requested_.exchange(false, std::memory_order_acq_rel)) {
       {
         const util::MutexLock lock(mu_);
         draining_ = true;
@@ -572,7 +574,41 @@ void ServerDaemon::net_loop() {
           drained_cv_.notify_all();
         }
       }
-      work_cv_.notify_all();
+      scheduler_->wake();
+    }
+
+    for (auto it = conns.begin(); it != conns.end();) {
+      if (it->second.closed) {
+        // A departing agent's in-flight assignments requeue for
+        // reassignment (scheduler lock rank 60 — mu_ is not held here).
+        if (it->second.is_agent) scheduler_->detach_agent(it->second.agent);
+        it = conns.erase(it);  // Closes the socket.
+      } else {
+        ++it;
+      }
+    }
+
+    // Agent work: detach the silent agents, then hand each live agent its
+    // next assignments in registration order (agent ids rise with it), on
+    // its own stream. An expired agent's connection stays open; the
+    // scheduler gives it nothing and drops its late results as stale.
+    if (options_.remote_probing) {
+      if (options_.agent_timeout_us > 0) {
+        scheduler_->expire_agents(now_us(), options_.agent_timeout_us);
+      }
+      agents.clear();
+      for (auto& [id, conn] : conns) {
+        if (conn.is_agent) agents.push_back(&conn);
+      }
+      std::sort(agents.begin(), agents.end(), [](const Conn* a, const Conn* b) {
+        return a->agent < b->agent;
+      });
+      for (Conn* agent : agents) {
+        for (auto& assignment : scheduler_->next_assignments(agent->agent)) {
+          agent->stream.queue(
+              AgentProbe{assignment.ticket, std::move(assignment.spec)});
+        }
+      }
     }
 
     // Route completions produced by the workers to their connections.
@@ -587,7 +623,7 @@ void ServerDaemon::net_loop() {
     }
     for (Completion& completion : completions) {
       const auto it = conns.find(completion.conn_id);
-      if (it == conns.end() || it->second.closed) continue;  // Client left.
+      if (it == conns.end()) continue;  // Client left.
       Conn& conn = it->second;
       if (conn.push) {
         conn.stream.queue(completion.frame);
@@ -602,7 +638,6 @@ void ServerDaemon::net_loop() {
         c = counters_;
       }
       for (auto& [id, conn] : conns) {
-        if (conn.closed) continue;
         // Tell each agent to finish up and part ways — once; drained_now
         // stays true on every later iteration.
         if (conn.is_agent && !conn.drain_sent) {
@@ -618,26 +653,6 @@ void ServerDaemon::net_loop() {
     // and AGENT_DRAIN were routed just above: send them before closing.
     for (auto& [id, conn] : conns) flush(conn);
     if (stopping_now) break;
-
-    for (auto it = conns.begin(); it != conns.end();) {
-      if (it->second.closed) {
-        // A departing agent's in-flight assignments requeue for
-        // reassignment (scheduler lock rank 60 — mu_ is not held here).
-        if (it->second.is_agent) {
-          scheduler_->detach_agent(it->second.agent);
-          {
-            const util::MutexLock lock(mu_);
-            std::erase_if(agent_conns_, [&](const auto& entry) {
-              return entry.first == it->first;
-            });
-          }
-          work_cv_.notify_all();
-        }
-        it = conns.erase(it);  // Closes the socket.
-      } else {
-        ++it;
-      }
-    }
 
     fds.clear();
     fd_conn_ids.clear();
@@ -774,30 +789,40 @@ void ServerDaemon::worker_loop(std::size_t w) {
             /*refund=*/!measured.complete(), missed, &measured, wall_us);
   };
 
+  // Remote mode: agents execute this worker's demands, so it claims none.
+  probing::Prober* const prober =
+      options_.remote_probing ? nullptr : &stack.prober;
   for (;;) {
     std::vector<QueuedRequest> popped;
     {
-      util::MutexLock lock(mu_);
-      for (;;) {
-        if (!worker_hold_) {
-          while (queued_ > 0 && executor.active() + popped.size() <
-                                    options_.max_inflight_per_worker) {
-            auto next = queue_.pop();
-            if (!next.has_value()) break;
-            popped.push_back(*std::move(next));
-            --queued_;
-          }
+      const util::MutexLock lock(mu_);
+      if (!worker_hold_) {
+        while (queued_ > 0 && executor.active() + popped.size() <
+                                  options_.max_inflight_per_worker) {
+          auto next = queue_.pop();
+          if (!next.has_value()) break;
+          popped.push_back(*std::move(next));
+          --queued_;
         }
-        if (!popped.empty() || executor.active() > 0) break;
-        if (stopping_) return;
-        if (draining_ && queued_ == 0) return;
-        work_cv_.wait(lock);
+      }
+      if (popped.empty() && executor.active() == 0 &&
+          (stopping_ || (draining_ && queued_ == 0))) {
+        return;
       }
       inflight_count_ += popped.size();
       queue_depth_->set(static_cast<std::int64_t>(queued_));
       inflight_->set(static_cast<std::int64_t>(inflight_count_));
     }
 
+    if (popped.empty()) {
+      // Nothing to admit (the queue is empty, this worker is full, or the
+      // hold is on): drive the requests in flight. A round that moves
+      // nothing parks until one of its sets resolves or admission work
+      // wakes the scheduler. Remote mode: what resumed may have submitted
+      // demands, which the net thread hands to the agents once woken.
+      if (executor.round(prober) > 0 && prober == nullptr) wake_net();
+      continue;
+    }
     for (const QueuedRequest& meta : popped) {
       if (meta.deadline_us != 0 && now_us() >= meta.deadline_us) {
         // Deadline expired while queued: shed without measuring and hand
@@ -818,58 +843,9 @@ void ServerDaemon::worker_loop(std::size_t w) {
                        finalize(meta, measured);
                      });
     }
-
-    if (executor.active() == 0) continue;
-    // Remote mode: agents execute this worker's demands, so it dispatches
-    // instead of probing on its own stack.
-    const std::size_t issued = options_.remote_probing
-                                   ? dispatch_to_agents()
-                                   : scheduler_->pump(stack.prober, w).issued;
-    if (executor.resume_ready() == 0 && issued == 0) {
-      // Our outcomes ride on another worker's in-flight probe or are
-      // throttled until the next round's token refill (remote mode: in
-      // flight on an agent). Yield rather than spin hot.
-      std::this_thread::yield();
-    }
+    // Remote mode: the new requests' first demands go to the agents.
+    if (prober == nullptr) wake_net();
   }
-}
-
-std::size_t ServerDaemon::dispatch_to_agents() {
-  if (options_.agent_timeout_us > 0) {
-    const auto expired =
-        scheduler_->expire_agents(now_us(), options_.agent_timeout_us);
-    if (!expired.empty()) {
-      const util::MutexLock lock(mu_);
-      std::erase_if(agent_conns_, [&](const auto& entry) {
-        return std::find(expired.begin(), expired.end(), entry.second) !=
-               expired.end();
-      });
-    }
-  }
-
-  std::vector<std::pair<std::uint64_t, sched::ProbeScheduler::AgentId>> agents;
-  {
-    const util::MutexLock lock(mu_);
-    agents = agent_conns_;
-  }
-  std::size_t moved = 0;
-  for (const auto& [conn_id, agent] : agents) {
-    // Scheduler (rank 60) and frame encoding both run outside mu_.
-    const auto assignments = scheduler_->next_assignments(agent);
-    if (assignments.empty()) continue;
-    std::vector<Completion> frames;
-    frames.reserve(assignments.size());
-    for (const auto& assignment : assignments) {
-      frames.push_back(Completion{
-          conn_id, encode_frame(AgentProbe{assignment.ticket,
-                                           assignment.spec})});
-    }
-    moved += assignments.size();
-    const util::MutexLock lock(mu_);
-    for (auto& frame : frames) completions_.push_back(std::move(frame));
-  }
-  if (moved > 0) wake_net();
-  return moved;
 }
 
 }  // namespace revtr::server

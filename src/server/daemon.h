@@ -12,17 +12,28 @@
 // Thread architecture (three kinds of threads, one daemon mutex):
 //
 //   net thread    poll() event loop over the listening socket, a self-pipe,
-//                 and every client connection. Owns ALL per-connection state
-//                 (buffers, auth, pull-mode result queues) without locks —
-//                 nothing else touches a connection. Parses frames, runs
-//                 admission, enqueues accepted requests.
+//                 and every client and agent connection. Owns ALL
+//                 per-connection state (buffers, auth, pull-mode result
+//                 queues) without locks — nothing else touches a
+//                 connection. Parses frames, runs admission, enqueues
+//                 accepted requests. In remote mode it also hands out agent
+//                 work: every loop iteration expires silent agents and
+//                 queues each live agent's next assignments, in
+//                 registration order, as AGENT_PROBE frames on its stream.
 //   workers       each own a core::WorkerStack (private Network + Prober
-//                 + RevtrEngine), pop queued requests, drive them through
-//                 a core::RequestExecutor over the shared scheduler (as
-//                 campaign workers do), execute the probes their own
-//                 requests demanded on their own stack (outside the
-//                 scheduler lock), and push encoded RESULT frames back
-//                 through the completion queue.
+//                 + RevtrEngine), pop queued requests, and drive them with
+//                 core::RequestExecutor::round() over the shared scheduler,
+//                 as campaign workers do: a round executes the probes the
+//                 worker's own requests demanded on its own stack (outside
+//                 the scheduler lock; in remote mode the agents do),
+//                 resumes what resolved, and parks in the scheduler when
+//                 nothing moved. A worker runs a round only when it has
+//                 nothing to admit; a SUBMIT into an empty queue, the
+//                 hold's release, a drain and stop() wake parked workers
+//                 (ProbeScheduler::wake()). A remote-mode worker wakes the
+//                 net thread through the self-pipe once it may have
+//                 submitted demands. Workers push encoded RESULT frames
+//                 back through the completion queue.
 //   caller        start() / request_drain() / wait_until_drained() / stop().
 //   start-up      transient: start() fans its offline work out over the
 //                 process's CPUs — the routing tables
@@ -213,11 +224,6 @@ class ServerDaemon {
 
   void net_loop();
   void worker_loop(std::size_t w);
-  // Remote-mode pump replacement (any worker): expires silent agents, then
-  // encodes each live agent's next assignment batch as AGENT_PROBE
-  // completions for the net thread to flush. Returns the number of
-  // assignments moved (the workers' idle heuristic).
-  std::size_t dispatch_to_agents();
   // Handles one decoded frame from a connection. Defined in daemon.cpp on
   // the net thread's connection table.
   struct Conn;
@@ -292,16 +298,9 @@ class ServerDaemon {
 
   // --- The daemon mutex (lock rank 110; see tools/revtr_lint.cpp). ---
   mutable util::Mutex mu_;
-  std::condition_variable_any work_cv_;     // Queue became non-empty / state.
   std::condition_variable_any drained_cv_;  // drained_ flipped true.
   FairQueue<QueuedRequest> queue_ REVTR_GUARDED_BY(mu_);
   std::size_t queued_ REVTR_GUARDED_BY(mu_) = 0;
-  // Remote mode: registered agents as (conn id, scheduler agent id). The
-  // net thread adds/removes entries (register / EOF / drain); workers
-  // snapshot the list under mu_, then dispatch assignments per agent via
-  // the scheduler (rank 60 — taken after mu_ is released, never under it).
-  std::vector<std::pair<std::uint64_t, sched::ProbeScheduler::AgentId>>
-      agent_conns_ REVTR_GUARDED_BY(mu_);
   std::size_t inflight_count_ REVTR_GUARDED_BY(mu_) = 0;
   std::uint64_t next_request_index_ REVTR_GUARDED_BY(mu_) = 0;
   AdmissionController admission_ REVTR_GUARDED_BY(mu_);

@@ -109,17 +109,7 @@ ParallelCampaignReport ParallelCampaignDriver::run(
           });
     }
 
-    while (executor.active() > 0) {
-      const std::size_t issued = scheduler.pump(stack.prober, w).issued;
-      const std::size_t resumed = executor.resume_ready();
-      if (resumed == 0 && issued == 0) {
-        // Nothing issued, nothing resumed: our outcomes ride on another
-        // worker's in-flight probe (park until it is delivered) or our
-        // demands are throttled until the next round's token refill (the
-        // wait returns at once and the next pump is that round).
-        scheduler.wait_for_owner(w);
-      }
-    }
+    while (executor.active() > 0) executor.round(&stack.prober);
   };
 
   // A worker exception is rethrown after the barrier.

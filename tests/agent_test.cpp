@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -71,6 +72,18 @@ struct Signature {
   bool operator==(const Signature&) const = default;
 };
 
+// Polls `done` every millisecond for up to 30 s; true once it holds.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 // Submits `count` requests one at a time (submit, wait, next) and returns
 // their signatures. Sequential submission keeps the scheduler's coalescing
 // deterministic so the monolith/remote comparison is exact.
@@ -112,8 +125,9 @@ TEST(AgentSplit, RemoteCampaignByteIdenticalToMonolithAndI7Holds) {
   ASSERT_EQ(monolith.size(), kRequests);
 
   // Distributed deployment: same requests through a controller plus two VP
-  // agents. A small agent window forces the dispatcher to spread wire
-  // probes across both agents instead of parking on the first.
+  // agents. Both register before the first request, and the net thread
+  // hands out work in registration order, so a small agent window spreads
+  // wire probes across both: a 3-demand spoofed batch splits 2/1.
   sched::SchedulerAudit audit;
   auto options = controller_options("remote");
   options.remote_probing = true;
@@ -128,6 +142,9 @@ TEST(AgentSplit, RemoteCampaignByteIdenticalToMonolithAndI7Holds) {
     ASSERT_TRUE(daemon.start());
     std::thread thread_a([&] { a_clean = agent_a.run(); });
     std::thread thread_b([&] { b_clean = agent_b.run(); });
+    EXPECT_TRUE(eventually([&] {
+      return agent_a.agent_id() != 0 && agent_b.agent_id() != 0;
+    })) << "agents never registered";
     remote = run_campaign(options.socket_path, kRequests);
     // Drain: the controller finishes accepted work, then sends AGENT_DRAIN
     // to both agents, which exit their run loops cleanly.
@@ -189,24 +206,28 @@ TEST(AgentSplit, AgentDeathMidCampaignReassignsWithoutDoubleDelivery) {
   {
     server::ServerDaemon daemon(options);
     ASSERT_TRUE(daemon.start());
-    std::thread thread_a([&] { a_clean = agent_a.run(); });
-    // Let the doomed agent register first so it wins the initial dispatch.
-    while (agent_a.agent_id() == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    std::thread thread_b([&] { b_clean = agent_b.run(); });
-
     server::DaemonClient client;
     ASSERT_TRUE(client.connect(options.socket_path));
     ASSERT_TRUE(client.hello("demo-key").has_value());
-    // All requests up front: the doomed agent's window fills with
-    // assignments it will never answer.
+    // A fixed schedule: every request is submitted, and every first demand
+    // set queued, before any agent exists. The doomed agent registers
+    // alone, so its first dispatch takes every queued demand (up to its
+    // window) and it dies holding unanswered ones; the survivor registers
+    // after it.
     for (std::size_t i = 0; i < kRequests; ++i) {
       server::Submit request;
       request.request_id = 200 + i;
       request.dest_index = static_cast<std::uint32_t>(i);
       ASSERT_TRUE(client.submit(request)) << "request " << i;
     }
+    EXPECT_TRUE(eventually(
+        [&] { return daemon.sched_stats().demanded >= kRequests; }))
+        << "first demand sets never queued";
+    std::thread thread_a([&] { a_clean = agent_a.run(); });
+    EXPECT_TRUE(eventually([&] { return agent_a.agent_id() != 0; }))
+        << "doomed agent never registered";
+    std::thread thread_b([&] { b_clean = agent_b.run(); });
+
     // Every request resolves exactly once despite the mid-campaign death.
     std::vector<bool> seen(kRequests, false);
     for (std::size_t i = 0; i < kRequests; ++i) {
@@ -250,6 +271,65 @@ TEST(AgentSplit, AgentDeathMidCampaignReassignsWithoutDoubleDelivery) {
   const auto violations = analysis::check_scheduler(audit, options.sched);
   EXPECT_TRUE(violations.empty()) << violations.size() << " violations, e.g. "
                                   << violations.front().detail;
+}
+
+// A remote-mode worker parks while its demands wait for an agent, and new
+// admission work still wakes it: with one worker and no agent attached, a
+// second SUBMIT is started while the first request's demands sit queued,
+// and both results arrive once an agent registers.
+TEST(AgentSplit, ParkedRemoteWorkerStartsNewWorkBeforeAnyAgent) {
+  auto options = controller_options("parked");
+  options.remote_probing = true;
+  options.workers = 1;
+  agent::AgentDaemon agent(agent_options(options, "vp-late", 8));
+
+  bool clean = false;
+  std::vector<std::uint64_t> answered;
+  {
+    server::ServerDaemon daemon(options);
+    ASSERT_TRUE(daemon.start());
+    server::DaemonClient client;
+    ASSERT_TRUE(client.connect(options.socket_path));
+    ASSERT_TRUE(client.hello("demo-key").has_value());
+    const auto submit = [&client](std::uint64_t id, std::uint32_t dest) {
+      server::Submit request;
+      request.request_id = id;
+      request.dest_index = dest;
+      return client.submit(request);
+    };
+
+    // The first request's demands queue with no agent to take them, so the
+    // only worker parks.
+    ASSERT_TRUE(submit(400, 0));
+    ASSERT_TRUE(eventually([&] { return daemon.sched_stats().demanded > 0; }))
+        << "the first request never submitted demands";
+    const std::uint64_t first = daemon.sched_stats().demanded;
+    // A second SUBMIT wakes it, and it starts the second request.
+    ASSERT_TRUE(submit(401, 1));
+    EXPECT_TRUE(eventually(
+        [&] { return daemon.sched_stats().demanded > first; }))
+        << "the parked worker never started the second request";
+    EXPECT_EQ(daemon.sched_stats().issued, 0u);
+
+    std::thread thread([&] { clean = agent.run(); });
+    for (int i = 0; i < 2; ++i) {
+      std::optional<server::Result> result;
+      const auto status = client.next_result_for(result, /*timeout_ms=*/30'000);
+      EXPECT_EQ(status, server::DaemonClient::WaitStatus::kOk)
+          << "a request stayed stranded after the agent registered";
+      if (status != server::DaemonClient::WaitStatus::kOk) break;
+      EXPECT_FALSE(result->shed);
+      answered.push_back(result->request_id);
+    }
+    daemon.request_drain();
+    daemon.wait_until_drained();
+    thread.join();
+    daemon.stop();
+  }
+  std::sort(answered.begin(), answered.end());
+  EXPECT_EQ(answered, (std::vector<std::uint64_t>{400, 401}));
+  EXPECT_TRUE(clean);
+  EXPECT_GT(agent.counters().executed, 0u);
 }
 
 TEST(AgentSplit, BusyAgentStaysAliveOnResultsAlone) {

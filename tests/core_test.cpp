@@ -457,6 +457,8 @@ TEST(RequestExecutor, FinishesEachRequestOnceAsMeasureWould) {
         });
   }
   starting = false;
+  // One thread drives both owners, so it pumps each by hand: round() could
+  // park on one owner while the other's probe is still unclaimed.
   while (first.active() + second.active() > 0) {
     scheduler.pump(lab.prober, 0);
     scheduler.pump(lab.prober, 1);
@@ -540,10 +542,7 @@ TEST_F(OnDemandSurvey, StagedRequestSurveysInsideItsOwnSpan) {
                    got = std::move(result);
                    trace = std::move(back);
                  });
-  while (executor.active() > 0) {
-    scheduler.pump(staged->prober, 0);
-    executor.resume_ready();
-  }
+  while (executor.active() > 0) executor.round(&staged->prober);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(to_json(*got, staged->topo).dump(),
             to_json(want, blocking->topo).dump());
@@ -606,10 +605,7 @@ TEST_F(OnDemandSurvey, ConcurrentRequestsSurveyAPrefixOnce) {
                      results.push_back(std::move(result));
                    });
   }
-  while (executor.active() > 0) {
-    scheduler.pump(lab->prober, 0);
-    executor.resume_ready();
-  }
+  while (executor.active() > 0) executor.round(&lab->prober);
   ASSERT_EQ(results.size(), 2u);
   const auto surveyed = std::count_if(
       results.begin(), results.end(), [](const ReverseTraceroute& result) {

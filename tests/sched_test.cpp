@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -510,7 +511,11 @@ class OwnerLoop {
         scheduler.submit(resolved.task, owner_, demands(resolved.task, set));
         next_set[resolved.task] = set + 1;
       }
-      if (ready.empty() && pumped.issued == 0) std::this_thread::yield();
+      // Nothing moved: park until the other owner's pump delivers a rider
+      // (a demand of ours the window deferred ends the wait at once).
+      if (ready.empty() && pumped.issued == 0) {
+        scheduler.wait_for_owner(owner_);
+      }
     }
   }
 
@@ -568,6 +573,88 @@ TEST_F(SchedConcurrency, ConcurrentOwnerPumpsMatchOneThreadAndKeepI7) {
   const auto violations = analysis::check_scheduler(audit, options);
   EXPECT_TRUE(violations.empty()) << violations.size() << " violations, e.g. "
                                   << violations.front().detail;
+}
+
+// Runs wait_for_owner(owner, claims) on its own thread.
+class ParkedOwner {
+ public:
+  ParkedOwner(ProbeScheduler& scheduler, std::size_t owner, bool claims)
+      : thread_([this, &scheduler, owner, claims] {
+          scheduler.wait_for_owner(owner, claims);
+          returned_.store(true);
+        }) {}
+  ~ParkedOwner() { join(); }
+
+  bool returned() const { return returned_.load(); }
+  void join() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  std::atomic<bool> returned_{false};
+  std::thread thread_;
+};
+
+// Time a parked owner gets to return early, which would be a bug.
+constexpr std::chrono::milliseconds kParkGrace(50);
+
+TEST_F(SchedConcurrency, ParkedOwnerWakesWhenAnotherThreadDeliversItsSet) {
+  ProbeScheduler scheduler;
+  // Owner 0's demand rides on owner 1's identical one: owner 0 has nothing
+  // to claim and nothing ready until owner 1's pump delivers.
+  scheduler.submit(1, 1, {rr_demand(0, 0)});
+  scheduler.submit(2, 0, {rr_demand(0, 0)});
+  const Watchdog watchdog(std::chrono::seconds(30));
+  ParkedOwner parked(scheduler, 0, /*claims=*/true);
+  std::this_thread::sleep_for(kParkGrace);
+  EXPECT_FALSE(parked.returned());
+
+  EXPECT_EQ(scheduler.pump(lab_->prober, 1).issued, 1u);
+  parked.join();
+  EXPECT_TRUE(parked.returned());
+  ASSERT_EQ(scheduler.collect_ready(0).size(), 1u);
+  ASSERT_EQ(scheduler.collect_ready(1).size(), 1u);
+  EXPECT_TRUE(scheduler.idle());
+}
+
+TEST_F(SchedConcurrency, ParkedOwnerWakesOnWakeWhileNothingIsReady) {
+  ProbeScheduler scheduler;
+  {
+    const Watchdog watchdog(std::chrono::seconds(30));
+    ParkedOwner parked(scheduler, 0, /*claims=*/true);
+    std::this_thread::sleep_for(kParkGrace);
+    EXPECT_FALSE(parked.returned());
+    scheduler.wake();
+    parked.join();
+    EXPECT_TRUE(parked.returned());
+  }
+  EXPECT_TRUE(scheduler.idle());
+
+  // A wake is not lost on a loop that checked its work but has not parked
+  // yet: each owner's next wait returns at once, once.
+  scheduler.wake();
+  const Watchdog watchdog(std::chrono::seconds(30));
+  scheduler.wait_for_owner(0);
+  scheduler.wait_for_owner(1, /*claims=*/false);
+}
+
+TEST_F(SchedConcurrency, NonClaimingWaitReturnsForResolvedSetsOnly) {
+  ProbeScheduler scheduler;
+  scheduler.submit(1, 0, {rr_demand(0, 0)});
+  const Watchdog watchdog(std::chrono::seconds(30));
+  // A loop that claims its demands has work: its queued demand.
+  scheduler.wait_for_owner(0, /*claims=*/true);
+
+  // A loop whose demands remote agents execute parks on the same queue.
+  ParkedOwner parked(scheduler, 0, /*claims=*/false);
+  std::this_thread::sleep_for(kParkGrace);
+  EXPECT_FALSE(parked.returned());
+
+  // Someone else executes it; the resolved set ends the wait.
+  EXPECT_EQ(scheduler.pump(lab_->prober).issued, 1u);
+  parked.join();
+  EXPECT_TRUE(parked.returned());
+  EXPECT_EQ(scheduler.collect_ready(0).size(), 1u);
 }
 
 // --- Remote dispatcher (controller/agent split, DESIGN.md §15). ------------

@@ -422,6 +422,10 @@ TEST(ServerDaemon, DeadlineExpiredAtSubmitIsRejectedWithoutCharge) {
 
 TEST(ServerDaemon, QuotaExhaustedMidFlightThenRefundedBySheds) {
   auto options = small_daemon_options("quota");
+  // One worker that admits one request at a time: after each shed it must
+  // go back to the queue, not park while the rest wait there.
+  options.workers = 1;
+  options.max_inflight_per_worker = 1;
   TenantConfig tenant;  // Default name/key, tight request quota.
   tenant.limits.daily_limit = 3;
   options.tenants.push_back(tenant);
@@ -453,8 +457,10 @@ TEST(ServerDaemon, QuotaExhaustedMidFlightThenRefundedBySheds) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     daemon.set_worker_hold(false);
     for (int i = 0; i < 3; ++i) {
-      const auto result = client.next_result();
-      ASSERT_TRUE(result.has_value());
+      std::optional<Result> result;
+      ASSERT_EQ(client.next_result_for(result, /*timeout_ms=*/30'000),
+                DaemonClient::WaitStatus::kOk)
+          << "shed " << i << " never came back";
       EXPECT_TRUE(result->shed);
       EXPECT_TRUE(result->hops.empty());
     }
