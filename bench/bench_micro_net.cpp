@@ -111,6 +111,21 @@ void BM_SimulatedRrPing(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedRrPing);
 
+void BM_SimulatedTraceroute(benchmark::State& state) {
+  auto& lab = shared_lab();
+  const auto vp = lab.topo.vantage_points()[0];
+  const auto dest = lab.topo.probe_hosts()[0];
+  std::uint64_t packets = 0;
+  for (auto _ : state) {
+    const auto trace = lab.prober.traceroute(vp, lab.topo.host(dest).addr);
+    packets += trace.packets;
+    benchmark::DoNotOptimize(trace);
+  }
+  // One item per TTL probe, so items_per_second prices a single probe.
+  state.SetItemsProcessed(static_cast<std::int64_t>(packets));
+}
+BENCHMARK(BM_SimulatedTraceroute);
+
 void BM_ReverseTraceroute(benchmark::State& state) {
   static eval::Lab lab(micro_config());
   static bool bootstrapped = false;

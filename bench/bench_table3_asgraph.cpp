@@ -76,10 +76,10 @@ int main(int argc, char** argv) {
     auto link_correct = [&](topology::Asn from, topology::Asn via) {
       if (!lab.topo.has_as(from)) return false;
       const auto index = lab.topo.index_of(from);
-      return truth_column.next[index] == via ||
-             (truth_column.alt[index] != 0 &&
+      return truth_column.next(index) == via ||
+             (truth_column.alt(index) != 0 &&
               lab.topo.as_at(index).source_sensitive &&
-              truth_column.alt[index] == via);
+              truth_column.alt(index) == via);
     };
 
     Technique revtr, atlas_technique, fwd;

@@ -23,11 +23,18 @@ A gated metric the baseline carries must be numeric in both artifacts: a
 missing or non-numeric one fails by name, so a renamed or dropped field
 cannot pass unnoticed.
 
+The campaign's measured paths are gated exactly: each `runs[].signature`
+(matched by `workers`), `identical_sets` and
+`duplicate_heavy.identical_sets` must equal the baseline's, or the gate
+fails naming the field. A change that alters a measured path moves a
+signature even when probes per request stay within 1%; a PR that changes
+paths on purpose updates those fields in the same commit.
+
 Exit status is non-zero iff any gated metric is missing or regressed past
-its tolerance, so `scripts/check.sh` can use the script directly as a gate
-while `scripts/run_all.sh` appends `|| true` to keep full-scale runs
-advisory (full-scale numbers are only comparable when the machine is quiet;
-see README "Bench-delta gate").
+its tolerance or an exact field differs, so `scripts/check.sh` can use the
+script directly as a gate while `scripts/run_all.sh` appends `|| true` to
+keep full-scale runs advisory (full-scale numbers are only comparable when
+the machine is quiet; see README "Bench-delta gate").
 
 Baselines live in `bench/baselines/` (full-scale) and
 `bench/baselines/smoke/` (the scaled-down flags bench_smoke in check.sh
@@ -92,6 +99,44 @@ def fmt_value(value):
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return f"{value:.2f}"
+
+
+def exact_fields(doc):
+    """The exactly gated fields of an artifact, flattened: name -> value."""
+    out = {}
+    if "identical_sets" in doc:
+        out["identical_sets"] = doc["identical_sets"]
+    heavy = doc.get("duplicate_heavy")
+    if isinstance(heavy, dict) and "identical_sets" in heavy:
+        out["duplicate_heavy.identical_sets"] = heavy["identical_sets"]
+    runs = doc.get("runs")
+    for run in runs if isinstance(runs, list) else []:
+        if isinstance(run, dict) and "workers" in run and "signature" in run:
+            out[f"runs[workers={run['workers']}].signature"] = run["signature"]
+    return out
+
+
+def compare_exact(name, base_doc, fresh_doc, table):
+    """Append rows for the exact fields; return list of regression strings."""
+    base = exact_fields(base_doc)
+    fresh = exact_fields(fresh_doc)
+    regressions = []
+    for field, want in base.items():
+        got = fresh.get(field)
+        status = "exact"
+        if field not in fresh:
+            status = "MISSING"
+            regressions.append(f"{name}: exact {field} missing")
+        elif got != want:
+            status = "CHANGED"
+            regressions.append(
+                f"{name}: {field} {json.dumps(want)} -> {json.dumps(got)} "
+                "(must equal the baseline)"
+            )
+        table.append((name, field, json.dumps(want),
+                      json.dumps(got) if field in fresh else "-", "n/a",
+                      status))
+    return regressions
 
 
 def compare_artifact(name, base_doc, fresh_doc, table):
@@ -216,6 +261,7 @@ def main():
         with open(fresh_path) as fh:
             fresh_doc = json.load(fh)
         regressions += compare_artifact(name, base_doc, fresh_doc, table)
+        regressions += compare_exact(name, base_doc, fresh_doc, table)
         trajectories.append(trajectory_line(name, base_doc, fresh_doc))
         compared += 1
 

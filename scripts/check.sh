@@ -216,6 +216,32 @@ json.dump(doc, open(sys.argv[2], "w"))' build/BENCH_parallel_campaign.json \
         exit 1
     fi
     echo "bench delta: a missing gated field fails by name"
+    # A campaign that measured different paths must fail by field name,
+    # whatever its probe count: one run's signature and the duplicate-heavy
+    # identical_sets are doctored here.
+    doctored="build/bench_delta_doctored"
+    rm -rf "$doctored"
+    mkdir -p "$doctored"
+    python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+run = next(r for r in doc["runs"] if r["workers"] == 4)
+run["signature"] = str(int(run["signature"]) ^ 1)
+doc["duplicate_heavy"]["identical_sets"] = False
+json.dump(doc, open(sys.argv[2], "w"))' build/BENCH_parallel_campaign.json \
+        "$doctored/BENCH_parallel_campaign.json"
+    status=0
+    scripts/bench_delta.py --baselines bench/baselines/smoke \
+        --fresh "$doctored" >"$doctored/delta.log" 2>&1 || status=$?
+    if [ "$status" -ne 1 ] ||
+       ! grep -q 'runs\[workers=4\]\.signature .* (must equal' \
+           "$doctored/delta.log" ||
+       ! grep -q 'duplicate_heavy\.identical_sets true -> false' \
+           "$doctored/delta.log"; then
+        echo "bench smoke: bench_delta.py exited $status on an artifact" \
+             "with a doctored run signature and identical_sets" >&2
+        exit 1
+    fi
+    echo "bench delta: a changed campaign signature fails by name"
 }
 
 # revtr_lint ships its own fixture corpus (--self-test); the committed

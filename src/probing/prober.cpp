@@ -163,9 +163,9 @@ PingResult Prober::ping(topology::HostId from, Ipv4Addr target) {
   }
   const auto& sender = topo().host(from);
   Packet probe = net::make_echo_request(sender.addr, target, next_id(), 1);
-  const auto result = network_.send(probe, from);
-  out.responded = result.answered();
-  out.duration_us = out.responded ? result.rtt_us : kProbeTimeoutUs;
+  network_.send_into(probe, from, reply_);
+  out.responded = reply_.answered();
+  out.duration_us = out.responded ? reply_.rtt_us : kProbeTimeoutUs;
   event.responded = out.responded;
   notify(event);
   return out;
@@ -191,16 +191,16 @@ RrProbeResult Prober::rr_ping(topology::HostId from, Ipv4Addr target,
   const Ipv4Addr src = spoof_as.value_or(sender.addr);
   Packet probe = net::make_echo_request(src, target, next_id(), 1);
   probe.rr = net::RecordRouteOption{};
-  const auto result = network_.send(probe, from);
-  out.responded = result.answered() && result.reply->rr.has_value();
+  network_.send_into(probe, from, reply_);
+  out.responded = reply_.answered() && reply_.reply->rr.has_value();
   if (out.responded) {
-    out.slots = result.reply->rr->to_vector();
-    out.duration_us = result.rtt_us;
+    out.slots = reply_.reply->rr->to_vector();
+    out.duration_us = reply_.rtt_us;
   } else {
     out.duration_us = kProbeTimeoutUs;
   }
   event.responded = out.responded;
-  event.slots = out.slots;
+  if (observer_ != nullptr) event.slots = out.slots;
   notify(event);
   return out;
 }
@@ -252,10 +252,14 @@ void Prober::rr_ping_batch(std::span<const RrBatchItem> items,
     RrProbeResult& result = out[batch_slots_[p]];
     result.responded = reply.answered() && reply.reply->rr.has_value();
     if (result.responded) {
-      result.slots = reply.reply->rr->to_vector();
+      // assign() keeps the result's capacity from batch to batch.
+      const auto slots = reply.reply->rr->entries();
+      REVTR_CHECK(slots.size() <= net::RecordRouteOption::kMaxSlots);
+      result.slots.assign(slots.begin(), slots.end());
       result.duration_us = reply.rtt_us;
     }
   }
+  if (observer_ == nullptr) return;
   for (std::size_t i = 0; i < items.size(); ++i) {
     ProbeEvent& event = batch_events_[i];
     event.responded = out[i].responded;
@@ -274,7 +278,7 @@ TsProbeResult Prober::ts_ping(topology::HostId from, Ipv4Addr target,
   event.target = target;
   event.spoof_as = spoof_as;
   event.offline = offline();
-  event.prespec.assign(prespec.begin(), prespec.end());
+  if (observed()) event.prespec.assign(prespec.begin(), prespec.end());
   TsProbeResult out;
   if (vetoed(event)) {
     out.duration_us = kProbeTimeoutUs;
@@ -285,22 +289,22 @@ TsProbeResult Prober::ts_ping(topology::HostId from, Ipv4Addr target,
   const Ipv4Addr src = spoof_as.value_or(sender.addr);
   Packet probe = net::make_echo_request(src, target, next_id(), 1);
   probe.ts = net::TimestampOption::prespecified(prespec);
-  const auto result = network_.send(probe, from);
-  out.responded = result.answered() && result.reply->ts.has_value();
+  network_.send_into(probe, from, reply_);
+  out.responded = reply_.answered() && reply_.reply->ts.has_value();
   if (out.responded) {
-    const auto entries = result.reply->ts->entries();
+    const auto entries = reply_.reply->ts->entries();
     // The reply's option is decoded from attacker-reachable wire bytes: a
     // TS option can never carry more than kMaxEntries slots, so anything
     // larger is a codec bug, not a size to allocate.
     REVTR_CHECK(entries.size() <= net::TimestampOption::kMaxEntries);
     out.stamped.reserve(entries.size());
     for (const auto& entry : entries) out.stamped.push_back(entry.stamped);
-    out.duration_us = result.rtt_us;
+    out.duration_us = reply_.rtt_us;
   } else {
     out.duration_us = kProbeTimeoutUs;
   }
   event.responded = out.responded;
-  event.stamped = out.stamped;
+  if (observer_ != nullptr) event.stamped = out.stamped;
   notify(event);
   return out;
 }
@@ -320,13 +324,13 @@ Prober::TtlReply Prober::probe_ttl(topology::HostId from, Ipv4Addr target,
       util::mix_hash(sender.addr.value(), target.value(), 0x7aceULL));
   Packet probe = net::make_echo_request(sender.addr, target, flow_id, 7,
                                         static_cast<std::uint8_t>(ttl));
-  const auto result = network_.send(probe, from);
+  network_.send_into(probe, from, reply_);
   TtlReply reply;
-  if (result.answered()) {
-    reply.hop.addr = result.reply->src;
-    reply.hop.rtt_us = result.rtt_us;
-    reply.echo = result.reply->type == net::IcmpType::kEchoReply;
-    trace.duration_us += result.rtt_us;
+  if (reply_.answered()) {
+    reply.hop.addr = reply_.reply->src;
+    reply.hop.rtt_us = reply_.rtt_us;
+    reply.echo = reply_.reply->type == net::IcmpType::kEchoReply;
+    trace.duration_us += reply_.rtt_us;
   } else {
     trace.duration_us += kProbeTimeoutUs;
   }

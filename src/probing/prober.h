@@ -298,6 +298,10 @@ class Prober {
   const ProbeMetrics* metrics_ = nullptr;
   FaultPolicy fault_policy_;
 
+  // Every single probe's reply lands here (Network::send_into), so a warm
+  // prober forwards without allocating. A Prober serves one worker, and
+  // observers may not probe from their callback, so one is enough.
+  sim::SendResult reply_;
   // rr_ping_batch scratch, reused across batches (a Prober serves one
   // worker; no synchronization needed).
   std::vector<sim::BatchProbe> batch_probes_;

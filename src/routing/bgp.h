@@ -22,33 +22,42 @@
 
 namespace revtr::routing {
 
-// Route preference classes, higher is better.
-enum class RouteClass : std::uint8_t {
-  kNone = 0,
-  kProvider = 1,
-  kPeer = 2,
-  kCustomer = 3,
-  kOrigin = 4,
-};
-
 // Lookups are safe from any number of threads at once: each column is built
 // on first use and published once (util::LazySlots). The policy setters
 // (set_no_export, clear_no_export, set_epoch) drop cached columns and must
 // not race any lookup.
 class BgpTable {
  public:
+  // Columns hold ASNs in 16 bits, and ASNs run 1..num_ases, so a table
+  // covers at most this many ASes.
+  static constexpr std::size_t kMaxAses = 0xffff;
+
+  // Throws std::length_error when the topology has more than kMaxAses ASes.
   explicit BgpTable(const topology::Topology& topo);
 
-  // The per-destination routing column; computed lazily and cached.
+  // The width rule the constructor applies to `num_ases`.
+  static void check_as_count(std::size_t num_ases);
+
+  // The per-destination routing column; computed lazily and cached. Only
+  // the next hops are kept: one 4-byte entry per AS, so a lookup touches
+  // one cache line. The route classes and path lengths that choose them
+  // are compute_column's scratch.
   struct Column {
-    // Indexed by AS index; the ASN of the preferred next-hop AS toward the
-    // destination, 0 when unreachable, own ASN at the origin.
-    std::vector<topology::Asn> next;
-    // Equally-preferred alternate next hop, 0 when none.
-    std::vector<topology::Asn> alt;
-    // AS-path length of the chosen route (0 at the origin).
-    std::vector<std::uint16_t> path_len;
-    std::vector<RouteClass> route_class;
+    struct Entry {
+      // ASN of the preferred next-hop AS toward the destination, 0 when
+      // unreachable, own ASN at the origin.
+      std::uint16_t next = 0;
+      // Equally-preferred alternate next hop, 0 when none.
+      std::uint16_t alt = 0;
+    };
+    std::vector<Entry> entries;  // Indexed by AS index.
+
+    topology::Asn next(topology::AsIndex from) const {
+      return entries[from].next;
+    }
+    topology::Asn alt(topology::AsIndex from) const {
+      return entries[from].alt;
+    }
   };
 
   const Column& column(topology::AsIndex dest) const;
@@ -67,6 +76,11 @@ class BgpTable {
   // Empty when unreachable. Includes both endpoints.
   std::vector<topology::Asn> as_path(topology::AsIndex from,
                                      topology::AsIndex dest) const;
+
+  // The AS-path length of every AS's chosen route toward `dest`, indexed
+  // by AS index: 0 at the origin, UINT16_MAX when unreachable. Columns do
+  // not keep lengths, so this computes the column afresh (for tests).
+  std::vector<std::uint16_t> path_lengths(topology::AsIndex dest) const;
 
   // Number of columns computed so far (for tests / memory awareness).
   std::size_t computed_columns() const noexcept { return columns_.built(); }
@@ -88,7 +102,9 @@ class BgpTable {
   std::uint32_t epoch() const noexcept { return epoch_; }
 
  private:
-  void compute_column(topology::AsIndex dest, Column& column) const;
+  // Fills `column`; returns the path lengths it chose (see path_lengths).
+  std::vector<std::uint16_t> compute_column(topology::AsIndex dest,
+                                            Column& column) const;
   std::uint64_t tiebreak(topology::Asn chooser, topology::Asn candidate,
                          topology::Asn dest) const;
 

@@ -30,8 +30,8 @@ RouterId ForwardingPlane::origin_router(HostId host) const {
 Asn ForwardingPlane::next_as(AsIndex dest_as, AsIndex as_index,
                              net::Ipv4Addr src, net::Ipv4Addr dst) const {
   const auto& column = bgp_.column(dest_as);
-  const Asn best = column.next[as_index];
-  const Asn alt = column.alt[as_index];
+  const Asn best = column.next(as_index);
+  const Asn alt = column.alt(as_index);
   const auto& node = topo_.as_at(as_index);
   if (node.source_sensitive && alt != 0) {
     // Consistent per (AS, src, dst): half the sources take the alternate.
@@ -78,8 +78,9 @@ Decision ForwardingPlane::step_toward_router(RouterId current, RouterId target,
   return decision;
 }
 
-ResolvedDst ForwardingPlane::resolve(net::Ipv4Addr dst) const {
-  ResolvedDst resolved;
+PassState ForwardingPlane::begin_pass(net::Ipv4Addr dst) const {
+  PassState pass;
+  ResolvedDst& resolved = pass.dst;
   resolved.iface = topo_.interface_at(dst);
   resolved.prefix = topo_.prefix_of(dst);
   if (resolved.prefix) {
@@ -87,16 +88,57 @@ ResolvedDst ForwardingPlane::resolve(net::Ipv4Addr dst) const {
     resolved.dest_as = topo_.index_of(resolved.dest_asn);
     resolved.host = topo_.host_at(dst);
   }
-  return resolved;
+  return pass;
 }
 
 Decision ForwardingPlane::decide(RouterId current,
                                  const PacketContext& ctx) const {
-  return decide(current, ctx, resolve(ctx.dst));
+  PassState pass = begin_pass(ctx.dst);
+  return decide(current, ctx, pass);
+}
+
+const AsEgress& ForwardingPlane::egress(const topology::Router& router,
+                                        const PacketContext& ctx,
+                                        PassState& pass) const {
+  AsEgress& egress = pass.egress;
+  if (egress.as == router.as_index) return egress;
+  egress = AsEgress{};
+  egress.as = router.as_index;
+  const Asn next =
+      next_as(pass.dst.dest_as, router.as_index, ctx.src, ctx.dst);
+  if (next == 0) return egress;
+  const auto borders = topo_.border_links(router.asn, next);
+  if (borders.empty()) return egress;
+  // Among parallel interconnects, most traffic crosses a per-AS-pair
+  // primary link (shared by both directions, like geographically natural
+  // crossings), but a minority of destination prefixes egress elsewhere
+  // (hot-potato). The choice depends only on the destination, so Reverse
+  // Traceroute's destination-based assumption holds, yet forward and
+  // reverse flows of one pair can cross different routers — a real source
+  // of router-level interdomain asymmetry (§6.2).
+  const topology::PrefixId prefix = *pass.dst.prefix;
+  LinkId border = borders[0];
+  if (borders.size() > 1) {
+    const Asn low = std::min<Asn>(router.asn, next);
+    const Asn high = std::max<Asn>(router.asn, next);
+    const std::uint64_t primary = util::mix_hash(low, high, 0xa5a5);
+    if (util::mix_hash(router.asn, next, prefix) % 100 < 35) {
+      border = borders[util::mix_hash(next, prefix, 0x0ff) % borders.size()];
+    } else {
+      border = borders[primary % borders.size()];
+    }
+  }
+  const auto& link = topo_.link(border);
+  egress.link = border;
+  egress.router = topo_.router(link.router_a).asn == router.asn
+                      ? link.router_a
+                      : link.router_b;
+  return egress;
 }
 
 Decision ForwardingPlane::decide(RouterId current, const PacketContext& ctx,
-                                 const ResolvedDst& dst) const {
+                                 PassState& pass) const {
+  const ResolvedDst& dst = pass.dst;
   // A router always recognizes its own interface addresses, even when the
   // covering prefix is announced by a neighbor (interdomain /30s, Fig 4).
   if (dst.iface && dst.iface->router == current) {
@@ -105,50 +147,21 @@ Decision ForwardingPlane::decide(RouterId current, const PacketContext& ctx,
     return decision;
   }
 
-  const auto& prefix_id = dst.prefix;
-  if (!prefix_id) return Decision{};  // Unroutable (e.g. private space).
-  const Asn dest_asn = dst.dest_asn;
+  if (!dst.prefix) return Decision{};  // Unroutable (e.g. private space).
   const auto& current_router = topo_.router(current);
 
-  if (current_router.asn != dest_asn) {
-    // --- Interdomain step. ---
-    const AsIndex dest_as = dst.dest_as;
-    const AsIndex current_as = current_router.as_index;
-    const Asn next = next_as(dest_as, current_as, ctx.src, ctx.dst);
-    if (next == 0) return Decision{};
-    const auto borders = topo_.border_links(current_router.asn, next);
-    if (borders.empty()) return Decision{};
-    // Among parallel interconnects, most traffic crosses a per-AS-pair
-    // primary link (shared by both directions, like geographically natural
-    // crossings), but a minority of destination prefixes egress elsewhere
-    // (hot-potato). The choice depends only on the destination, so
-    // Reverse Traceroute's destination-based assumption holds, yet forward
-    // and reverse flows of one pair can cross different routers — a real
-    // source of router-level interdomain asymmetry (§6.2).
-    LinkId border = borders[0];
-    if (borders.size() > 1) {
-      const Asn low = std::min<Asn>(current_router.asn, next);
-      const Asn high = std::max<Asn>(current_router.asn, next);
-      const std::uint64_t primary = util::mix_hash(low, high, 0xa5a5);
-      if (util::mix_hash(current_router.asn, next, *prefix_id) % 100 < 35) {
-        border = borders[util::mix_hash(next, *prefix_id, 0x0ff) %
-                         borders.size()];
-      } else {
-        border = borders[primary % borders.size()];
-      }
-    }
-    const auto& link = topo_.link(border);
-    const RouterId our_side =
-        topo_.router(link.router_a).asn == current_router.asn ? link.router_a
-                                                              : link.router_b;
-    if (our_side == current) {
+  if (current_router.asn != dst.dest_asn) {
+    // --- Interdomain step: toward this AS's egress, then across it. ---
+    const AsEgress& out = egress(current_router, ctx, pass);
+    if (out.link == kInvalidId) return Decision{};
+    if (out.router == current) {
       Decision decision;
       decision.kind = Decision::Kind::kForwardLink;
-      decision.link = border;
-      decision.next_router = topo_.far_end(current, border);
+      decision.link = out.link;
+      decision.next_router = topo_.far_end(current, out.link);
       return decision;
     }
-    return step_toward_router(current, our_side, ctx);
+    return step_toward_router(current, out.router, ctx);
   }
 
   // --- The packet is inside the destination prefix's origin AS. ---

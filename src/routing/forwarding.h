@@ -56,17 +56,39 @@ struct ResolvedDst {
   std::optional<topology::HostId> host;
 };
 
+// Where one packet leaves one AS toward its destination's AS: the border
+// link and the router on this AS's side of it. `link` is kInvalidId when
+// the AS has no route out.
+struct AsEgress {
+  topology::AsIndex as = topology::kInvalidId;  // The AS this egress is of.
+  topology::LinkId link = topology::kInvalidId;
+  topology::RouterId router = topology::kInvalidId;
+};
+
+// What one forwarding pass works out once and reuses at every hop: the
+// destination facts, resolved when the pass starts, and the egress of the
+// AS the packet is in, resolved when the pass enters that AS. A pass stays
+// in one AS for consecutive hops, so this one-entry memo resolves each AS's
+// egress once per visit. The egress depends on the packet's source and
+// destination, so a PassState serves one pass: start each with begin_pass.
+struct PassState {
+  ResolvedDst dst;
+  AsEgress egress;
+};
+
 class ForwardingPlane {
  public:
   ForwardingPlane(const topology::Topology& topo, const BgpTable& bgp,
                   const IntraRouting& intra);
 
-  // Resolves the per-destination facts `decide` consumes at every hop.
-  ResolvedDst resolve(net::Ipv4Addr dst) const;
+  // A fresh pass toward `dst`: its destination facts resolved, no egress
+  // resolved yet.
+  PassState begin_pass(net::Ipv4Addr dst) const;
 
+  // The next step of the pass `pass` (begun for ctx.dst) at `current`.
   Decision decide(topology::RouterId current, const PacketContext& ctx,
-                  const ResolvedDst& dst) const;
-  // Convenience for single-shot queries: resolve + decide.
+                  PassState& pass) const;
+  // Convenience for single-shot queries: a fresh pass, one decision.
   Decision decide(topology::RouterId current, const PacketContext& ctx) const;
 
   // Builds every routing table the plane consults now, fanned out over
@@ -90,6 +112,11 @@ class ForwardingPlane {
   // applying the AS's source-sensitive alternate choice when configured.
   topology::Asn next_as(topology::AsIndex dest_as, topology::AsIndex as_index,
                         net::Ipv4Addr src, net::Ipv4Addr dst) const;
+
+  // The egress of `router`'s AS for this pass, from the memo when the pass
+  // resolved it at an earlier hop.
+  const AsEgress& egress(const topology::Router& router,
+                         const PacketContext& ctx, PassState& pass) const;
 
   // Chooses between ECMP next hops at `router`.
   topology::LinkId choose_link(const IntraRouting::NextHops& hops,

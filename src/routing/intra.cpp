@@ -124,8 +124,7 @@ IntraRouting::NextHops IntraRouting::next_hops(topology::RouterId from,
   const auto& from_router = topo_.router(from);
   const auto& to_router = topo_.router(to);
   if (from_router.asn != to_router.asn) return NextHops{};
-  const auto as = topo_.index_of(from_router.asn);
-  const AsMatrix& m = matrix(as);
+  const AsMatrix& m = matrix(from_router.as_index);
   return m.hops[local_index_[from] * m.size + local_index_[to]];
 }
 
@@ -134,8 +133,7 @@ std::uint16_t IntraRouting::distance(topology::RouterId from,
   const auto& from_router = topo_.router(from);
   const auto& to_router = topo_.router(to);
   if (from_router.asn != to_router.asn) return kUnreachable;
-  const auto as = topo_.index_of(from_router.asn);
-  const AsMatrix& m = matrix(as);
+  const AsMatrix& m = matrix(from_router.as_index);
   return m.dist[local_index_[from] * m.size + local_index_[to]];
 }
 

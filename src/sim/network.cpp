@@ -43,10 +43,10 @@ std::vector<RouterId> Network::ground_truth_path(Ipv4Addr from, Ipv4Addr to,
   ctx.has_options = has_options;
   ctx.packet_salt = salt * 0x9e3779b97f4a7c15ULL + 1;
 
-  const auto resolved = plane_.resolve(ctx.dst);
+  auto pass = plane_.begin_pass(ctx.dst);
   for (int hop = 0; hop < kHopLimit; ++hop) {
     path.push_back(current);
-    const auto decision = plane_.decide(current, ctx, resolved);
+    const auto decision = plane_.decide(current, ctx, pass);
     switch (decision.kind) {
       case routing::Decision::Kind::kForwardLink:
         current = decision.next_router;
@@ -167,7 +167,7 @@ std::optional<Packet> Network::router_response(const Packet& request,
 
 void Network::forward_pass(Packet packet, RouterId origin,
                            Ipv4Addr arrival_addr, bool origin_emits,
-                           PassResult& result) {
+                           routing::PassState pass, PassResult& result) {
   result.reset();
   RouterId current = origin;
   routing::PacketContext ctx;
@@ -186,7 +186,6 @@ void Network::forward_pass(Packet packet, RouterId origin,
       (std::uint64_t{packet.src.value()} << 32) ^ packet.dst.value(),
       packet.rr.has_value() ? 0x5252ULL : (packet.ts ? 0x7373ULL : 0));
 
-  const auto resolved = plane_.resolve(ctx.dst);
   for (int hop = 0; hop < kHopLimit; ++hop) {
     ++packets_forwarded_;
     result.path.push_back(current);
@@ -198,7 +197,7 @@ void Network::forward_pass(Packet packet, RouterId origin,
       return;
     }
 
-    const auto decision = plane_.decide(current, ctx, resolved);
+    const auto decision = plane_.decide(current, ctx, pass);
     if (decision.kind == routing::Decision::Kind::kDeliverRouter) {
       result.delivered = packet;
       result.router = current;
@@ -222,15 +221,11 @@ void Network::forward_pass(Packet packet, RouterId origin,
 
     const bool emitting = origin_emits && hop == 0;
     if (decision.kind == routing::Decision::Kind::kDeliverHost) {
-      const auto& host = topo_.host(decision.host);
-      // Outgoing interface into the destination subnet = gateway address.
-      Ipv4Addr egress = router.loopback;
-      if (const auto prefix = topo_.prefix_of(host.addr)) {
-        if (const auto gateway = topo_.gateway_addr(current, *prefix)) {
-          egress = *gateway;
-        }
+      // Outgoing interface into the destination subnet: the host's gateway.
+      if (!emitting) {
+        stamp_rr(packet, router, arrival_addr,
+                 topo_.host(decision.host).gateway);
       }
-      if (!emitting) stamp_rr(packet, router, arrival_addr, egress);
       result.elapsed_us += kAccessDelayUs;
       result.delivered = packet;
       result.host = decision.host;
@@ -289,17 +284,10 @@ void Network::send_into(const Packet& packet, HostId sender,
     return;
   }
 
-  const auto src_prefix = topo_.prefix_of(host.addr);
-  Ipv4Addr first_arrival = topo_.router(host.attachment).loopback;
-  if (src_prefix) {
-    if (const auto gw = topo_.gateway_addr(host.attachment, *src_prefix)) {
-      first_arrival = *gw;
-    }
-  }
-
   util::SimClock::Micros elapsed = kAccessDelayUs;
   PassResult& request_pass = pass_scratch_;
-  forward_pass(packet, host.attachment, first_arrival, false, request_pass);
+  forward_pass(packet, host.attachment, host.gateway, false,
+               plane_.begin_pass(packet.dst), request_pass);
   elapsed += request_pass.elapsed_us;
   std::swap(out.request_path, request_pass.path);
 
@@ -318,12 +306,7 @@ void Network::send_into(const Packet& packet, HostId sender,
     if (response) {
       response_origin = dest.attachment;
       elapsed += kAccessDelayUs;
-      response_arrival = topo_.router(response_origin).loopback;
-      if (const auto prefix = topo_.prefix_of(dest.addr)) {
-        if (const auto gw = topo_.gateway_addr(dest.attachment, *prefix)) {
-          response_arrival = *gw;
-        }
-      }
+      response_arrival = dest.gateway;
     }
   } else if (request_pass.delivered && request_pass.router != kInvalidId) {
     response = router_response(*request_pass.delivered,
@@ -348,7 +331,7 @@ void Network::send_into(const Packet& packet, HostId sender,
       (request_pass.delivered && request_pass.router != kInvalidId);
   PassResult& reply_pass = pass_scratch_;
   forward_pass(*response, response_origin, response_arrival, origin_emits,
-               reply_pass);
+               plane_.begin_pass(response->dst), reply_pass);
   elapsed += reply_pass.elapsed_us;
   std::swap(out.reply_path, reply_pass.path);
 

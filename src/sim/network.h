@@ -59,6 +59,12 @@ class Network {
   // to a host (otherwise the reply vanishes into the simulated Internet).
   SendResult send(const net::Packet& packet, topology::HostId sender);
 
+  // send() with the caller owning the result storage: `out`'s vectors are
+  // cleared, not reallocated, so repeated sends into the same SendResult
+  // forward packets without allocating (the prober's single probes do).
+  void send_into(const net::Packet& packet, topology::HostId sender,
+                 SendResult& out);
+
   // Steps a whole probe batch (the engine's 3-probe spoofed-RR batches)
   // through the topology in one call. Semantically identical to calling
   // send() per probe in order — the loss-rng draws happen in batch order,
@@ -135,19 +141,14 @@ class Network {
     }
   };
 
-  // send() with the caller owning the result storage: `out`'s vectors are
-  // cleared, not reallocated, so repeated sends into the same SendResult
-  // reuse their capacity (the per-probe win send_batch builds on).
-  void send_into(const net::Packet& packet, topology::HostId sender,
-                 SendResult& out);
-
-  // `origin_emits` marks a pass whose first router is the packet's own
-  // originator (a router answering a probe): it forwards without stamping,
-  // since RFC 791 stamping happens when *forwarding* a received packet.
-  // Writes into `result` (reset first), reusing its path capacity.
+  // `pass` is begun for packet.dst. `origin_emits` marks a pass whose
+  // first router is the packet's own originator (a router answering a
+  // probe): it forwards without stamping, since RFC 791 stamping happens
+  // when *forwarding* a received packet. Writes into `result` (reset
+  // first), reusing its path capacity.
   void forward_pass(net::Packet packet, topology::RouterId origin,
                     net::Ipv4Addr arrival_addr, bool origin_emits,
-                    PassResult& result);
+                    routing::PassState pass, PassResult& result);
 
   void stamp_rr(net::Packet& packet, const topology::Router& router,
                 net::Ipv4Addr arrival_addr, net::Ipv4Addr egress_addr) const;

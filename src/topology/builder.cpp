@@ -43,7 +43,7 @@ class BuildContext {
     place_vantage_points();
     place_probe_hosts();
     topo_.router_gateways_.resize(topo_.routers_.size());
-    for (const auto& [key, gateway] : topo_.gateway_map_) {
+    for (const auto& [key, gateway] : gateway_map_) {
       topo_.router_gateways_[static_cast<RouterId>(key >> 32)].push_back(
           gateway);
     }
@@ -261,13 +261,13 @@ class BuildContext {
   // a gateway address.
   net::Ipv4Addr gateway_for(RouterId router, PrefixId prefix_id) {
     const std::uint64_t key = (std::uint64_t{router} << 32) | prefix_id;
-    const auto it = topo_.gateway_map_.find(key);
-    if (it != topo_.gateway_map_.end()) return it->second;
+    const auto it = gateway_map_.find(key);
+    if (it != gateway_map_.end()) return it->second;
     std::uint32_t& next_gateway_slot = gateway_cursor_[prefix_id];
     const std::uint32_t slot =
         1 + (next_gateway_slot++ % (AddressPlan::kGatewaySlots - 1));
     const net::Ipv4Addr addr = topo_.prefixes_[prefix_id].prefix.at(slot);
-    topo_.gateway_map_[key] = addr;
+    gateway_map_[key] = addr;
     topo_.interface_map_.try_emplace(addr,
                                      InterfaceOwner{router, kInvalidId});
     return addr;
@@ -304,9 +304,9 @@ class BuildContext {
       host.alias = take_loopback(as);
       topo_.host_map_[host.alias] = host.id;
     }
-    // Ensure the access router has a gateway interface in this prefix so
-    // traceroutes and RR probes see a plausible last hop.
-    gateway_for(host.attachment, prefix_id);
+    // The access router's gateway interface in this prefix, so traceroutes
+    // and RR probes see a plausible last hop.
+    host.gateway = gateway_for(host.attachment, prefix_id);
     topo_.host_map_[host.addr] = host.id;
     topo_.prefix_hosts_[prefix_id].push_back(host.id);
     topo_.hosts_.push_back(std::move(host));
@@ -409,6 +409,8 @@ class BuildContext {
   std::vector<InfraState> infra_;
   std::unordered_map<PrefixId, std::uint32_t> prefix_cursor_;
   std::unordered_map<PrefixId, std::uint32_t> gateway_cursor_;
+  // (router << 32 | prefix) -> gateway address.
+  util::FlatMap<std::uint64_t, net::Ipv4Addr> gateway_map_;
 };
 
 }  // namespace detail

@@ -105,14 +105,6 @@ std::span<const LinkId> Topology::border_links(Asn from, Asn to) const {
   return it->second;
 }
 
-std::optional<net::Ipv4Addr> Topology::gateway_addr(RouterId router,
-                                                    PrefixId prefix) const {
-  const auto it =
-      gateway_map_.find((std::uint64_t{router} << 32) | prefix);
-  if (it == gateway_map_.end()) return std::nullopt;
-  return it->second;
-}
-
 std::span<const HostId> Topology::hosts_in_prefix(PrefixId prefix) const {
   if (prefix >= prefix_hosts_.size()) return {};
   return prefix_hosts_[prefix];

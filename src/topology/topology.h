@@ -68,10 +68,6 @@ class Topology {
   // peer at multiple locations; which one a packet crosses depends on the
   // destination, which is a real source of router-level path asymmetry.
   std::span<const LinkId> border_links(Asn from, Asn to) const;
-  // Gateway address of `router` within customer prefix `prefix` (the address
-  // it stamps when forwarding into the destination subnet), if allocated.
-  std::optional<net::Ipv4Addr> gateway_addr(RouterId router,
-                                            PrefixId prefix) const;
 
   // --- Measurement inventory. ---
   std::span<const HostId> vantage_points() const noexcept { return vps_; }
@@ -113,8 +109,6 @@ class Topology {
   net::PrefixTrie<PrefixId> prefix_trie_;
   // (from_as << 32 | to_as) -> parallel interconnect links.
   util::FlatMap<std::uint64_t, std::vector<LinkId>> border_links_;
-  // (router << 32 | prefix) -> gateway address.
-  util::FlatMap<std::uint64_t, net::Ipv4Addr> gateway_map_;
   std::vector<std::vector<net::Ipv4Addr>> router_gateways_;  // By RouterId.
   std::vector<std::vector<HostId>> prefix_hosts_;  // Indexed by PrefixId.
 

@@ -131,6 +131,10 @@ struct Host {
   net::Ipv4Addr addr;
   Asn asn = 0;
   RouterId attachment = kInvalidId;  // Access router.
+  // The access router's gateway interface in the host's subnet, fixed at
+  // build: the host's packets arrive at the router there, and the router
+  // forwards into the subnet from there.
+  net::Ipv4Addr gateway;
 
   bool ping_responsive = true;
   bool rr_responsive = true;  // Replies to packets carrying IP options.

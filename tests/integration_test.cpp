@@ -102,14 +102,14 @@ TEST(NoExport, SuppressedProviderLosesDirectRoute) {
     const auto& column = lab.bgp.column(origin);
     const auto p1_index = lab.topo.index_of(p1);
     // p1 must not route straight into the origin anymore.
-    EXPECT_NE(column.next[p1_index], node.asn);
+    EXPECT_NE(column.next(p1_index), node.asn);
     // The origin is still reachable from p1 (via the other provider).
-    EXPECT_NE(column.next[p1_index], 0u);
+    EXPECT_NE(column.next(p1_index), 0u);
     // And cleanup restores the direct route... usually; at minimum the
     // column changes back deterministically.
     lab.bgp.clear_no_export(origin);
     const auto& restored = lab.bgp.column(origin);
-    EXPECT_EQ(restored.next[p1_index], node.asn);
+    EXPECT_EQ(restored.next(p1_index), node.asn);
     return;
   }
   GTEST_SKIP() << "no multihomed stub";
@@ -128,7 +128,7 @@ TEST(NoExport, SuppressingAllProvidersOfSingleHomedStubKillsReachability) {
     std::size_t reachable = 0;
     for (topology::AsIndex a = 0; a < lab.topo.num_ases(); ++a) {
       if (a == origin) continue;
-      reachable += column.next[a] != 0;
+      reachable += column.next(a) != 0;
     }
     EXPECT_EQ(reachable, 0u) << "withdrawn stub still reachable";
     lab.bgp.clear_no_export(origin);

@@ -2,7 +2,11 @@
 #include <memory>
 
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "net/ip_options.h"
 #include "probing/prober.h"
@@ -10,9 +14,45 @@
 #include "routing/forwarding.h"
 #include "sim/network.h"
 #include "topology/builder.h"
+#include "util/rng.h"
+
+// Heap blocks allocated on the counting thread while an AllocationCount is
+// alive. The replacement operator new below counts every ordinary and array
+// allocation of this binary (the aligned forms are not used on these paths);
+// under ASan/UBSan it still allocates through the sanitizer's malloc.
+namespace {
+thread_local bool counting_allocations = false;
+thread_local std::size_t allocated_blocks = 0;
+}  // namespace
+
+// GCC sees free() release what its builtin operator new returned once the
+// replacement pair is inlined; here both sides are malloc/free.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  if (counting_allocations) ++allocated_blocks;
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+#pragma GCC diagnostic pop
 
 namespace revtr::probing {
 namespace {
+
+class AllocationCount {
+ public:
+  AllocationCount() {
+    allocated_blocks = 0;
+    counting_allocations = true;
+  }
+  ~AllocationCount() { counting_allocations = false; }
+  AllocationCount(const AllocationCount&) = delete;
+  AllocationCount& operator=(const AllocationCount&) = delete;
+
+  std::size_t blocks() const noexcept { return allocated_blocks; }
+};
 
 using topology::HostId;
 using topology::Topology;
@@ -396,6 +436,93 @@ TEST_F(ProbingFixture, LastHopScanListsProbedTtlsEndingAtTheTarget) {
   EXPECT_EQ(prober.counters().traceroutes, 2u);
   EXPECT_EQ(prober.counters().traceroute_packets,
             full.packets + scan.packets);
+}
+
+// --------------------------------------------------------------------------
+// Warm single probes allocate nothing beyond their results
+// --------------------------------------------------------------------------
+
+// The blocks push_back takes to grow an empty vector of `T` to `n` elements.
+template <typename T>
+std::size_t push_back_blocks(std::size_t n) {
+  std::vector<T> grown;
+  const AllocationCount count;
+  for (std::size_t i = 0; i < n; ++i) grown.emplace_back();
+  return count.blocks();
+}
+
+TEST_F(ProbingFixture, WarmSingleProbesAllocateOnlyTheirResults) {
+  // A private network and prober: every allocation below is theirs.
+  sim::Network network(*topo_, *plane_, 5);
+  Prober prober(network);
+  util::Rng rng(3);
+  std::vector<std::pair<HostId, net::Ipv4Addr>> pairs;
+  const auto vps = topo_->vantage_points();
+  for (int i = 0; i < 1000; ++i) {
+    pairs.emplace_back(
+        vps[rng.below(vps.size())],
+        topo_->hosts()[rng.below(topo_->num_hosts())].addr);
+  }
+  // Warm-up: every routing column and intra-AS matrix these probes cross
+  // is built, and the prober's reply scratch has its capacity.
+  for (const auto& [from, target] : pairs) {
+    prober.rr_ping(from, target);
+    prober.ping(from, target);
+    prober.traceroute(from, target);
+  }
+
+  std::size_t with_slots = 0;
+  std::size_t blocks = 0;
+  {
+    const AllocationCount count;
+    for (const auto& [from, target] : pairs) {
+      with_slots += !prober.rr_ping(from, target).slots.empty();
+    }
+    blocks = count.blocks();
+  }
+  // One block per RR ping whose reply carried slots: the result's slots.
+  EXPECT_GT(with_slots, pairs.size() / 4);
+  EXPECT_EQ(blocks, with_slots);
+
+  std::size_t answered = 0;
+  {
+    const AllocationCount count;
+    for (const auto& [from, target] : pairs) {
+      answered += prober.ping(from, target).responded;
+    }
+    blocks = count.blocks();
+  }
+  EXPECT_GT(answered, pairs.size() / 4);
+  EXPECT_EQ(blocks, 0u);
+
+  // A traceroute allocates its result's hop list and nothing else.
+  std::size_t trace_blocks = 0;
+  std::size_t hop_list_blocks = 0;
+  for (const auto& [from, target] : pairs) {
+    TracerouteResult trace;
+    {
+      const AllocationCount count;
+      trace = prober.traceroute(from, target);
+      trace_blocks += count.blocks();
+    }
+    hop_list_blocks += push_back_blocks<TracerouteHop>(trace.hops.size());
+  }
+  EXPECT_GT(trace_blocks, 0u);
+  EXPECT_EQ(trace_blocks, hop_list_blocks);
+
+  // Inside sim::Network: none at all into a warm SendResult.
+  sim::SendResult reply;
+  for (int round = 0; round < 2; ++round) {  // A warm-up round, then the count.
+    const AllocationCount count;
+    for (const auto& [from, target] : pairs) {
+      net::Packet probe = net::make_echo_request(topo_->host(from).addr,
+                                                 target, 1, 1);
+      probe.rr = net::RecordRouteOption{};
+      network.send_into(probe, from, reply);
+    }
+    blocks = count.blocks();
+  }
+  EXPECT_EQ(blocks, 0u);
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ TEST_P(ShapeSweep, TopologyAndRoutingInvariants) {
     const auto& column = lab.bgp.column(dest);
     for (topology::AsIndex from = 0; from < lab.topo.num_ases(); ++from) {
       if (from == dest) continue;
-      ASSERT_NE(column.next[from], 0u)
+      ASSERT_NE(column.next(from), 0u)
           << ases << " ASes: " << from << " cannot reach " << dest;
     }
   }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <latch>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,7 +70,7 @@ TEST_F(RoutingFixture, EveryAsReachesEveryDestination) {
     const auto& column = bgp_->column(dest);
     for (AsIndex from = 0; from < topo_->num_ases(); ++from) {
       if (from == dest) continue;
-      EXPECT_NE(column.next[from], 0u)
+      EXPECT_NE(column.next(from), 0u)
           << "AS " << topo_->as_at(from).asn << " cannot reach AS "
           << topo_->as_at(dest).asn;
     }
@@ -81,7 +82,7 @@ TEST_F(RoutingFixture, NextHopIsAnActualNeighbor) {
   const auto& column = bgp_->column(dest);
   for (AsIndex from = 0; from < topo_->num_ases(); ++from) {
     if (from == dest) continue;
-    const Asn next = column.next[from];
+    const Asn next = column.next(from);
     const auto& node = topo_->as_at(from);
     const bool neighbor =
         std::find(node.providers.begin(), node.providers.end(), next) !=
@@ -108,14 +109,34 @@ TEST_F(RoutingFixture, AsPathsAreLoopFree) {
 }
 
 TEST_F(RoutingFixture, PathLengthsConsistentWithNextHops) {
+  // The lengths compute_column chose against the path its stored next hops
+  // walk.
   const AsIndex dest = 5;
-  const auto& column = bgp_->column(dest);
+  const auto lengths = bgp_->path_lengths(dest);
+  ASSERT_EQ(lengths.size(), topo_->num_ases());
+  EXPECT_EQ(lengths[dest], 0u);
   for (AsIndex from = 0; from < topo_->num_ases(); ++from) {
     if (from == dest) continue;
     const auto path = bgp_->as_path(from, dest);
     ASSERT_FALSE(path.empty());
-    EXPECT_EQ(path.size(), column.path_len[from] + 1u);
+    EXPECT_EQ(path.size(), lengths[from] + 1u);
   }
+}
+
+TEST(BgpTableWidth, RefusesMoreAsesThanSixteenBitColumnsHold) {
+  // ASNs run 1..num_ases and columns keep them in 16 bits.
+  static_assert(BgpTable::kMaxAses == 65535);
+  static_assert(sizeof(BgpTable::Column::Entry) == 4);
+  EXPECT_NO_THROW(BgpTable::check_as_count(0));
+  EXPECT_NO_THROW(BgpTable::check_as_count(65535));
+  EXPECT_THROW(BgpTable::check_as_count(65536), std::length_error);
+  EXPECT_THROW(BgpTable::check_as_count(std::size_t{1} << 32),
+               std::length_error);
+  // The widest ASN a column stores reads back whole.
+  BgpTable::Column column;
+  column.entries.push_back({65535, 65534});
+  EXPECT_EQ(column.next(0), 65535u);
+  EXPECT_EQ(column.alt(0), 65534u);
 }
 
 TEST_F(RoutingFixture, ValleyFreePaths) {
@@ -156,9 +177,46 @@ TEST_F(RoutingFixture, AltRoutesShareClassAndLength) {
   const AsIndex dest = 2;
   const auto& column = bgp_->column(dest);
   for (AsIndex from = 0; from < topo_->num_ases(); ++from) {
-    if (column.alt[from] == 0) continue;
-    EXPECT_NE(column.alt[from], column.next[from]);
+    if (column.alt(from) == 0) continue;
+    EXPECT_NE(column.alt(from), column.next(from));
   }
+}
+
+// FNV-1a over every next_hop / alt_next_hop pair, destinations outer.
+std::uint64_t table_digest(const Topology& topo, const BgpTable& bgp) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint32_t value) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (AsIndex dest = 0; dest < topo.num_ases(); ++dest) {
+    for (AsIndex from = 0; from < topo.num_ases(); ++from) {
+      mix(bgp.next_hop(dest, from));
+      mix(bgp.alt_next_hop(dest, from));
+    }
+  }
+  return hash;
+}
+
+// Pins every routing decision across changes to how columns are stored.
+TEST_F(RoutingFixture, TableDigestIsPinned) {
+  EXPECT_EQ(table_digest(*topo_, *bgp_), 390117000094392696ULL);
+}
+
+TEST(RoutingDigest, DaemonDeploymentTableDigestIsPinned) {
+  // daemonbench's fixed deployment (daemonbench/daemon_bench.cpp).
+  TopologyConfig config;
+  config.seed = 7;
+  config.num_ases = 800;
+  config.num_vps = 30;
+  config.num_vps_2016 = 10;
+  config.num_probe_hosts = std::size_t{1} << 20;
+  const Topology topo = TopologyBuilder::build(config);
+  const BgpTable bgp(topo);
+  bgp.build_all(2);
+  EXPECT_EQ(table_digest(topo, bgp), 5697733948953508049ULL);
 }
 
 TEST_F(RoutingFixture, ColumnsAreLazilyCachedAndStable) {

@@ -2,10 +2,13 @@
 #include <memory>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "routing/forwarding.h"
 #include "sim/network.h"
 #include "topology/builder.h"
+#include "util/rng.h"
 
 namespace revtr::sim {
 namespace {
@@ -377,6 +380,151 @@ TEST_F(SimFixture, PacketsForwardedGrows) {
   network.send(probe, vp);
   EXPECT_GT(network.packets_forwarded(), before);
   EXPECT_EQ(network.probes_injected(), 1u);
+}
+
+// --------------------------------------------------------------------------
+// Differential forwarding: every pass against fresh single-shot decisions
+// --------------------------------------------------------------------------
+
+// Every forwarding hazard switched up: source-sensitive ASes and routers,
+// load balancers (per-packet for option packets, per-flow otherwise) and
+// ECMP to balance over. Parallel border links between AS pairs and /30s
+// owned by the neighbour (Fig 4) come with every topology. No AS filters
+// options, so every RR probe runs its whole path.
+TopologyConfig hazard_config() {
+  TopologyConfig config;
+  config.seed = 5;
+  config.num_ases = 120;
+  config.num_vps = 10;
+  config.num_vps_2016 = 4;
+  config.num_probe_hosts = 40;
+  config.as_source_sensitive = 0.4;
+  config.router_source_sensitive = 0.3;
+  config.router_per_packet_lb = 0.3;
+  config.intra_extra_edge_prob = 0.6;
+  config.as_filters_options = 0.0;
+  return config;
+}
+
+// The router path single-shot decide() calls walk from `start`: each call
+// resolves the destination and the egress afresh and keeps nothing.
+std::vector<topology::RouterId> walk(const routing::ForwardingPlane& plane,
+                                     topology::RouterId start,
+                                     const routing::PacketContext& ctx) {
+  std::vector<topology::RouterId> path;
+  topology::RouterId current = start;
+  for (int hop = 0; hop < Network::kHopLimit; ++hop) {
+    path.push_back(current);
+    const auto decision = plane.decide(current, ctx);
+    if (decision.kind != routing::Decision::Kind::kForwardLink) break;
+    current = decision.next_router;
+  }
+  return path;
+}
+
+// The context Network's forwarding pass gives `packet` (its per-packet
+// balancing salt is a function of the network seed and the packet).
+routing::PacketContext probe_context(const Packet& packet,
+                                     std::uint64_t seed) {
+  routing::PacketContext ctx;
+  ctx.src = packet.src;
+  ctx.dst = packet.dst;
+  ctx.flow_key = packet.flow_key();
+  ctx.has_options = packet.has_options();
+  ctx.packet_salt = util::mix_hash(
+      seed, (std::uint64_t{packet.src.value()} << 32) ^ packet.dst.value(),
+      packet.rr ? 0x5252ULL : (packet.ts ? 0x7373ULL : 0));
+  return ctx;
+}
+
+TEST(DifferentialForwarding, PassesMatchFreshDecisionsHopByHop) {
+  const Topology topo = TopologyBuilder::build(hazard_config());
+  const routing::BgpTable bgp(topo);
+  const routing::IntraRouting intra(topo);
+  const routing::ForwardingPlane plane(topo, bgp, intra);
+  constexpr std::uint64_t kSeed = 9;
+  Network network(topo, plane, kSeed);
+
+  // The hazards exist in this topology.
+  std::size_t parallel_pairs = 0, neighbour_owned = 0;
+  for (const auto& node : topo.ases()) {
+    for (const auto* neighbours : {&node.providers, &node.peers}) {
+      for (const topology::Asn neighbour : *neighbours) {
+        parallel_pairs += topo.border_links(node.asn, neighbour).size() > 1;
+      }
+    }
+  }
+  for (const auto& link : topo.links()) {
+    if (!link.interdomain) continue;
+    for (const Ipv4Addr addr : {link.addr_a, link.addr_b}) {
+      const auto owner = topo.interface_at(addr);
+      neighbour_owned += owner && topo.as_of(addr) &&
+                         *topo.as_of(addr) != topo.router(owner->router).asn;
+    }
+  }
+  ASSERT_GT(parallel_pairs, 0u);
+  ASSERT_GT(neighbour_owned, 0u);
+
+  util::Rng rng(17);
+  const auto random_dst = [&]() -> Ipv4Addr {
+    switch (rng.below(3)) {
+      case 0:
+        return topo.hosts()[rng.below(topo.num_hosts())].addr;
+      case 1:
+        return topo.routers()[rng.below(topo.num_routers())].loopback;
+      default: {
+        const auto& link = topo.links()[rng.below(topo.num_links())];
+        return rng.below(2) == 0 ? link.addr_a : link.addr_b;
+      }
+    }
+  };
+
+  constexpr int kCases = 10'000;
+  std::size_t replies = 0, hazard_hops = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const auto sender =
+        static_cast<HostId>(rng.below(topo.num_hosts()));
+    const Ipv4Addr from = topo.host(sender).addr;
+    const Ipv4Addr to = random_dst();
+    const auto flow = static_cast<std::uint16_t>(rng.below(1u << 16));
+    const bool rr = (i & 1) != 0;
+    SCOPED_TRACE("case " + std::to_string(i) + ": " + from.to_string() +
+                 " -> " + to.to_string() + " flow " + std::to_string(flow) +
+                 (rr ? " rr" : ""));
+    const topology::RouterId start = topo.host(sender).attachment;
+
+    // Oracle ground truth (ground_truth_path's own context).
+    routing::PacketContext truth;
+    truth.src = from;
+    truth.dst = to;
+    truth.flow_key = flow;
+    truth.has_options = rr;
+    truth.packet_salt = flow * 0x9e3779b97f4a7c15ULL + 1;
+    const auto expected_truth = walk(plane, start, truth);
+    ASSERT_EQ(network.ground_truth_path(from, to, flow, rr), expected_truth);
+
+    // The probe's request and reply passes. TTL 255 outlasts the hop limit,
+    // so the request pass ends where the walk does.
+    Packet probe = net::make_echo_request(from, to, flow, 1, 255);
+    if (rr) probe.rr = net::RecordRouteOption{};
+    const auto result = network.send(probe, sender);
+    const auto expected_request =
+        walk(plane, start, probe_context(probe, kSeed));
+    ASSERT_EQ(result.request_path, expected_request);
+    for (const topology::RouterId hop : expected_request) {
+      const auto& router = topo.router(hop);
+      hazard_hops += router.per_packet_lb || router.source_sensitive ||
+                     topo.as_at(router.as_index).source_sensitive;
+    }
+    if (!result.answered()) continue;
+    ++replies;
+    ASSERT_FALSE(result.reply_path.empty());
+    ASSERT_EQ(result.reply_path,
+              walk(plane, result.reply_path.front(),
+                   probe_context(*result.reply, kSeed)));
+  }
+  EXPECT_GT(replies, static_cast<std::size_t>(kCases) / 4);
+  EXPECT_GT(hazard_hops, static_cast<std::size_t>(kCases));
 }
 
 }  // namespace

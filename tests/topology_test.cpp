@@ -323,9 +323,12 @@ TEST_F(TopologyFixture, GatewayAddressesInsideCustomerPrefix) {
   for (const auto& host : topo_->hosts()) {
     const auto prefix = topo_->prefix_of(host.addr);
     ASSERT_TRUE(prefix);
-    const auto gateway = topo_->gateway_addr(host.attachment, *prefix);
-    ASSERT_TRUE(gateway);
-    EXPECT_TRUE(topo_->prefix(*prefix).prefix.contains(*gateway));
+    EXPECT_TRUE(topo_->prefix(*prefix).prefix.contains(host.gateway));
+    EXPECT_EQ(topo_->prefix_of(host.gateway), prefix);
+    // ...on the host's access router.
+    const auto owner = topo_->interface_at(host.gateway);
+    ASSERT_TRUE(owner);
+    EXPECT_EQ(owner->router, host.attachment);
   }
 }
 
