@@ -63,6 +63,7 @@ SchedMetrics::SchedMetrics(obs::MetricsRegistry& registry) {
   coalesced = &registry.counter("revtr_probes_coalesced_total");
   throttled = &registry.counter("revtr_sched_vp_throttled_total");
   spoof_batches = &registry.counter("revtr_sched_spoof_batches_total");
+  parks = &registry.counter("revtr_sched_parks_total");
   queue_depth = &registry.gauge("revtr_sched_queue_depth");
 }
 
@@ -191,20 +192,58 @@ bool ProbeScheduler::owner_has_work_locked(std::size_t owner,
 
 void ProbeScheduler::wait_for_owner(std::size_t owner, bool claims) {
   util::MutexLock lock(mu_);
-  OwnerWait& wait = waits_[owner];
+  const auto [it, first] = waits_.try_emplace(owner);
+  OwnerWait& wait = it->second;
+  if (first) wait.woken = woken_before_;
   wait.parked = true;
-  while (wait.wakes_seen == wakes_ && !owner_has_work_locked(owner, claims)) {
+  while (!wait.woken && !owner_has_work_locked(owner, claims)) {
+    if (metrics_ != nullptr) metrics_->parks->add();
     wait.cv.wait(lock);
   }
   wait.parked = false;
-  wait.wakes_seen = wakes_;
+  wait.woken = false;
 }
 
 void ProbeScheduler::wake() {
   const util::MutexLock lock(mu_);
-  ++wakes_;
+  woken_before_ = true;
   for (auto& [owner, wait] : waits_) {
+    wait.woken = true;
     if (wait.parked) wait.cv.notify_one();
+  }
+}
+
+void ProbeScheduler::wake_one(std::size_t except) {
+  const util::MutexLock lock(mu_);
+  woken_before_ = true;
+  // Unresolved demand sets per parked candidate: a parked loop's requests
+  // all wait in the scheduler, so this is how many it has in flight.
+  OwnerWait* chosen = nullptr;
+  std::size_t chosen_owner = 0;
+  std::size_t chosen_sets = 0;
+  for (auto& [owner, wait] : waits_) {
+    if (owner == except) continue;
+    if (!wait.parked) {
+      wait.woken = true;
+      continue;
+    }
+    if (wait.woken) continue;  // Already on its way out of the wait.
+    std::size_t sets = 0;
+    if (!sets_.empty()) {  // An empty table still scans every slot.
+      for (const auto& entry : sets_) {
+        if (entry.second.owner == owner) ++sets;
+      }
+    }
+    if (chosen == nullptr || sets < chosen_sets ||
+        (sets == chosen_sets && owner < chosen_owner)) {
+      chosen = &wait;
+      chosen_owner = owner;
+      chosen_sets = sets;
+    }
+  }
+  if (chosen != nullptr) {
+    chosen->woken = true;
+    chosen->cv.notify_one();
   }
 }
 
@@ -255,13 +294,15 @@ void ProbeScheduler::account_and_deliver_locked(std::uint64_t pending_id,
   }
 
   const std::uint64_t issue_id = next_issue_++;
-  const std::uint64_t digest = outcome.digest();
   ++stats_.issued;
   if (metrics_ != nullptr) metrics_->issued->add();
   ++result.issued;
+  // Only the audit reads digests; hashing every outcome without one is waste.
   if (audit_ != nullptr) {
-    audit_->issues.push_back(SchedulerAudit::Issue{
-        issue_id, pending.key, issue_round, pending.demand.from, digest});
+    audit_->issues.push_back(SchedulerAudit::Issue{issue_id, pending.key,
+                                                   issue_round,
+                                                   pending.demand.from,
+                                                   outcome.digest()});
   }
 
   // First waiter is the demand that caused the wire probe; the rest are

@@ -114,6 +114,7 @@ struct SchedMetrics {
   obs::Counter* coalesced;     // revtr_probes_coalesced_total
   obs::Counter* throttled;     // revtr_sched_vp_throttled_total
   obs::Counter* spoof_batches; // revtr_sched_spoof_batches_total
+  obs::Counter* parks;         // revtr_sched_parks_total
   obs::Gauge* queue_depth;     // revtr_sched_queue_depth
 };
 
@@ -272,15 +273,27 @@ class ProbeScheduler {
   // one of its sets wakes it, where a yield() loop would keep a core busy.
   // A loop whose demands remote agents execute passes claims = false. Every
   // owner's loop that claims must keep pumping its own demands, since riders
-  // on them park until they are delivered. A wake() since this owner's last
-  // wait returned also ends the wait. One thread at a time per owner.
+  // on them park until they are delivered. A wake meant for this owner since
+  // its last wait returned also ends the wait. Each time the wait blocks
+  // counts one park (SchedMetrics::parks). One thread at a time per owner.
   void wait_for_owner(std::size_t owner, bool claims = true)
       REVTR_EXCLUDES(mu_);
 
   // Ends every wait_for_owner, current or next, of every owner: work for
-  // the pump loops arrived from outside the scheduler (a daemon's admission
-  // queue). No wake is lost to a loop that checks that work and then parks.
+  // every pump loop arrived from outside the scheduler (a daemon's drain,
+  // stop or hold release). No wake is lost to a loop that checks that work
+  // and then parks.
   void wake() REVTR_EXCLUDES(mu_);
+
+  // Work for one pump loop arrived from outside the scheduler (a request
+  // admitted into a daemon's empty queue). Ends the wait of one parked
+  // owner other than `except` — of those not already woken, the one with
+  // the fewest unresolved demand sets (the likeliest to have room), ties
+  // to the lowest index — and the next wait of every other owner that is
+  // not parked, so a loop that checked the work before the call and parks
+  // after it returns at once: no wake is lost. `except` is a caller's own
+  // loop, which needs no wake.
+  void wake_one(std::size_t except = kAnyOwner) REVTR_EXCLUDES(mu_);
 
   bool idle() const;  // No queued probes and no undelivered sets.
   // Unfinished demand sets currently inside the scheduler (submitted, not
@@ -390,11 +403,13 @@ class ProbeScheduler {
   struct OwnerWait {
     std::condition_variable_any cv;
     bool parked = false;
-    std::uint64_t wakes_seen = 0;  // wakes_ when its last wait returned.
+    bool woken = false;  // A wake is pending: the next wait returns at once.
   };
   // Node-based: a parked loop's entry stays put while other owners join.
   std::unordered_map<std::size_t, OwnerWait> waits_ REVTR_GUARDED_BY(mu_);
-  std::uint64_t wakes_ REVTR_GUARDED_BY(mu_) = 0;  // wake() calls so far.
+  // Some wake() or wake_one() came: an owner's first wait returns at once,
+  // since the owner had no entry to record it.
+  bool woken_before_ REVTR_GUARDED_BY(mu_) = false;
   // Remote dispatch state: registered agents and ticketed assignments.
   util::FlatMap<AgentId, AgentState> agents_ REVTR_GUARDED_BY(mu_);
   util::FlatMap<std::uint64_t, Assigned> assigned_ REVTR_GUARDED_BY(mu_);

@@ -12,6 +12,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <unordered_map>
 #include <utility>
 
@@ -36,14 +37,55 @@ void drain_signal_handler(int /*signum*/) {
 
 }  // namespace
 
-// Per-connection state, owned exclusively by the net thread (no locks).
-struct ServerDaemon::Conn {
-  FrameStream stream;
-  std::uint64_t id = 0;
+// A connection's output, shared by the net thread and the workers: a worker
+// sends each RESULT it finishes itself. `mu` is a leaf (nothing is acquired
+// under it; it may be taken under the daemon's mu_) and is held only around
+// buffer and send calls, never across decoding the connection's input.
+struct ServerDaemon::Outbox {
+  util::Mutex mu;
+  // The connection's socket; -1 once the net thread has closed it, after
+  // which nothing is queued or sent (the descriptor may already name a
+  // later connection).
+  int fd REVTR_GUARDED_BY(mu) = -1;
+  FrameStream::Output frames REVTR_GUARDED_BY(mu);
+  bool push REVTR_GUARDED_BY(mu) = true;
   // Pull mode: encoded RESULT frames buffered until the client POLLs.
-  std::deque<std::vector<std::uint8_t>> pull_queue;
+  std::deque<std::vector<std::uint8_t>> pull_queue REVTR_GUARDED_BY(mu);
+
+  void queue(const Message& message) {
+    const util::MutexLock lock(mu);
+    frames.queue(message);
+  }
+  bool has_output() {
+    const util::MutexLock lock(mu);
+    return !frames.empty();
+  }
+  // Sends what the socket takes now; the rest waits for POLLOUT.
+  FrameStream::Status flush() {
+    const util::MutexLock lock(mu);
+    return frames.flush(fd);
+  }
+  // A worker's RESULT: sent at once in push mode, kept for POLL in pull
+  // mode, dropped once the client has left. True when part of it is still
+  // queued because the socket is full.
+  bool send_result(std::vector<std::uint8_t> frame) {
+    const util::MutexLock lock(mu);
+    if (fd < 0) return false;
+    if (!push) {
+      pull_queue.push_back(std::move(frame));
+      return false;
+    }
+    frames.queue(frame);
+    return frames.flush(fd) == FrameStream::Status::kWouldBlock;
+  }
+};
+
+// Per-connection state, owned by the net thread, which reads the socket
+// without a lock. Only the output is shared (with the workers).
+struct ServerDaemon::Conn {
+  FrameStream stream;  // Reads only: every byte sent goes through `out`.
+  std::shared_ptr<Outbox> out = std::make_shared<Outbox>();
   bool authed = false;
-  bool push = true;
   bool awaiting_drain = false;
   bool closed = false;
   service::UserId tenant = 0;
@@ -190,6 +232,7 @@ bool ServerDaemon::start() {
   connections_total_ = &registry_.counter("revtr_server_connections_total");
   protocol_errors_total_ =
       &registry_.counter("revtr_server_protocol_errors_total");
+  net_wakeups_total_ = &registry_.counter("revtr_server_net_wakeups_total");
   for (std::uint8_t r = 0; r <= kMaxRejectReason; ++r) {
     reject_reasons_.push_back(&registry_.counter(
         std::string("revtr_server_rejects_total{reason=\"") +
@@ -320,6 +363,14 @@ std::string ServerDaemon::build_stats_json() {
   json["startup_tables_s"] = startup_.tables_s;
   json["startup_survey_s"] = startup_.survey_s;
   json["startup_atlas_s"] = startup_.atlas_s;
+  // Thread wake-ups: every return from the net thread's poll(), and every
+  // time a worker's wait in the scheduler blocked.
+  for (const auto& [field, counter] :
+       {std::pair{"net_wakeups", "revtr_server_net_wakeups_total"},
+        std::pair{"worker_parks", "revtr_sched_parks_total"}}) {
+    const auto* sample = snapshot.find_counter(counter);
+    json[field] = sample != nullptr ? sample->value : std::uint64_t{0};
+  }
   if (const auto* wall =
           snapshot.find_histogram("revtr_server_request_wall_us")) {
     json["wall_count"] = wall->count;
@@ -340,7 +391,7 @@ std::string ServerDaemon::build_stats_json() {
 void ServerDaemon::handle_message(Conn& conn, Message message) {
   if (const Hello* hello = std::get_if<Hello>(&message)) {
     if (hello->proto_version != kProtoVersion) {
-      conn.stream.queue(HelloErr{RejectReason::kBadRequest});
+      conn.out->queue(HelloErr{RejectReason::kBadRequest});
       reject_reasons_[static_cast<std::size_t>(RejectReason::kBadRequest)]
           ->add();
       return;
@@ -353,19 +404,20 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
       }
     }
     if (tenant_index >= tenant_ids_.size()) {
-      conn.stream.queue(HelloErr{RejectReason::kBadApiKey});
+      conn.out->queue(HelloErr{RejectReason::kBadApiKey});
       reject_reasons_[static_cast<std::size_t>(RejectReason::kBadApiKey)]
           ->add();
       return;
     }
     conn.authed = true;
-    conn.push = hello->push_results;
     conn.tenant = tenant_ids_[tenant_index];
     HelloOk ok;
     ok.tenant = conn.tenant;
     ok.server_now_us = now_us();
     ok.tenant_name = tenant_configs_[tenant_index].name;
-    conn.stream.queue(ok);
+    const util::MutexLock lock(conn.out->mu);
+    conn.out->push = hello->push_results;
+    conn.out->frames.queue(ok);
     return;
   }
 
@@ -408,7 +460,7 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
       if (!reject.has_value()) {
         QueuedRequest queued;
         queued.index = next_request_index_++;
-        queued.conn_id = conn.id;
+        queued.out = conn.out;
         queued.request_id = submit->request_id;
         queued.tenant = conn.tenant;
         queued.destination = lab_->topo.probe_hosts()[submit->dest_index];
@@ -416,8 +468,16 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
         queued.priority = submit->priority;
         queued.deadline_us = submit->deadline_us;
         queued.accepted_us = now;
+        // A worker sends the RESULT as soon as it pops the request: the
+        // SUBMIT_OK and the request counters go first.
+        {
+          const util::MutexLock out_lock(conn.out->mu);
+          conn.out->frames.queue(SubmitOk{submit->request_id});
+        }
+        requests_total_->add();
+        tenant_metrics_[conn.tenant].requests->add();
         queue_.push(static_cast<std::size_t>(submit->priority), conn.tenant,
-                    queued);
+                    std::move(queued));
         was_empty = queued_ == 0;
         ++queued_;
         ++counters_.accepted;
@@ -431,38 +491,38 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
     }
     if (reject.has_value()) {
       reject_reasons_[static_cast<std::size_t>(*reject)]->add();
-      conn.stream.queue(SubmitErr{submit->request_id, *reject});
-    } else {
-      requests_total_->add();
-      tenant_metrics_[conn.tenant].requests->add();
-      // Only a queue that was empty needs a wake: a worker parks only
-      // after it found nothing to admit (an empty queue, itself full, or
-      // the hold, whose release wakes it), a full worker looks again once
-      // a request of its own finishes, and a wake is remembered until each
-      // worker's next wait.
-      if (was_empty) scheduler_->wake();
-      conn.stream.queue(SubmitOk{submit->request_id});
+      conn.out->queue(SubmitErr{submit->request_id, *reject});
+    } else if (was_empty) {
+      // Only a queue that was empty needs a wake, and only one worker's: a
+      // worker parks only after it found nothing to admit (an empty queue,
+      // itself full, or the hold, whose release wakes every worker), a
+      // full worker looks again once a request of its own finishes, a
+      // worker that admits and leaves requests queued passes the wake on,
+      // and a worker that is not parked returns from its next wait.
+      scheduler_->wake_one();
     }
     return;
   }
 
   if (const Poll* poll_msg = std::get_if<Poll>(&message)) {
+    Outbox& out = *conn.out;
+    const util::MutexLock lock(out.mu);
     std::uint32_t returned = 0;
-    while (returned < poll_msg->max_results && !conn.pull_queue.empty()) {
-      conn.stream.queue(conn.pull_queue.front());
-      conn.pull_queue.pop_front();
+    while (returned < poll_msg->max_results && !out.pull_queue.empty()) {
+      out.frames.queue(out.pull_queue.front());
+      out.pull_queue.pop_front();
       ++returned;
     }
     PollDone done;
     done.returned = returned;
     done.pending = static_cast<std::uint32_t>(
-        std::min<std::size_t>(conn.pull_queue.size(), UINT32_MAX));
-    conn.stream.queue(done);
+        std::min<std::size_t>(out.pull_queue.size(), UINT32_MAX));
+    out.frames.queue(done);
     return;
   }
 
   if (std::holds_alternative<Stats>(message)) {
-    conn.stream.queue(StatsReply{build_stats_json()});
+    conn.out->queue(StatsReply{build_stats_json()});
     return;
   }
 
@@ -485,7 +545,7 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
   if (const AgentRegister* reg = std::get_if<AgentRegister>(&message)) {
     if (!options_.remote_probing || reg->proto_version != kProtoVersion ||
         conn.is_agent) {
-      conn.stream.queue(HelloErr{RejectReason::kBadRequest});
+      conn.out->queue(HelloErr{RejectReason::kBadRequest});
       reject_reasons_[static_cast<std::size_t>(RejectReason::kBadRequest)]
           ->add();
       return;
@@ -500,7 +560,7 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
     ok.tenant = static_cast<std::uint32_t>(agent);
     ok.server_now_us = now_us();
     ok.tenant_name = reg->name;
-    conn.stream.queue(ok);
+    conn.out->queue(ok);
     return;
   }
 
@@ -556,10 +616,19 @@ void ServerDaemon::net_loop() {
 
   // Sends what the socket takes now; the rest waits for POLLOUT.
   const auto flush = [](Conn& conn) {
-    if (!conn.closed && conn.stream.has_output() &&
-        conn.stream.flush() == FrameStream::Status::kHungUp) {
+    if (!conn.closed && conn.out->flush() == FrameStream::Status::kHungUp) {
       conn.closed = true;
     }
+  };
+
+  // Takes the socket from the workers before closing it, so none sends to
+  // it, or to a later connection that reuses its descriptor.
+  const auto close_conn = [](Conn& conn) {
+    {
+      const util::MutexLock lock(conn.out->mu);
+      conn.out->fd = -1;
+    }
+    conn.stream.close();
   };
 
   for (;;) {
@@ -582,7 +651,8 @@ void ServerDaemon::net_loop() {
         // A departing agent's in-flight assignments requeue for
         // reassignment (scheduler lock rank 60 — mu_ is not held here).
         if (it->second.is_agent) scheduler_->detach_agent(it->second.agent);
-        it = conns.erase(it);  // Closes the socket.
+        close_conn(it->second);
+        it = conns.erase(it);
       } else {
         ++it;
       }
@@ -605,31 +675,18 @@ void ServerDaemon::net_loop() {
       });
       for (Conn* agent : agents) {
         for (auto& assignment : scheduler_->next_assignments(agent->agent)) {
-          agent->stream.queue(
+          agent->out->queue(
               AgentProbe{assignment.ticket, std::move(assignment.spec)});
         }
       }
     }
 
-    // Route completions produced by the workers to their connections.
-    std::deque<Completion> completions;
     bool drained_now = false;
     bool stopping_now = false;
     {
       const util::MutexLock lock(mu_);
-      std::swap(completions, completions_);
       drained_now = drained_;
       stopping_now = stopping_;
-    }
-    for (Completion& completion : completions) {
-      const auto it = conns.find(completion.conn_id);
-      if (it == conns.end()) continue;  // Client left.
-      Conn& conn = it->second;
-      if (conn.push) {
-        conn.stream.queue(completion.frame);
-      } else {
-        conn.pull_queue.push_back(std::move(completion.frame));
-      }
     }
     if (drained_now) {
       ServerCounters c;
@@ -641,16 +698,18 @@ void ServerDaemon::net_loop() {
         // Tell each agent to finish up and part ways — once; drained_now
         // stays true on every later iteration.
         if (conn.is_agent && !conn.drain_sent) {
-          conn.stream.queue(AgentDrain{});
+          conn.out->queue(AgentDrain{});
           conn.drain_sent = true;
         }
         if (!conn.awaiting_drain) continue;
-        conn.stream.queue(DrainDone{c.completed, c.shed_queued});
+        // A worker queues its RESULT before the request leaves inflight, so
+        // every RESULT of the drained daemon is ahead of this DRAIN_DONE.
+        conn.out->queue(DrainDone{c.completed, c.shed_queued});
         conn.awaiting_drain = false;
       }
     }
     // stop() sets stopping_ only once drained, so the last RESULT, DRAIN_DONE
-    // and AGENT_DRAIN were routed just above: send them before closing.
+    // and AGENT_DRAIN are queued by now: send them before closing.
     for (auto& [id, conn] : conns) flush(conn);
     if (stopping_now) break;
 
@@ -658,12 +717,13 @@ void ServerDaemon::net_loop() {
     fd_conn_ids.clear();
     fds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
     fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-    for (const auto& [id, conn] : conns) {
-      const short events = conn.stream.has_output() ? POLLIN | POLLOUT : POLLIN;
+    for (auto& [id, conn] : conns) {
+      const short events = conn.out->has_output() ? POLLIN | POLLOUT : POLLIN;
       fds.push_back(pollfd{conn.stream.fd(), events, 0});
       fd_conn_ids.push_back(id);
     }
     const int rc = poll(fds.data(), static_cast<nfds_t>(fds.size()), 250);
+    net_wakeups_total_->add();
     if (rc < 0 && errno != EINTR) break;
     if (rc <= 0) continue;
 
@@ -678,9 +738,12 @@ void ServerDaemon::net_loop() {
         const int fd = accept4(listen_fd_, nullptr, nullptr,
                                SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) break;
-        Conn& conn = conns[next_conn_id];
+        Conn& conn = conns[next_conn_id++];
         conn.stream.adopt(fd);
-        conn.id = next_conn_id++;
+        {
+          const util::MutexLock lock(conn.out->mu);
+          conn.out->fd = fd;
+        }
         {
           const util::MutexLock lock(mu_);
           ++counters_.connections;
@@ -715,6 +778,7 @@ void ServerDaemon::net_loop() {
       flush(conn);
     }
   }
+  for (auto& [id, conn] : conns) close_conn(conn);
 }
 
 // --- Workers. ---------------------------------------------------------------
@@ -723,13 +787,15 @@ void ServerDaemon::worker_loop(std::size_t w) {
   core::WorkerStack& stack = *stacks_[w];
   core::RequestExecutor executor(stack.engine, *scheduler_, w);
 
-  // Folds one finished request into the daemon state and queues its RESULT
-  // frame. Everything passed in is computed outside mu_.
+  // Folds one finished request into the daemon state and sends its RESULT.
+  // Everything passed in is computed outside mu_. The counters move before
+  // the RESULT leaves, so a client that asks after its RESULT sees them;
+  // the request leaves inflight only after, so the DRAIN_DONE that a
+  // drained daemon queues follows the RESULT on its connection.
   const auto deliver = [this](const QueuedRequest& meta, Message result,
                               bool shed, bool refund, bool missed,
                               const core::ReverseTraceroute* measured,
                               std::int64_t wall_us) {
-    auto frame = encode_frame(result);
     {
       const util::MutexLock lock(mu_);
       if (refund) service_->refund_request(meta.tenant);
@@ -743,13 +809,6 @@ void ServerDaemon::worker_loop(std::size_t w) {
         ++counters_.completed;
         if (missed) ++counters_.deadline_missed;
       }
-      --inflight_count_;
-      inflight_->set(static_cast<std::int64_t>(inflight_count_));
-      completions_.push_back(Completion{meta.conn_id, std::move(frame)});
-      if (draining_ && queued_ == 0 && inflight_count_ == 0 && !drained_) {
-        drained_ = true;
-        drained_cv_.notify_all();
-      }
     }
     if (shed) {
       sheds_total_->add();
@@ -759,7 +818,15 @@ void ServerDaemon::worker_loop(std::size_t w) {
       wall_latency_us_->record(
           static_cast<std::uint64_t>(std::max<std::int64_t>(wall_us, 0)));
     }
-    wake_net();
+    // The socket is full: the net thread sends the rest once it polls it.
+    if (meta.out->send_result(encode_frame(result))) wake_net();
+    const util::MutexLock lock(mu_);
+    --inflight_count_;
+    inflight_->set(static_cast<std::int64_t>(inflight_count_));
+    if (draining_ && queued_ == 0 && inflight_count_ == 0 && !drained_) {
+      drained_ = true;
+      drained_cv_.notify_all();
+    }
   };
 
   const auto finalize = [this, &deliver](
@@ -794,6 +861,7 @@ void ServerDaemon::worker_loop(std::size_t w) {
       options_.remote_probing ? nullptr : &stack.prober;
   for (;;) {
     std::vector<QueuedRequest> popped;
+    bool pass_on = false;
     {
       const util::MutexLock lock(mu_);
       if (!worker_hold_) {
@@ -809,10 +877,14 @@ void ServerDaemon::worker_loop(std::size_t w) {
           (stopping_ || (draining_ && queued_ == 0))) {
         return;
       }
+      // Full, with requests left behind: the wake that brought this worker
+      // here goes on to one that may have room.
+      pass_on = !popped.empty() && queued_ > 0;
       inflight_count_ += popped.size();
       queue_depth_->set(static_cast<std::int64_t>(queued_));
       inflight_->set(static_cast<std::int64_t>(inflight_count_));
     }
+    if (pass_on) scheduler_->wake_one(w);
 
     if (popped.empty()) {
       // Nothing to admit (the queue is empty, this worker is full, or the

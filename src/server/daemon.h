@@ -9,17 +9,18 @@
 // and one shared EngineCaches for the daemon's whole lifetime, and speaks
 // the framed protocol in server/frame.h over a local AF_UNIX stream socket.
 //
-// Thread architecture (three kinds of threads, one daemon mutex):
+// Thread architecture (three kinds of threads; the daemon mutex and one
+// output lock per connection):
 //
 //   net thread    poll() event loop over the listening socket, a self-pipe,
-//                 and every client and agent connection. Owns ALL
-//                 per-connection state (buffers, auth, pull-mode result
-//                 queues) without locks — nothing else touches a
-//                 connection. Parses frames, runs admission, enqueues
-//                 accepted requests. In remote mode it also hands out agent
-//                 work: every loop iteration expires silent agents and
-//                 queues each live agent's next assignments, in
-//                 registration order, as AGENT_PROBE frames on its stream.
+//                 and every client and agent connection. Owns each
+//                 connection's input and session state (read buffer, auth,
+//                 tenant, agent id) and reads it without a lock. Parses
+//                 frames, runs admission, enqueues accepted requests, and
+//                 queues every reply but RESULT. In remote mode it also
+//                 hands out agent work: every loop iteration expires silent
+//                 agents and queues each live agent's next assignments, in
+//                 registration order, as AGENT_PROBE frames.
 //   workers       each own a core::WorkerStack (private Network + Prober
 //                 + RevtrEngine), pop queued requests, and drive them with
 //                 core::RequestExecutor::round() over the shared scheduler,
@@ -28,12 +29,16 @@
 //                 the scheduler lock; in remote mode the agents do),
 //                 resumes what resolved, and parks in the scheduler when
 //                 nothing moved. A worker runs a round only when it has
-//                 nothing to admit; a SUBMIT into an empty queue, the
-//                 hold's release, a drain and stop() wake parked workers
-//                 (ProbeScheduler::wake()). A remote-mode worker wakes the
-//                 net thread through the self-pipe once it may have
-//                 submitted demands. Workers push encoded RESULT frames
-//                 back through the completion queue.
+//                 nothing to admit. A SUBMIT into an empty queue wakes one
+//                 parked worker (ProbeScheduler::wake_one()); a worker that
+//                 admits and still leaves requests queued passes the wake
+//                 on; the hold's release, a drain and stop() wake every
+//                 worker (ProbeScheduler::wake()). The worker that finishes
+//                 a request writes its RESULT: it appends the frame to the
+//                 connection's output and sends it (push mode), or keeps it
+//                 for POLL (pull mode). A remote-mode worker wakes the net
+//                 thread through the self-pipe once it may have submitted
+//                 demands.
 //   caller        start() / request_drain() / wait_until_drained() / stop().
 //   start-up      transient: start() fans its offline work out over the
 //                 process's CPUs — the routing tables
@@ -43,26 +48,38 @@
 //                 after another, each joined before the next starts and
 //                 all before the net thread and workers exist.
 //
-// mu_ (lock rank 110, above every library mutex) guards the submission
-// queue, the admission controller, the quota service, the counters, and the
-// completion queue. Obs registry lookups (rank 10) and scheduler state
-// reads (rank 60) are resolved or sampled BEFORE taking mu_ — never under
-// it — so the daemon can sit on top of the whole stack without inverting
-// the lock order.
+// So the net thread does not own all connection state: a connection's
+// output (queued bytes, push/pull mode, pull-mode RESULTs and the socket
+// for sending) is an Outbox that the net thread and the workers share under
+// its own mutex. The self-pipe wakes the net thread for a drain, stop(),
+// agent work, and a RESULT the socket could not take at once (POLLOUT then
+// sends the rest); a RESULT that fits costs the net thread nothing.
+//
+// Lock order: registry lookups (rank 10) and scheduler calls (rank 60) are
+// resolved or made BEFORE taking mu_, never under it. mu_ (rank 110, above
+// every library mutex) guards the submission queue, the admission
+// controller, the quota service and the counters. An Outbox mutex is a leaf
+// (rank 130): it may be taken under mu_ — admission queues SUBMIT_OK before
+// a worker can see the request, so every RESULT follows its SUBMIT_OK — and
+// nothing is taken under it. It is held only around buffer and send calls,
+// never across decoding a connection's input. The net thread takes a
+// socket from the workers (under that mutex) before it closes it, so no
+// worker sends to a closed socket.
 //
 // Shutdown: request_drain() is async-signal-safe (SIGTERM handler calls it:
 // one atomic store + one write() to the self-pipe). The net thread then
 // flips the daemon into draining — admission refuses with kDraining, the
 // workers finish every queued + in-flight request, and when the last one
 // completes the daemon is drained: DRAIN_DONE goes to every client that
-// asked, wait_until_drained() returns, and stop() joins everything.
+// asked, wait_until_drained() returns, and stop() joins everything. A
+// worker queues a RESULT before its request leaves inflight, so DRAIN_DONE
+// and stop()'s final flush come after the last RESULT on each connection.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -196,9 +213,12 @@ class ServerDaemon {
   static void install_signal_handlers(ServerDaemon* daemon);
 
  private:
+  // A connection's output, shared with the workers (daemon.cpp).
+  struct Outbox;
+
   struct QueuedRequest {
     std::uint64_t index = 0;       // Daemon-internal, dense; seeds the RNG.
-    std::uint64_t conn_id = 0;
+    std::shared_ptr<Outbox> out;   // Where the RESULT goes.
     std::uint64_t request_id = 0;  // Client-chosen, echoed in replies.
     service::UserId tenant = 0;
     topology::HostId destination = topology::kInvalidId;
@@ -206,14 +226,6 @@ class ServerDaemon {
     Priority priority = Priority::kNormal;
     std::int64_t deadline_us = 0;
     std::int64_t accepted_us = 0;
-  };
-
-  // An encoded frame bound for a connection; workers produce these, the net
-  // thread routes them (push mode: connection outbuf; pull mode: the
-  // connection's POLL queue).
-  struct Completion {
-    std::uint64_t conn_id = 0;
-    std::vector<std::uint8_t> frame;
   };
 
   // Per-tenant counter handles, resolved once at start() (registry lookups
@@ -278,6 +290,7 @@ class ServerDaemon {
   obs::Counter* connections_total_ = nullptr;  // lint: lock-free(set at start)
   obs::Counter* protocol_errors_total_ =
       nullptr;  // lint: lock-free(set at start)
+  obs::Counter* net_wakeups_total_ = nullptr;  // lint: lock-free(set at start)
   // Indexed by RejectReason.
   std::vector<obs::Counter*> reject_reasons_;  // lint: lock-free(set at start)
   obs::Histogram* wall_latency_us_ = nullptr;  // lint: lock-free(set at start)
@@ -305,7 +318,6 @@ class ServerDaemon {
   std::uint64_t next_request_index_ REVTR_GUARDED_BY(mu_) = 0;
   AdmissionController admission_ REVTR_GUARDED_BY(mu_);
   ServerCounters counters_ REVTR_GUARDED_BY(mu_);
-  std::deque<Completion> completions_ REVTR_GUARDED_BY(mu_);
   bool draining_ REVTR_GUARDED_BY(mu_) = false;
   bool drained_ REVTR_GUARDED_BY(mu_) = false;
   bool stopping_ REVTR_GUARDED_BY(mu_) = false;

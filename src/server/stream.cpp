@@ -47,37 +47,41 @@ void FrameStream::close() noexcept {
   fd_ = -1;
   in_.clear();
   consumed_ = 0;
-  out_.clear();
+  out_ = Output{};
   hung_up_ = false;
   protocol_error_ = false;
 }
 
-void FrameStream::queue(std::span<const std::uint8_t> frame) {
-  out_.insert(out_.end(), frame.begin(), frame.end());
+void FrameStream::Output::queue(std::span<const std::uint8_t> frame) {
+  bytes_.insert(bytes_.end(), frame.begin(), frame.end());
 }
 
-FrameStream::Status FrameStream::flush() {
+FrameStream::Status FrameStream::Output::flush(int fd) {
   std::size_t sent = 0;
   Status status = Status::kOk;
-  while (sent < out_.size()) {
+  while (sent < bytes_.size()) {
     // MSG_NOSIGNAL: a peer that hung up fails the send with EPIPE instead
     // of killing this process with SIGPIPE.
-    const ssize_t n =
-        ::send(fd_, out_.data() + sent, out_.size() - sent, MSG_NOSIGNAL);
+    const ssize_t n = ::send(fd, bytes_.data() + sent, bytes_.size() - sent,
+                             MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      status = Status::kWouldBlock;
-    } else {
-      hung_up_ = true;
-      status = Status::kHungUp;
-    }
+    status = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)
+                 ? Status::kWouldBlock
+                 : Status::kHungUp;
     break;
   }
-  out_.erase(out_.begin(), out_.begin() + static_cast<std::ptrdiff_t>(sent));
+  bytes_.erase(bytes_.begin(),
+               bytes_.begin() + static_cast<std::ptrdiff_t>(sent));
+  return status;
+}
+
+FrameStream::Status FrameStream::flush() {
+  const Status status = out_.flush(fd_);
+  if (status == Status::kHungUp) hung_up_ = true;
   return status;
 }
 

@@ -15,7 +15,9 @@
 //     hang-up can still be decoded: read() returns them first.
 //
 // The daemon drives non-blocking sockets under its own poll(): fill(), then
-// next() until it is empty, then flush() (which may leave bytes queued).
+// next() until it is empty. It sends through one FrameStream::Output per
+// connection, which it shares with its workers under a lock, so a worker
+// sends the RESULT it finished while the net thread reads the same socket.
 // Blocking callers use send() and read(timeout). Not thread-safe: a stream
 // belongs to one thread at a time.
 #pragma once
@@ -41,6 +43,21 @@ class FrameStream {
     kProtocolError,  // Undecodable bytes arrived.
   };
 
+  // The sending half: encoded frames queued until flush() puts them on a
+  // socket it does not own. Each FrameStream sends through its own.
+  class Output {
+   public:
+    void queue(const Message& message) { append_frame(bytes_, message); }
+    void queue(std::span<const std::uint8_t> frame);
+    bool empty() const noexcept { return bytes_.empty(); }
+    // Sends queued bytes on `fd` until none are left (kOk), the socket
+    // would block (kWouldBlock), or the peer hung up (kHungUp).
+    Status flush(int fd);
+
+   private:
+    std::vector<std::uint8_t> bytes_;
+  };
+
   FrameStream() = default;
   ~FrameStream() { close(); }
   FrameStream(const FrameStream&) = delete;
@@ -63,10 +80,9 @@ class FrameStream {
   bool protocol_error() const noexcept { return protocol_error_; }
 
   // --- Output. ---
-  void queue(const Message& message) { append_frame(out_, message); }
-  // An already-encoded frame (a worker's RESULT, a pulled result).
-  void queue(std::span<const std::uint8_t> frame);
-  bool has_output() const noexcept { return !out_.empty(); }
+  void queue(const Message& message) { out_.queue(message); }
+  // An already-encoded frame.
+  void queue(std::span<const std::uint8_t> frame) { out_.queue(frame); }
   // Sends queued bytes until none are left (kOk), the socket would block
   // (kWouldBlock), or the peer hung up (kHungUp).
   Status flush();
@@ -94,7 +110,7 @@ class FrameStream {
   int fd_ = -1;
   std::vector<std::uint8_t> in_;
   std::size_t consumed_ = 0;  // Bytes of in_ already decoded.
-  std::vector<std::uint8_t> out_;
+  Output out_;
   bool hung_up_ = false;
   bool protocol_error_ = false;
 };

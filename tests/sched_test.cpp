@@ -12,6 +12,7 @@
 #include <optional>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "analysis/invariants.h"
 #include "eval/harness.h"
@@ -636,6 +637,107 @@ TEST_F(SchedConcurrency, ParkedOwnerWakesOnWakeWhileNothingIsReady) {
   const Watchdog watchdog(std::chrono::seconds(30));
   scheduler.wait_for_owner(0);
   scheduler.wait_for_owner(1, /*claims=*/false);
+}
+
+// Blocks until the scheduler's waits have blocked `parks` times in all.
+void await_parks(const SchedMetrics& metrics, std::uint64_t parks) {
+  while (metrics.parks->total() < parks) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// Blocks until one of `owners` returned from its wait.
+void await_any_return(const std::vector<const ParkedOwner*>& owners) {
+  while (std::none_of(owners.begin(), owners.end(),
+                      [](const ParkedOwner* owner) {
+                        return owner->returned();
+                      })) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST_F(SchedConcurrency, AdmissionWakeWakesExactlyOneOfTwoParkedOwners) {
+  obs::MetricsRegistry registry;
+  const SchedMetrics metrics(registry);
+  ProbeScheduler scheduler;
+  scheduler.set_metrics(&metrics);
+  const Watchdog watchdog(std::chrono::seconds(30));
+  ParkedOwner first(scheduler, 0, /*claims=*/true);
+  ParkedOwner second(scheduler, 1, /*claims=*/true);
+  await_parks(metrics, 2);
+
+  scheduler.wake_one();
+  await_any_return({&first, &second});
+  std::this_thread::sleep_for(kParkGrace);
+  EXPECT_NE(first.returned(), second.returned())
+      << "one admission wake must end exactly one parked wait";
+  // Ties go to the lower index.
+  EXPECT_TRUE(first.returned());
+  EXPECT_EQ(metrics.parks->total(), 2u);
+
+  scheduler.wake();  // Hold release, drain and stop() still wake everyone.
+  first.join();
+  second.join();
+  EXPECT_TRUE(second.returned());
+}
+
+TEST_F(SchedConcurrency, AdmissionWakeIsNotLostOnAnOwnerThatIsNotParked) {
+  obs::MetricsRegistry registry;
+  const SchedMetrics metrics(registry);
+  ProbeScheduler scheduler;
+  scheduler.set_metrics(&metrics);
+  const Watchdog watchdog(std::chrono::seconds(30));
+  // Both owners have waited before; a wake that came before an owner's
+  // first wait ends that wait at once, which these consume.
+  scheduler.wake();
+  scheduler.wait_for_owner(0);
+  scheduler.wait_for_owner(1);
+  EXPECT_EQ(metrics.parks->total(), 0u);
+
+  // Owner 0 parks. Owner 1 has checked for work and not parked yet.
+  ParkedOwner parked(scheduler, 0, /*claims=*/true);
+  await_parks(metrics, 1);
+  scheduler.wake_one();
+  parked.join();
+  EXPECT_TRUE(parked.returned());
+
+  // Owner 1 was not parked, so its next wait returns at once, without
+  // blocking; the one after it parks again.
+  scheduler.wait_for_owner(1);
+  EXPECT_EQ(metrics.parks->total(), 1u);
+  ParkedOwner again(scheduler, 1, /*claims=*/true);
+  await_parks(metrics, 2);
+  EXPECT_FALSE(again.returned());
+  scheduler.wake_one(/*except=*/1);
+  std::this_thread::sleep_for(kParkGrace);
+  EXPECT_FALSE(again.returned()) << "the excepted owner is not woken";
+  scheduler.wake_one();
+  again.join();
+}
+
+TEST_F(SchedConcurrency, AdmissionWakePrefersTheParkedOwnerWithFewestSets) {
+  obs::MetricsRegistry registry;
+  const SchedMetrics metrics(registry);
+  ProbeScheduler scheduler;
+  scheduler.set_metrics(&metrics);
+  // Owner 0 has a set in flight that nobody executes (remote agents would);
+  // owner 1 has none, so it is the one with room for new work.
+  scheduler.submit(1, 0, {rr_demand(0, 0)});
+  const Watchdog watchdog(std::chrono::seconds(30));
+  ParkedOwner busy(scheduler, 0, /*claims=*/false);
+  ParkedOwner idle(scheduler, 1, /*claims=*/false);
+  await_parks(metrics, 2);
+
+  scheduler.wake_one();
+  idle.join();
+  EXPECT_TRUE(idle.returned());
+  std::this_thread::sleep_for(kParkGrace);
+  EXPECT_FALSE(busy.returned());
+
+  EXPECT_EQ(scheduler.pump(lab_->prober).issued, 1u);
+  busy.join();
+  EXPECT_EQ(scheduler.collect_ready(0).size(), 1u);
+  EXPECT_TRUE(scheduler.idle());
 }
 
 TEST_F(SchedConcurrency, NonClaimingWaitReturnsForResolvedSetsOnly) {

@@ -9,10 +9,13 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <optional>
 #include <span>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "eval/harness.h"
 #include "server/admission.h"
@@ -612,6 +615,207 @@ TEST(ServerDaemon, StopDeliversTheLastResult) {
       EXPECT_EQ(result->request_id, request.request_id);
     }
   }
+}
+
+// Replies read off a raw connection, checked for order: each request's
+// SUBMIT_OK comes once, and its RESULT once, after it.
+class ReplyOrder {
+ public:
+  explicit ReplyOrder(std::size_t requests) : seen_(requests, kNone) {}
+
+  // Reads one frame, waiting up to 30 s. False on a timeout or hang-up.
+  bool read_one(FrameStream& stream) {
+    std::optional<Message> message;
+    if (stream.read(message, /*timeout_ms=*/30'000) !=
+        FrameStream::Status::kOk) {
+      return false;
+    }
+    if (const auto* ok = std::get_if<SubmitOk>(&*message)) {
+      step(ok->request_id, kNone, kAcked);
+    } else if (const auto* result = std::get_if<Result>(&*message)) {
+      step(result->request_id, kAcked, kAnswered);
+      ++results_;
+    } else if (std::holds_alternative<PollDone>(*message)) {
+      ++polls_done_;
+    }
+    return true;
+  }
+  // Reads until `results` RESULTs in all have arrived.
+  bool read_results(FrameStream& stream, std::size_t results) {
+    while (results_ < results) {
+      if (!read_one(stream)) return false;
+    }
+    return true;
+  }
+
+  std::size_t results() const { return results_; }
+  std::size_t polls_done() const { return polls_done_; }
+  std::size_t out_of_order() const { return out_of_order_; }
+
+ private:
+  enum State : std::uint8_t { kNone, kAcked, kAnswered };
+  void step(std::uint64_t id, State from, State to) {
+    if (id >= seen_.size() || seen_[id] != from) {
+      ++out_of_order_;
+      return;
+    }
+    seen_[id] = to;
+  }
+
+  std::vector<State> seen_;
+  std::size_t results_ = 0;
+  std::size_t polls_done_ = 0;
+  std::size_t out_of_order_ = 0;
+};
+
+// Joins stop() on another thread; a stop() that hangs ends the test binary.
+void stop_or_abort(ServerDaemon& daemon) {
+  auto stopped = std::async(std::launch::async, [&daemon] { daemon.stop(); });
+  if (stopped.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "ServerDaemon::stop() did not return\n");
+    std::abort();
+  }
+}
+
+// Three SUBMITs arrive in one write while each of two workers can hold one
+// request: the admission wake wakes one worker, which takes one request and
+// passes the wake on; the third waits for a free worker. All are answered.
+TEST(ServerDaemon, ThreeSubmitsInOneWriteReachTwoSingleSlotWorkers) {
+  auto options = small_daemon_options("one_write");
+  options.workers = 2;
+  options.max_inflight_per_worker = 1;
+  ServerDaemon daemon(options);
+  ASSERT_TRUE(daemon.start());
+  {
+    FrameStream stream;
+    ASSERT_TRUE(stream.connect(options.socket_path, /*retries=*/50));
+    Hello hello;
+    hello.api_key = "demo-key";
+    stream.queue(hello);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      Submit request;
+      request.request_id = i;
+      request.dest_index = i;
+      stream.queue(request);
+    }
+    ASSERT_EQ(stream.flush(), FrameStream::Status::kOk);
+    ReplyOrder order(3);
+    ASSERT_TRUE(order.read_results(stream, 3));
+    EXPECT_EQ(order.out_of_order(), 0u);
+  }
+  EXPECT_EQ(daemon.counters().completed, 3u);
+  daemon.stop();
+}
+
+// 1,000 SUBMITs of one warm pair pipelined on one connection: the workers
+// send the RESULTs themselves, often before the net thread is done with the
+// burst, and each must still follow its SUBMIT_OK. In pull mode the RESULTs
+// come back through POLL.
+void run_pipelined_warm_pair(const std::string& name, bool push) {
+  constexpr std::uint64_t kRequests = 1000;
+  auto options = small_daemon_options(name);
+  TenantConfig tenant;
+  tenant.bucket.rate_per_sec = 1e9;
+  tenant.bucket.burst = 1e9;
+  options.tenants.push_back(tenant);
+  ServerDaemon daemon(options);
+  ASSERT_TRUE(daemon.start());
+  {
+    FrameStream stream;
+    ASSERT_TRUE(stream.connect(options.socket_path, /*retries=*/50));
+    Hello hello;
+    hello.api_key = "demo-key";
+    hello.push_results = push;
+    stream.queue(hello);
+    ReplyOrder order(kRequests + 1);
+    // Request 0 warms the pair's caches; the rest repeat it.
+    for (std::uint64_t id = 0; id <= kRequests; ++id) {
+      Submit request;
+      request.request_id = id;
+      stream.queue(request);
+      if (id != 0) continue;
+      ASSERT_EQ(stream.flush(), FrameStream::Status::kOk);
+      if (push) {
+        ASSERT_TRUE(order.read_results(stream, 1));
+      }
+    }
+    ASSERT_EQ(stream.flush(), FrameStream::Status::kOk);
+    if (push) {
+      ASSERT_TRUE(order.read_results(stream, kRequests + 1));
+    } else {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (order.results() < kRequests + 1) {
+        ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+        stream.queue(Poll{64});
+        ASSERT_EQ(stream.flush(), FrameStream::Status::kOk);
+        const std::size_t polls = order.polls_done();
+        while (order.polls_done() == polls) {
+          ASSERT_TRUE(order.read_one(stream));
+        }
+      }
+    }
+    EXPECT_EQ(order.results(), kRequests + 1);
+    EXPECT_EQ(order.out_of_order(), 0u);
+  }
+  EXPECT_EQ(daemon.counters().completed, kRequests + 1);
+  daemon.stop();
+}
+
+TEST(ServerDaemon, PipelinedWarmPairResultsFollowTheirSubmitOk) {
+  run_pipelined_warm_pair("pipelined_push", /*push=*/true);
+}
+
+TEST(ServerDaemon, PipelinedWarmPairPolledResultsFollowTheirSubmitOk) {
+  run_pipelined_warm_pair("pipelined_pull", /*push=*/false);
+}
+
+// A client that hangs up with requests in flight costs only itself: the
+// workers finish its requests and send their RESULTs nowhere (the net thread
+// took the socket from them before closing it), another client is served,
+// and stop() returns.
+TEST(ServerDaemon, ClientHangUpMidFlightLeavesOthersServedAndStopReturns) {
+  constexpr std::uint32_t kLeft = 8;
+  const auto options = small_daemon_options("hang_up");
+  ServerDaemon daemon(options);
+  ASSERT_TRUE(daemon.start());
+  {
+    FrameStream leaver;
+    ASSERT_TRUE(leaver.connect(options.socket_path, /*retries=*/50));
+    Hello hello;
+    hello.api_key = "demo-key";
+    leaver.queue(hello);
+    for (std::uint32_t i = 0; i < kLeft; ++i) {
+      Submit request;
+      request.request_id = i;
+      request.dest_index = i;  // Never-seen pairs: they take a while.
+      leaver.queue(request);
+    }
+    ASSERT_EQ(leaver.flush(), FrameStream::Status::kOk);
+    // Wait for the first SUBMIT_OK, then leave without reading on.
+    std::optional<Message> reply;
+    do {
+      ASSERT_EQ(leaver.read(reply, /*timeout_ms=*/30'000),
+                FrameStream::Status::kOk);
+    } while (!std::holds_alternative<SubmitOk>(*reply));
+    leaver.close();
+
+    DaemonClient client;
+    ASSERT_TRUE(client.connect(options.socket_path));
+    ASSERT_TRUE(client.hello("demo-key").has_value());
+    Submit request;
+    request.request_id = 100;
+    request.dest_index = kLeft;
+    ASSERT_TRUE(client.submit(request));
+    std::optional<Result> result;
+    ASSERT_EQ(client.next_result_for(result, /*timeout_ms=*/30'000),
+              DaemonClient::WaitStatus::kOk);
+    EXPECT_EQ(result->request_id, 100u);
+  }
+  stop_or_abort(daemon);
+  const auto counters = daemon.counters();
+  EXPECT_EQ(counters.accepted, kLeft + 1);
+  EXPECT_EQ(counters.completed + counters.shed_queued, kLeft + 1);
 }
 
 }  // namespace

@@ -399,6 +399,9 @@ const std::map<std::pair<std::string, std::string>, int>& lock_order_table() {
                                        // with the server's mu_ in one
                                        // process; ranked above it because
                                        // in-process tests run both.
+      {{"server", "mu"}, 130},         // ServerDaemon::Outbox, one per
+                                       // connection: a leaf, taken under
+                                       // the daemon's mu_ at most.
   };
   return kOrder;
 }
