@@ -193,6 +193,11 @@ util::SimClock::Micros TracerouteAtlas::refresh(HostId source, util::Rng& rng,
   return duration;
 }
 
+bool lacks_reverse_slots(std::span<const Ipv4Addr> record, Ipv4Addr probed) {
+  const auto self = std::find(record.begin(), record.end(), probed);
+  return self == record.end() || self + 1 == record.end();
+}
+
 TracerouteAtlas::RrEntries TracerouteAtlas::measure_rr_index(
     HostId source, std::span<const AtlasTraceroute> traceroutes,
     probing::Prober& prober) const {
@@ -201,7 +206,13 @@ TracerouteAtlas::RrEntries TracerouteAtlas::measure_rr_index(
     if (!traceroutes[t].reached_source) continue;
     const auto& hops = traceroutes[t].hops;
     for (std::size_t h = 0; h < hops.size(); ++h) {
-      const auto result = prober.rr_ping(source, hops[h]);
+      // A full record without reverse slots adds no entry, so such a probe
+      // may stop where its record fills (DESIGN.md §8).
+      const Ipv4Addr probed = hops[h];
+      const sim::RrSettle settle = [probed](std::span<const Ipv4Addr> record) {
+        return lacks_reverse_slots(record, probed);
+      };
+      const auto result = prober.rr_ping(source, probed, std::nullopt, &settle);
       if (!result.responded) continue;
       // Find the probed hop's own stamp; slots after it lie on the reverse
       // path toward the source and align with successive traceroute hops.

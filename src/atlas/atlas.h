@@ -128,8 +128,8 @@ class TracerouteAtlas {
 
   // Q2: for every source of `sources`, issue RR pings from the source to
   // every hop of its reached traceroutes and index the addresses revealed
-  // on the reverse slots. Fanned out and installed as for build(); a
-  // source must have an atlas.
+  // on the reverse slots (the pings settle by lacks_reverse_slots). Fanned
+  // out and installed as for build(); a source must have an atlas.
   void build_rr_alias_index(std::span<const topology::HostId> sources,
                             std::size_t threads);
   void build_rr_alias_index(topology::HostId source);
@@ -237,6 +237,12 @@ class TracerouteAtlas {
   std::unordered_map<topology::HostId, SourceAtlas> sources_
       REVTR_GUARDED_BY(sources_mu_);
 };
+
+// Q2's settle test (probing::Prober::rr_ping): `record` holds no slot after
+// the probed hop's first stamp, because the hop is absent or stamped only
+// last. Q2 indexes nothing from such a full record, answered or not.
+bool lacks_reverse_slots(std::span<const net::Ipv4Addr> record,
+                         net::Ipv4Addr probed);
 
 // Greedy weighted max-coverage selection over a pool of traceroutes: the
 // weight of an address is the summed distance-to-source over traceroutes

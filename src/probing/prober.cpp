@@ -58,6 +58,7 @@ ProbeMetrics::ProbeMetrics(obs::MetricsRegistry& registry) {
       &registry.counter("revtr_traceroutes_total{scope=\"online\"}");
   traceroutes[1] =
       &registry.counter("revtr_traceroutes_total{scope=\"offline\"}");
+  settled = &registry.counter("revtr_probes_settled_total{scope=\"offline\"}");
 }
 
 ProbeCounters& ProbeCounters::operator+=(const ProbeCounters& other) {
@@ -172,7 +173,8 @@ PingResult Prober::ping(topology::HostId from, Ipv4Addr target) {
 }
 
 RrProbeResult Prober::rr_ping(topology::HostId from, Ipv4Addr target,
-                              std::optional<Ipv4Addr> spoof_as) {
+                              std::optional<Ipv4Addr> spoof_as,
+                              const sim::RrSettle* settle) {
   charge(spoof_as ? ProbeType::kSpoofedRecordRoute : ProbeType::kRecordRoute);
   ProbeEvent event;
   event.type =
@@ -191,7 +193,14 @@ RrProbeResult Prober::rr_ping(topology::HostId from, Ipv4Addr target,
   const Ipv4Addr src = spoof_as.value_or(sender.addr);
   Packet probe = net::make_echo_request(src, target, next_id(), 1);
   probe.rr = net::RecordRouteOption{};
-  network_.send_into(probe, from, reply_);
+  network_.send_into(probe, from, reply_,
+                     offline() && !observed() ? settle : nullptr);
+  if (reply_.settled_rr) {
+    out.settled = true;
+    out.slots = reply_.settled_rr->to_vector();
+    if (metrics_ != nullptr) metrics_->settled->add();
+    return out;
+  }
   out.responded = reply_.answered() && reply_.reply->rr.has_value();
   if (out.responded) {
     out.slots = reply_.reply->rr->to_vector();

@@ -113,6 +113,8 @@ struct ProbeMetrics {
   std::array<std::array<obs::Counter*, 2>, 6> probes{};
   // Traceroute invocations (heads), as opposed to per-TTL packets above.
   std::array<obs::Counter*, 2> traceroutes{};
+  // RR pings that settled (Prober::rr_ping); only offline probes do.
+  obs::Counter* settled = nullptr;
 };
 
 struct PingResult {
@@ -125,6 +127,9 @@ struct RrProbeResult {
   // The nine-slot record as observed in the reply (possibly empty).
   std::vector<net::Ipv4Addr> slots;
   util::SimClock::Micros duration_us = 0;
+  // The probe settled (Prober::rr_ping): `slots` holds the full record its
+  // settle test accepted, with no reply and no duration.
+  bool settled = false;
 };
 
 // One probe of an rr_ping_batch call.
@@ -182,8 +187,20 @@ class Prober {
   // RR echo request from `from` to `target`. When `spoof_as` is set the
   // packet claims that source; the reply is then observed at the host
   // owning that address (nullopt result slots if the reply never arrives).
+  //
+  // `settle`, for an offline caller that keeps nothing from some full
+  // records whether or not their reply comes home: the simulator tests the
+  // record once, as it fills (sim::Network::send_into), and a probe the
+  // test accepts stops there and returns settled. It is still charged and
+  // draws its packet id, and the loss draw is the probe's own, so the
+  // counters, the id sequence and every later probe read as without
+  // `settle`; a probe the test rejects returns what it would without it.
+  // Only offline probes settle, and never on an observed() prober: online
+  // callers need the answer and duration (they drive the request's clock),
+  // and an observer's or fault policy's events stay complete.
   RrProbeResult rr_ping(topology::HostId from, net::Ipv4Addr target,
-                        std::optional<net::Ipv4Addr> spoof_as = std::nullopt);
+                        std::optional<net::Ipv4Addr> spoof_as = std::nullopt,
+                        const sim::RrSettle* settle = nullptr);
 
   // A whole RR batch (the engine's 3-probe spoofed-RR batches) in one call,
   // stepped through the simulator in a single send_batch pass. Outcomes,
@@ -214,6 +231,9 @@ class Prober {
   TracerouteResult last_hop_scan(topology::HostId from, net::Ipv4Addr target);
 
   const ProbeCounters& counters() const noexcept { return counters_; }
+  // The last packet id drawn: pings, RR and TS probes draw one each, in
+  // order, wrapping at 16 bits (0 before the first).
+  std::uint16_t last_packet_id() const noexcept { return sequence_; }
   void reset_counters() {
     counters_ = ProbeCounters{};
     offline_counters_ = ProbeCounters{};

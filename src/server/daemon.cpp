@@ -153,6 +153,9 @@ bool ServerDaemon::start() {
   lab_ = std::make_unique<eval::Lab>(options_.topo, options_.engine,
                                      options_.seed);
   startup_.lab_s = seconds_since(phase);
+  // Probe accounting covers start-up's offline probes too.
+  probe_metrics_ = std::make_unique<probing::ProbeMetrics>(registry_);
+  lab_->prober.set_metrics(&*probe_metrics_);
   // The survey crosses every routing table: build them all first, fanned
   // out over the process's CPUs, each table slot on one thread.
   phase = Clock::now();
@@ -166,9 +169,7 @@ bool ServerDaemon::start() {
 
   service_metrics_ = std::make_unique<service::ServiceMetrics>(registry_);
   engine_metrics_ = std::make_unique<core::EngineMetrics>(registry_);
-  probe_metrics_ = std::make_unique<probing::ProbeMetrics>(registry_);
   sched_metrics_ = std::make_unique<sched::SchedMetrics>(registry_);
-  lab_->prober.set_metrics(&*probe_metrics_);
 
   phase = Clock::now();
   service_ = std::make_unique<service::RevtrService>(lab_->engine, lab_->atlas,
@@ -363,10 +364,13 @@ std::string ServerDaemon::build_stats_json() {
   json["startup_tables_s"] = startup_.tables_s;
   json["startup_survey_s"] = startup_.survey_s;
   json["startup_atlas_s"] = startup_.atlas_s;
-  // Thread wake-ups: every return from the net thread's poll(), and every
-  // time a worker's wait in the scheduler blocked.
+  // Offline RR pings that settled; thread wake-ups: every return from the
+  // net thread's poll(), and every time a worker's wait in the scheduler
+  // blocked.
   for (const auto& [field, counter] :
-       {std::pair{"net_wakeups", "revtr_server_net_wakeups_total"},
+       {std::pair{"offline_settled_probes",
+                  "revtr_probes_settled_total{scope=\"offline\"}"},
+        std::pair{"net_wakeups", "revtr_server_net_wakeups_total"},
         std::pair{"worker_parks", "revtr_sched_parks_total"}}) {
     const auto* sample = snapshot.find_counter(counter);
     json[field] = sample != nullptr ? sample->value : std::uint64_t{0};

@@ -144,7 +144,9 @@ struct ServerOptions {
 
 // Wall time of start()'s four phases, in seconds. The STATS reply carries
 // them as startup_lab_s / startup_tables_s / startup_survey_s /
-// startup_atlas_s.
+// startup_atlas_s, beside offline_settled_probes: the offline RR pings of
+// the survey and the Q2 index that stopped where their record filled
+// (probing::Prober::rr_ping).
 struct StartupTimings {
   double lab_s = 0;     // eval::Lab: topology, simulator.
   double tables_s = 0;  // Every BGP column and intra-AS matrix.

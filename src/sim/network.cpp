@@ -60,9 +60,9 @@ std::vector<RouterId> Network::ground_truth_path(Ipv4Addr from, Ipv4Addr to,
   return path;  // Hop limit: forwarding loop; callers see the repetition.
 }
 
-void Network::stamp_rr(Packet& packet, const Router& router,
+bool Network::stamp_rr(Packet& packet, const Router& router,
                        Ipv4Addr arrival_addr, Ipv4Addr egress_addr) const {
-  if (!packet.rr || packet.rr->full()) return;
+  if (!packet.rr || packet.rr->full()) return false;
   switch (router.rr_policy) {
     case RrStampPolicy::kEgress:
       packet.rr->stamp(egress_addr);
@@ -79,6 +79,7 @@ void Network::stamp_rr(Packet& packet, const Router& router,
     case RrStampPolicy::kNoStamp:
       break;
   }
+  return packet.rr->full();
 }
 
 void Network::stamp_ts(Packet& packet, const Router& router,
@@ -167,8 +168,18 @@ std::optional<Packet> Network::router_response(const Packet& request,
 
 void Network::forward_pass(Packet packet, RouterId origin,
                            Ipv4Addr arrival_addr, bool origin_emits,
-                           routing::PassState pass, PassResult& result) {
+                           routing::PassState pass, const RrSettle* settle,
+                           PassResult& result) {
   result.reset();
+  // True, with the record kept, when `settle` accepts the record a stamp
+  // just filled: the pass ends there.
+  const auto settles = [&](bool filled) {
+    if (!filled || settle == nullptr || !(*settle)(packet.rr->entries())) {
+      return false;
+    }
+    result.settled_rr = packet.rr;
+    return true;
+  };
   RouterId current = origin;
   routing::PacketContext ctx;
   ctx.src = packet.src;
@@ -222,9 +233,9 @@ void Network::forward_pass(Packet packet, RouterId origin,
     const bool emitting = origin_emits && hop == 0;
     if (decision.kind == routing::Decision::Kind::kDeliverHost) {
       // Outgoing interface into the destination subnet: the host's gateway.
-      if (!emitting) {
-        stamp_rr(packet, router, arrival_addr,
-                 topo_.host(decision.host).gateway);
+      if (!emitting && settles(stamp_rr(packet, router, arrival_addr,
+                                        topo_.host(decision.host).gateway))) {
+        return;
       }
       result.elapsed_us += kAccessDelayUs;
       result.delivered = packet;
@@ -234,9 +245,10 @@ void Network::forward_pass(Packet packet, RouterId origin,
 
     // Forward over a link.
     const auto& link = topo_.link(decision.link);
-    if (!emitting) {
-      stamp_rr(packet, router, arrival_addr,
-               topo_.egress_addr(current, decision.link));
+    if (!emitting && settles(stamp_rr(packet, router, arrival_addr,
+                                      topo_.egress_addr(current,
+                                                        decision.link)))) {
+      return;
     }
     result.elapsed_us += link.delay_us;
     arrival_addr = topo_.egress_addr(decision.next_router, decision.link);
@@ -263,9 +275,10 @@ void Network::send_batch(std::span<const BatchProbe> probes,
 }
 
 void Network::send_into(const Packet& packet, HostId sender,
-                        SendResult& out) {
+                        SendResult& out, const RrSettle* settle) {
   out.reply.reset();
   out.rtt_us = 0;
+  out.settled_rr.reset();
   out.request_path.clear();
   out.reply_path.clear();
   ++probes_injected_;
@@ -287,9 +300,13 @@ void Network::send_into(const Packet& packet, HostId sender,
   util::SimClock::Micros elapsed = kAccessDelayUs;
   PassResult& request_pass = pass_scratch_;
   forward_pass(packet, host.attachment, host.gateway, false,
-               plane_.begin_pass(packet.dst), request_pass);
+               plane_.begin_pass(packet.dst), settle, request_pass);
   elapsed += request_pass.elapsed_us;
   std::swap(out.request_path, request_pass.path);
+  if (request_pass.settled_rr) {
+    out.settled_rr = request_pass.settled_rr;
+    return;
+  }
 
   // Determine the response packet and its origin.
   std::optional<Packet> response;
@@ -317,6 +334,15 @@ void Network::send_into(const Packet& packet, HostId sender,
 
   if (!response) return;
 
+  // The destination's own stamps may fill the record (an ICMP error
+  // carries none).
+  if (settle != nullptr && response->rr && response->rr->full() &&
+      !request_pass.delivered->rr->full() &&
+      (*settle)(response->rr->entries())) {
+    out.settled_rr = response->rr;
+    return;
+  }
+
   // Route the response to the IP source of the probe. It is observable only
   // if that address belongs to a host (the unspoofed sender, or the spoofed
   // victim S in the Reverse Traceroute dance).
@@ -331,9 +357,13 @@ void Network::send_into(const Packet& packet, HostId sender,
       (request_pass.delivered && request_pass.router != kInvalidId);
   PassResult& reply_pass = pass_scratch_;
   forward_pass(*response, response_origin, response_arrival, origin_emits,
-               plane_.begin_pass(response->dst), reply_pass);
+               plane_.begin_pass(response->dst), settle, reply_pass);
   elapsed += reply_pass.elapsed_us;
   std::swap(out.reply_path, reply_pass.path);
+  if (reply_pass.settled_rr) {
+    out.settled_rr = reply_pass.settled_rr;
+    return;
+  }
 
   if (!reply_pass.delivered || reply_pass.host != *observer) {
     return;  // Reply lost (filtered, unroutable, expired).

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -27,9 +28,18 @@
 
 namespace revtr::sim {
 
+// A test over a full Record Route, all nine slots. A full option never
+// changes again (RFC 791: routers and destinations skip it), so a caller
+// that keeps nothing from some full records, answered or not, can have
+// the simulator stop such a probe where its record fills (send_into).
+using RrSettle = std::function<bool(std::span<const net::Ipv4Addr>)>;
+
 struct SendResult {
   std::optional<net::Packet> reply;
   util::SimClock::Micros rtt_us = 0;  // Meaningful when reply is set.
+  // Set when the send's RrSettle accepted the probe's full record: the
+  // probe stopped there, so `reply` is unset and the paths are partial.
+  std::optional<net::RecordRouteOption> settled_rr;
 
   // Router-level ground truth of the two directions; used by tests and by
   // evaluation code that needs truth the real paper could not observe.
@@ -62,8 +72,16 @@ class Network {
   // send() with the caller owning the result storage: `out`'s vectors are
   // cleared, not reallocated, so repeated sends into the same SendResult
   // forward packets without allocating (the prober's single probes do).
+  //
+  // With `settle` set, the send evaluates it once, on the stamp that fills
+  // the packet's Record Route: on the request pass, at the destination's
+  // own stamps, or on the reply pass. When it accepts, the probe stops
+  // there and `out.settled_rr` holds the record. The loss draw comes before
+  // any pass and nothing else here depends on earlier probes, so settling
+  // changes no later probe's outcome; a probe `settle` rejects (or that
+  // never fills) runs on exactly as without it.
   void send_into(const net::Packet& packet, topology::HostId sender,
-                 SendResult& out);
+                 SendResult& out, const RrSettle* settle = nullptr);
 
   // Steps a whole probe batch (the engine's 3-probe spoofed-RR batches)
   // through the topology in one call. Semantically identical to calling
@@ -106,6 +124,8 @@ class Network {
     salt_seed_ = seed;
   }
 
+  // Router hops simulated: a settled probe counts only the hops walked
+  // before it stopped.
   std::uint64_t packets_forwarded() const noexcept {
     return packets_forwarded_;
   }
@@ -125,6 +145,8 @@ class Network {
     // Set when TTL expired and the expiring router answers.
     std::optional<net::Packet> icmp_error;
     topology::RouterId error_router = topology::kInvalidId;
+    // Set when the pass's settle test accepted the record it filled.
+    std::optional<net::RecordRouteOption> settled_rr;
     util::SimClock::Micros elapsed_us = 0;
     std::vector<topology::RouterId> path;
 
@@ -136,6 +158,7 @@ class Network {
       router = topology::kInvalidId;
       icmp_error.reset();
       error_router = topology::kInvalidId;
+      settled_rr.reset();
       elapsed_us = 0;
       path.clear();
     }
@@ -145,12 +168,15 @@ class Network {
   // first router is the packet's own originator (a router answering a
   // probe): it forwards without stamping, since RFC 791 stamping happens
   // when *forwarding* a received packet. Writes into `result` (reset
-  // first), reusing its path capacity.
+  // first), reusing its path capacity. A stamp that fills the record
+  // consults `settle` (when set) and, if it accepts, ends the pass there.
   void forward_pass(net::Packet packet, topology::RouterId origin,
                     net::Ipv4Addr arrival_addr, bool origin_emits,
-                    routing::PassState pass, PassResult& result);
+                    routing::PassState pass, const RrSettle* settle,
+                    PassResult& result);
 
-  void stamp_rr(net::Packet& packet, const topology::Router& router,
+  // Returns true when this stamp filled the record.
+  bool stamp_rr(net::Packet& packet, const topology::Router& router,
                 net::Ipv4Addr arrival_addr, net::Ipv4Addr egress_addr) const;
   void stamp_ts(net::Packet& packet, const topology::Router& router,
                 util::SimClock::Micros elapsed) const;

@@ -1,7 +1,9 @@
 #include "vpselect/ingress.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <utility>
 
 #include "probing/fan_out.h"
 
@@ -69,6 +71,14 @@ ReachAnalysis analyze_reach(std::span<const Ipv4Addr> slots,
   return analysis;
 }
 
+bool lacks_reach_point(std::span<const Ipv4Addr> record,
+                       const net::Ipv4Prefix& prefix,
+                       const DiscoveryOptions& options) {
+  return analyze_reach(record, prefix, options.enable_double_stamp,
+                       options.enable_loop)
+             .reach_slot < 0;
+}
+
 std::vector<VpDistance> PrefixPlan::fallback_ranking() const {
   std::vector<VpDistance> ranking;
   for (const auto& info : vp_info) {
@@ -114,6 +124,9 @@ struct IngressDiscovery::Survey {
   PrefixId prefix = topology::kInvalidId;
   std::vector<PrefixPlan::VpInfo> vp_info;  // One per VP, in VP order.
   std::vector<Reached> reached;
+  // The set cover's index: a (candidate, index into `reached`) pair for
+  // every candidate of every reached VP, sorted by address, then index.
+  std::vector<std::pair<Ipv4Addr, std::uint32_t>> covering;
 };
 
 IngressDiscovery::Survey IngressDiscovery::probe(
@@ -150,6 +163,11 @@ IngressDiscovery::Survey IngressDiscovery::probe(
   if (dests.empty()) return survey;
 
   const net::Ipv4Prefix& bgp_prefix = topo_.prefix(prefix).prefix;
+  // The survey keeps nothing from a full record without a reach point, so
+  // such a probe may stop where its record fills (DESIGN.md §8).
+  const sim::RrSettle settle = [&](std::span<const Ipv4Addr> record) {
+    return lacks_reach_point(record, bgp_prefix, options_);
+  };
 
   // Probe every VP toward each destination; collect reach + candidates.
   for (const HostId vp : vps) {
@@ -158,7 +176,7 @@ IngressDiscovery::Survey IngressDiscovery::probe(
     std::vector<std::vector<Ipv4Addr>> candidate_sets;
     std::vector<Ipv4Addr> first_slots;
     for (std::size_t d = 0; d < dests.size(); ++d) {
-      const auto result = prober.rr_ping(vp, dests[d]);
+      const auto result = prober.rr_ping(vp, dests[d], std::nullopt, &settle);
       if (!result.responded) continue;
       const auto analysis =
           analyze_reach(result.slots, bgp_prefix,
@@ -193,6 +211,16 @@ IngressDiscovery::Survey IngressDiscovery::probe(
           Survey::Reached{vp, std::move(common), std::move(first_slots)});
     }
   }
+
+  // Built here, on the probe lane, so the serial commit runs only the
+  // greedy loop. A candidate listed twice for one VP keeps both pairs: the
+  // cover counts it twice.
+  for (std::size_t s = 0; s < survey.reached.size(); ++s) {
+    for (const auto addr : survey.reached[s].candidates) {
+      survey.covering.emplace_back(addr, static_cast<std::uint32_t>(s));
+    }
+  }
+  std::sort(survey.covering.begin(), survey.covering.end());
   return survey;
 }
 
@@ -207,34 +235,38 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::commit_locked(
   const std::vector<Survey::Reached>& surveys = survey.reached;
 
   // Greedy set cover: ingress candidates covering the most uncovered VPs
-  // win; ties break randomly (§4.3).
-  std::map<Ipv4Addr, std::vector<std::size_t>> covering;  // addr -> surveys.
-  for (std::size_t s = 0; s < surveys.size(); ++s) {
-    for (const auto addr : surveys[s].candidates) {
-      covering[addr].push_back(s);
-    }
-  }
+  // win; ties break randomly (§4.3), drawn over the tied addresses in
+  // ascending order. Each address is a run of `covering`.
+  const auto& covering = survey.covering;
+  const auto in_run = [&covering](std::size_t i, Ipv4Addr addr) {
+    return i < covering.size() && covering[i].first == addr;
+  };
   std::vector<bool> covered(surveys.size(), false);
   std::size_t remaining = surveys.size();
+  std::vector<std::size_t> best_runs;  // Where each tied address starts.
   while (remaining > 0) {
-    std::vector<Ipv4Addr> best_addrs;
+    best_runs.clear();
     std::size_t best_count = 0;
-    for (const auto& [addr, survey_ids] : covering) {
+    for (std::size_t run = 0, end = 0; run < covering.size(); run = end) {
       std::size_t count = 0;
-      for (const std::size_t s : survey_ids) count += !covered[s];
+      for (end = run; in_run(end, covering[run].first); ++end) {
+        count += !covered[covering[end].second];
+      }
       if (count > best_count) {
         best_count = count;
-        best_addrs = {addr};
+        best_runs.assign(1, run);
       } else if (count == best_count && count > 0) {
-        best_addrs.push_back(addr);
+        best_runs.push_back(run);
       }
     }
     if (best_count == 0) break;
-    const Ipv4Addr chosen = best_addrs[rng.below(best_addrs.size())];
+    const std::size_t chosen_run = best_runs[rng.below(best_runs.size())];
+    const Ipv4Addr chosen = covering[chosen_run].first;
 
     Ingress ingress;
     ingress.addr = chosen;
-    for (const std::size_t s : covering[chosen]) {
+    for (std::size_t i = chosen_run; in_run(i, chosen); ++i) {
+      const std::size_t s = covering[i].second;
       if (covered[s]) continue;
       covered[s] = true;
       --remaining;

@@ -109,6 +109,13 @@ struct DiscoveryOptions {
   bool enable_loop = true;
 };
 
+// The survey's settle test (Prober::rr_ping): analyze_reach finds no reach
+// point in `record`. The survey keeps nothing from a full record that has
+// none, whether or not its reply comes home.
+bool lacks_reach_point(std::span<const net::Ipv4Addr> record,
+                       const net::Ipv4Prefix& prefix,
+                       const DiscoveryOptions& options);
+
 // Registry handles for the offline ingress-survey path.
 struct IngressMetrics {
   explicit IngressMetrics(obs::MetricsRegistry& registry);
@@ -136,9 +143,10 @@ class IngressDiscovery {
   // already-surveyed prefix re-runs the survey and replaces its plan.
   //
   // A survey has two phases: the probe phase RR-pings the destinations
-  // from every VP and intersects each VP's ingress candidates; the commit
-  // phase runs the greedy set cover (the only consumer of `rng`) and
-  // publishes the plan and the revtr_ingress_* metrics.
+  // from every VP (its probes settle by lacks_reach_point), intersects
+  // each VP's ingress candidates and indexes them for the set cover; the
+  // commit phase runs the greedy set cover (the only consumer of `rng`)
+  // and publishes the plan and the revtr_ingress_* metrics.
   //
   // `offline`, when set, receives what the survey sent: the discovery
   // prober's offline-counter change, taken under the lock. A caller probing
@@ -184,8 +192,9 @@ class IngressDiscovery {
   // One prefix's probe-phase outcome, ready for the set cover.
   struct Survey;
 
-  // Probe phase: picks the destinations and RR-pings them from every VP
-  // through `prober`. Takes no lock; the caller owns `prober`.
+  // Probe phase: picks the destinations, RR-pings them from every VP
+  // through `prober` and builds the set cover's index. Takes no lock; the
+  // caller owns `prober`.
   Survey probe(topology::PrefixId prefix,
                std::span<const topology::HostId> vps,
                std::span<const topology::HostId> exclude,

@@ -7,6 +7,7 @@
 // loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "obs/metrics.h"
 #include "service/parallel.h"
 #include "service/service.h"
+#include "util/rng.h"
 #include "util/stats.h"
 #include "util/striped_map.h"
 
@@ -824,6 +826,180 @@ TEST(AtlasConcurrency, ServiceBootstrapMatchesAddSourceLoop) {
   EXPECT_TRUE(lab.prober.offline_counters() ==
               loop_lab.prober.offline_counters());
   EXPECT_EQ(lab.rng(), loop_lab.rng());
+}
+
+// --- Start-up products on the daemon's deployment topology ----------------
+
+// daemonbench's deployment (`deployment_topology()`): 800 ASes, 30 VPs and
+// one probe host in every stub AS, seed 7, as the daemon starts it.
+topology::TopologyConfig deployment_config() {
+  topology::TopologyConfig config;
+  config.seed = 7;
+  config.num_ases = 800;
+  config.num_vps = 30;
+  config.num_vps_2016 = 10;
+  config.num_probe_hosts = std::size_t{1} << 20;
+  return config;
+}
+
+// Order-sensitive digest of a sequence of words.
+struct Digest {
+  std::uint64_t value = 0;
+  void add(std::uint64_t word) { value = util::mix_hash(value, word); }
+  void add_distance(int distance) {
+    add(static_cast<std::uint64_t>(static_cast<std::int64_t>(distance)));
+  }
+};
+
+// The survey that start-up runs (Lab::precompute_all_ingresses, over every
+// CPU) yields these plans, draws and probes. The values were recorded from
+// a survey that simulated every probe in full, so what the survey skips
+// simulating must leave every one of them as it is. Runs under TSan by
+// check.sh (the `Ingress` filter).
+TEST(IngressDeployment, SurveyPlansDrawAndCountersArePinned) {
+  eval::Lab lab(deployment_config());
+  lab.precompute_all_ingresses();
+
+  Digest digest;
+  std::size_t plans = 0;
+  std::size_t covered = 0;
+  for (const auto& prefix : lab.topo.prefixes()) {
+    const auto plan = lab.ingress.plan_for(prefix.id);
+    ASSERT_NE(plan, nullptr) << "prefix " << prefix.id;
+    ++plans;
+    covered += plan->has_ingresses();
+    digest.add(plan->prefix);
+    digest.add(plan->ingresses.size());
+    for (const auto& ingress : plan->ingresses) {
+      digest.add(ingress.addr.value());
+      digest.add(ingress.vps.size());
+      for (const auto& vp : ingress.vps) {
+        digest.add(vp.vp);
+        digest.add_distance(vp.distance);
+      }
+    }
+    digest.add(plan->vp_info.size());
+    for (const auto& info : plan->vp_info) {
+      digest.add(info.vp);
+      digest.add_distance(info.dist_d1);
+      digest.add_distance(info.dist_d2);
+    }
+  }
+  EXPECT_EQ(plans, 1806u);
+  EXPECT_EQ(covered, 1608u);
+  EXPECT_EQ(digest.value, 4823818559237389804u);
+  EXPECT_EQ(lab.rng(), 1319855219901105308u);
+
+  probing::ProbeCounters survey;
+  survey.rr = 108'240;
+  EXPECT_TRUE(lab.prober.offline_counters() == survey);
+  EXPECT_TRUE(lab.prober.counters() == survey);
+  EXPECT_EQ(lab.prober.last_packet_id(), 108'240 % 65'536);
+}
+
+// Q1 and Q2 as start-up runs them after the survey, for 30 sources with
+// atlas 50 (Lab::bootstrap_sources, over every CPU): every source's Q2
+// index, the bootstrap's offline probes and the owner prober's packet ids
+// after the fan-out's absorb. Recorded like the survey pin above; runs
+// under TSan by check.sh (the `Atlas` filter).
+TEST(AtlasDeployment, RrIndexCountersAndPacketIdsArePinned) {
+  eval::Lab lab(deployment_config());
+  const auto vps = lab.topo.vantage_points();
+  ASSERT_EQ(vps.size(), 30u);
+  const std::vector<HostId> sources(vps.begin(), vps.end());
+  lab.precompute_all_ingresses();
+  const probing::ProbeCounters survey = lab.prober.offline_counters();
+  lab.bootstrap_sources(sources, 50);
+
+  Digest digest;
+  std::size_t entries = 0;
+  for (const HostId source : sources) {
+    const auto index = lab.atlas.rr_index_entries(source);
+    std::vector<std::pair<net::Ipv4Addr, atlas::Intersection>> sorted(
+        index.begin(), index.end());
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    digest.add(source);
+    digest.add(sorted.size());
+    for (const auto& [addr, at] : sorted) {
+      digest.add(addr.value());
+      digest.add(at.traceroute_index);
+      digest.add(at.hop_index);
+    }
+    entries += sorted.size();
+  }
+  EXPECT_EQ(entries, 1200u);
+  EXPECT_EQ(digest.value, 11016650888210712710u);
+
+  probing::ProbeCounters bootstrap;
+  bootstrap.rr = 21'874;
+  bootstrap.traceroute_packets = 22'637;
+  bootstrap.traceroutes = 1'500;
+  EXPECT_TRUE(lab.prober.offline_counters() - survey == bootstrap);
+  EXPECT_TRUE(lab.prober.counters() == lab.prober.offline_counters());
+  // Survey and Q2 RR pings draw one packet id each; traceroutes none.
+  EXPECT_EQ(lab.prober.last_packet_id(), (108'240 + 21'874) % 65'536);
+}
+
+// What an observer sees: every probe event, folded in order.
+struct EventDigest : probing::ProbeObserver {
+  Digest digest;
+  std::size_t events = 0;
+
+  void on_probe(const probing::ProbeEvent& event) override {
+    ++events;
+    digest.add(static_cast<std::uint64_t>(event.type));
+    digest.add(event.from);
+    digest.add(event.target.value());
+    digest.add(event.spoof_as ? std::uint64_t{event.spoof_as->value()} + 1
+                              : 0);
+    digest.add(event.responded);
+    digest.add(event.offline);
+    digest.add(event.suppressed);
+    digest.add(event.packets);
+    digest.add(event.slots.size());
+    for (const auto addr : event.slots) digest.add(addr.value());
+    digest.add(event.tr_hops.size());
+    for (const auto addr : event.tr_hops) digest.add(addr.value());
+    digest.add(event.tr_reached);
+  }
+};
+
+// An observer watches the survey's and Q2's probes one by one and a fault
+// policy is offered each, so neither lets a probe settle: the event
+// streams equal the ones recorded from a start-up that simulated every
+// probe in full.
+TEST(IngressConcurrency, ObservedStartUpSettlesNothing) {
+  const auto start_up = [](eval::Lab& lab,
+                           const probing::ProbeMetrics& metrics) {
+    lab.prober.set_metrics(&metrics);
+    lab.precompute_all_ingresses();
+    lab.bootstrap_sources(atlas_sources(lab), kAtlasTraces);
+  };
+  for (const bool fault : {false, true}) {
+    SCOPED_TRACE(fault ? "observer and fault policy" : "observer");
+    eval::Lab lab(survey_config());
+    obs::MetricsRegistry registry;
+    const probing::ProbeMetrics metrics(registry);
+    EventDigest log;
+    lab.prober.set_observer(&log);
+    if (fault) {
+      lab.prober.set_fault_policy([](const probing::ProbeEvent& event) {
+        return util::splitmix64(event.target.value()) % 5 == 0;
+      });
+    }
+    start_up(lab, metrics);
+    EXPECT_EQ(metrics.settled->total(), 0u);
+    EXPECT_EQ(log.events, fault ? 6'274u : 6'293u);
+    EXPECT_EQ(log.digest.value,
+              fault ? 8546394592710014711u : 15118977562420831867u);
+  }
+  // Unobserved, the same start-up settles probes.
+  eval::Lab lab(survey_config());
+  obs::MetricsRegistry registry;
+  const probing::ProbeMetrics metrics(registry);
+  start_up(lab, metrics);
+  EXPECT_GT(metrics.settled->total(), 0u);
 }
 
 // --- ParallelCampaignDriver ----------------------------------------------

@@ -364,7 +364,8 @@ TEST(ServerDaemon, StatsReplyIsParseableJson) {
 
 // An operator can tell where start-up went from STATS alone: the lab build,
 // the routing tables, the ingress survey and the atlas bootstrap, each a
-// part of start()'s wall time.
+// part of start()'s wall time, and how many of the survey's and Q2's
+// offline probes settled.
 TEST(ServerDaemon, StatsReportStartupPhases) {
   const auto options = small_daemon_options("startup");
   ServerDaemon daemon(options);
@@ -393,6 +394,10 @@ TEST(ServerDaemon, StatsReportStartupPhases) {
     }
     EXPECT_GT(sum, 0.0);
     EXPECT_LE(sum, start_s);
+    const util::Json* settled = parsed->find("offline_settled_probes");
+    ASSERT_NE(settled, nullptr);
+    ASSERT_TRUE(settled->is_number());
+    EXPECT_GT(settled->as_double(), 0.0);
   }
   daemon.stop();
 }

@@ -2,13 +2,19 @@
 #include <memory>
 
 #include <algorithm>
+#include <array>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "atlas/atlas.h"
+#include "probing/prober.h"
 #include "routing/forwarding.h"
 #include "sim/network.h"
 #include "topology/builder.h"
 #include "util/rng.h"
+#include "vpselect/ingress.h"
 
 namespace revtr::sim {
 namespace {
@@ -406,6 +412,20 @@ TopologyConfig hazard_config() {
   return config;
 }
 
+// A host address, a router loopback or a link interface address.
+Ipv4Addr random_target(const Topology& topo, util::Rng& rng) {
+  switch (rng.below(3)) {
+    case 0:
+      return topo.hosts()[rng.below(topo.num_hosts())].addr;
+    case 1:
+      return topo.routers()[rng.below(topo.num_routers())].loopback;
+    default: {
+      const auto& link = topo.links()[rng.below(topo.num_links())];
+      return rng.below(2) == 0 ? link.addr_a : link.addr_b;
+    }
+  }
+}
+
 // The router path single-shot decide() calls walk from `start`: each call
 // resolves the destination and the egress afresh and keeps nothing.
 std::vector<topology::RouterId> walk(const routing::ForwardingPlane& plane,
@@ -466,26 +486,13 @@ TEST(DifferentialForwarding, PassesMatchFreshDecisionsHopByHop) {
   ASSERT_GT(neighbour_owned, 0u);
 
   util::Rng rng(17);
-  const auto random_dst = [&]() -> Ipv4Addr {
-    switch (rng.below(3)) {
-      case 0:
-        return topo.hosts()[rng.below(topo.num_hosts())].addr;
-      case 1:
-        return topo.routers()[rng.below(topo.num_routers())].loopback;
-      default: {
-        const auto& link = topo.links()[rng.below(topo.num_links())];
-        return rng.below(2) == 0 ? link.addr_a : link.addr_b;
-      }
-    }
-  };
-
   constexpr int kCases = 10'000;
   std::size_t replies = 0, hazard_hops = 0;
   for (int i = 0; i < kCases; ++i) {
     const auto sender =
         static_cast<HostId>(rng.below(topo.num_hosts()));
     const Ipv4Addr from = topo.host(sender).addr;
-    const Ipv4Addr to = random_dst();
+    const Ipv4Addr to = random_target(topo, rng);
     const auto flow = static_cast<std::uint16_t>(rng.below(1u << 16));
     const bool rr = (i & 1) != 0;
     SCOPED_TRACE("case " + std::to_string(i) + ": " + from.to_string() +
@@ -525,6 +532,193 @@ TEST(DifferentialForwarding, PassesMatchFreshDecisionsHopByHop) {
   }
   EXPECT_GT(replies, static_cast<std::size_t>(kCases) / 4);
   EXPECT_GT(hazard_hops, static_cast<std::size_t>(kCases));
+}
+
+// --- Settled offline RR probes (Prober::rr_ping's settle test) ------------
+
+// The hazard topology with option-filtering ASes too.
+TopologyConfig settle_config() {
+  TopologyConfig config = hazard_config();
+  config.as_filters_options = 0.1;
+  return config;
+}
+
+// One settle-test case: a probe and the test one of the two offline
+// callers would pass for it.
+struct SettleCase {
+  HostId sender = topology::kInvalidId;
+  Ipv4Addr target;
+  std::optional<Ipv4Addr> spoof_as;
+  bool survey = false;  // The survey's test, else Q2's.
+  net::Ipv4Prefix prefix;
+};
+
+// Every fourth probe spoofs another host's address, so replies (and the
+// passes that fill their records) also head to a third host.
+SettleCase random_settle_case(const Topology& topo, util::Rng& rng, int i) {
+  SettleCase c;
+  c.sender = static_cast<HostId>(rng.below(topo.num_hosts()));
+  c.target = random_target(topo, rng);
+  if (i % 4 == 3) {
+    c.spoof_as = topo.hosts()[rng.below(topo.num_hosts())].addr;
+  }
+  c.survey = i % 2 == 0;
+  const auto prefix = topo.prefix_of(c.target);
+  c.prefix = prefix ? topo.prefix(*prefix).prefix
+                    : net::Ipv4Prefix(c.target, 32);
+  return c;
+}
+
+// The caller's test, as IngressDiscovery::probe and
+// TracerouteAtlas::measure_rr_index build it.
+RrSettle settle_test(const SettleCase& c) {
+  if (c.survey) {
+    return [prefix = c.prefix](std::span<const Ipv4Addr> record) {
+      return vpselect::lacks_reach_point(record, prefix,
+                                         vpselect::DiscoveryOptions{});
+    };
+  }
+  return [probed = c.target](std::span<const Ipv4Addr> record) {
+    return atlas::lacks_reverse_slots(record, probed);
+  };
+}
+
+struct SettleStack {
+  Topology topo = TopologyBuilder::build(settle_config());
+  routing::BgpTable bgp{topo};
+  routing::IntraRouting intra{topo};
+  routing::ForwardingPlane plane{topo, bgp, intra};
+};
+
+// Each offline caller's test against no test at all, probe for probe, on
+// twin networks with loss. A settled probe's record is full, accepted and
+// the one the plain probe brought home (when it did); every other probe
+// comes back exactly as the plain one, and the accounting, the packet ids
+// and the loss stream never drift apart.
+TEST(DifferentialSettle, SettledProbesMatchPlainProbes) {
+  const SettleStack stack;
+  const Topology& topo = stack.topo;
+  std::size_t filtering = 0;
+  for (const auto& node : topo.ases()) filtering += node.filters_ip_options;
+  ASSERT_GT(filtering, 0u);
+
+  constexpr std::uint64_t kSeed = 9;
+  Network plain_net(topo, stack.plane, kSeed);
+  Network settle_net(topo, stack.plane, kSeed);
+  plain_net.set_loss_rate(0.05);
+  settle_net.set_loss_rate(0.05);
+  probing::Prober plain(plain_net);
+  probing::Prober settling(settle_net);
+  const probing::Prober::OfflineScope plain_offline(plain);
+  const probing::Prober::OfflineScope settling_offline(settling);
+
+  util::Rng rng(29);
+  constexpr int kCases = 12'000;
+  std::array<std::size_t, 2> settled{};  // [Q2, survey]
+  std::size_t settled_answered = 0;
+  std::size_t full_answered = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const SettleCase c = random_settle_case(topo, rng, i);
+    SCOPED_TRACE("case " + std::to_string(i) + ": " + c.target.to_string() +
+                 (c.survey ? " survey" : " q2"));
+    const RrSettle test = settle_test(c);
+    const auto want = plain.rr_ping(c.sender, c.target, c.spoof_as);
+    const auto got = settling.rr_ping(c.sender, c.target, c.spoof_as, &test);
+    ASSERT_FALSE(want.settled);
+    full_answered += want.responded && want.slots.size() == 9;
+    if (got.settled) {
+      ++settled[c.survey];
+      ASSERT_EQ(got.slots.size(), net::RecordRouteOption::kMaxSlots);
+      EXPECT_TRUE(test(got.slots));
+      EXPECT_FALSE(got.responded);
+      EXPECT_EQ(got.duration_us, 0);
+      if (want.responded) {
+        ++settled_answered;
+        EXPECT_EQ(got.slots, want.slots);
+      }
+    } else {
+      EXPECT_EQ(got.responded, want.responded);
+      EXPECT_EQ(got.slots, want.slots);
+      EXPECT_EQ(got.duration_us, want.duration_us);
+      // A full record the test accepts would have settled where it filled.
+      if (want.responded && want.slots.size() == 9) {
+        EXPECT_FALSE(test(want.slots));
+      }
+    }
+    ASSERT_EQ(settling.last_packet_id(), plain.last_packet_id());
+  }
+  EXPECT_TRUE(settling.counters() == plain.counters());
+  EXPECT_TRUE(settling.offline_counters() == plain.offline_counters());
+  EXPECT_EQ(settle_net.probes_injected(), plain_net.probes_injected());
+  EXPECT_LT(settle_net.packets_forwarded(), plain_net.packets_forwarded());
+  // Both tests settle probes, some of them ones whose reply came home.
+  EXPECT_GT(settled[0], 1'000u);
+  EXPECT_GT(settled[1], 1'000u);
+  EXPECT_GT(settled_answered, 1'000u);
+  EXPECT_GT(full_answered, settled_answered);
+  // The loss stream is the same: a fresh probe on each reads alike.
+  EXPECT_EQ(plain.ping(0, topo.hosts()[1].addr).responded,
+            settling.ping(0, topo.hosts()[1].addr).responded);
+}
+
+struct EventLog : probing::ProbeObserver {
+  std::vector<probing::ProbeEvent> events;
+  void on_probe(const probing::ProbeEvent& event) override {
+    events.push_back(event);
+  }
+};
+
+// Nothing settles where it must not: on a prober with an observer or a
+// fault policy, which see every probe as it goes without a settle test, or
+// online, where the answer and duration drive a request. Every probe, the
+// events and the simulated hops read as without the test.
+TEST(DifferentialSettle, ObservedAndOnlineProbesNeverSettle) {
+  const SettleStack stack;
+  const Topology& topo = stack.topo;
+  // Drops a fifth of the probes, by target.
+  const probing::FaultPolicy drop = [](const probing::ProbeEvent& event) {
+    return util::splitmix64(event.target.value()) % 5 == 0;
+  };
+  enum class Mode { kObserved, kObservedAndFaulted, kOnline };
+  for (const Mode mode :
+       {Mode::kObserved, Mode::kObservedAndFaulted, Mode::kOnline}) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+    Network plain_net(topo, stack.plane, 9);
+    Network settle_net(topo, stack.plane, 9);
+    probing::Prober plain(plain_net);
+    probing::Prober settling(settle_net);
+    EventLog plain_log;
+    EventLog settling_log;
+    std::optional<probing::Prober::OfflineScope> plain_offline;
+    std::optional<probing::Prober::OfflineScope> settling_offline;
+    if (mode != Mode::kOnline) {
+      plain.set_observer(&plain_log);
+      settling.set_observer(&settling_log);
+      plain_offline.emplace(plain);
+      settling_offline.emplace(settling);
+    }
+    if (mode == Mode::kObservedAndFaulted) {
+      plain.set_fault_policy(drop);
+      settling.set_fault_policy(drop);
+    }
+
+    util::Rng rng(31);
+    std::size_t full = 0;
+    for (int i = 0; i < 4'000; ++i) {
+      const SettleCase c = random_settle_case(topo, rng, i);
+      const RrSettle test = settle_test(c);
+      const auto want = plain.rr_ping(c.sender, c.target, c.spoof_as);
+      const auto got = settling.rr_ping(c.sender, c.target, c.spoof_as, &test);
+      ASSERT_FALSE(got.settled) << "case " << i;
+      EXPECT_EQ(got.responded, want.responded);
+      EXPECT_EQ(got.slots, want.slots);
+      EXPECT_EQ(got.duration_us, want.duration_us);
+      full += got.slots.size() == 9 && test(got.slots);
+    }
+    EXPECT_GT(full, 500u) << "records an offline prober would settle";
+    EXPECT_TRUE(settling_log.events == plain_log.events);
+    EXPECT_EQ(settle_net.packets_forwarded(), plain_net.packets_forwarded());
+  }
 }
 
 }  // namespace
