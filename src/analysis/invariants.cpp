@@ -257,7 +257,7 @@ std::vector<Violation> check_result(const core::ReverseTraceroute& result,
     }
     const auto min_latency =
         static_cast<util::SimClock::Micros>(result.spoofed_batches) *
-        config.spoof_batch_timeout;
+        core::kSpoofBatchTimeout;
     if (result.span.duration() < min_latency) {
       out.push_back(Violation{
           InvariantId::kBudget,

@@ -340,7 +340,7 @@ void run_state(const Tower& tower, const Endpoints& endpoints,
   World world(tower, endpoints, preset, schedule, state_seed, &log);
   // A stale-atlas schedule starts measuring a TTL after the atlas was built.
   const util::SimClock::Micros start_us =
-      schedule.stale_atlas ? preset.config.cache_ttl + util::SimClock::kSecond
+      schedule.stale_atlas ? core::kCacheTtl + util::SimClock::kSecond
                            : 0;
   util::SimClock clock;
   clock.advance_to(start_us);

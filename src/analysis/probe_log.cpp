@@ -7,27 +7,8 @@ probing::ProbeCounters ProbeLog::tally(
   probing::ProbeCounters counters;
   for (const auto& event : events) {
     if (event.offline != offline) continue;
-    switch (event.type) {
-      case probing::ProbeType::kPing:
-        ++counters.ping;
-        break;
-      case probing::ProbeType::kRecordRoute:
-        ++counters.rr;
-        break;
-      case probing::ProbeType::kSpoofedRecordRoute:
-        ++counters.spoofed_rr;
-        break;
-      case probing::ProbeType::kTimestamp:
-        ++counters.ts;
-        break;
-      case probing::ProbeType::kSpoofedTimestamp:
-        ++counters.spoofed_ts;
-        break;
-      case probing::ProbeType::kTraceroute:
-        counters.traceroute_packets += event.packets;
-        ++counters.traceroutes;
-        break;
-    }
+    counters.add(event.type, event.packets);
+    if (event.type == probing::ProbeType::kTraceroute) ++counters.traceroutes;
   }
   return counters;
 }

@@ -162,10 +162,6 @@ class TracerouteAtlas {
   std::vector<AtlasTraceroute> traceroutes(topology::HostId source) const;
   // Cheap size query (no snapshot copy) for budget/report code.
   std::size_t traceroute_count(topology::HostId source) const;
-  bool has_source(topology::HostId source) const {
-    const util::SharedLock lock(sources_mu_);
-    return sources_.contains(source);
-  }
   std::size_t rr_index_size(topology::HostId source) const;
   // Q2 index contents, exposed so validation tooling and tests can assert
   // structural properties (every entry's suffix must reach the source).

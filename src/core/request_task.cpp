@@ -77,27 +77,11 @@ void RequestTask::charge(const sched::ProbeDemand& demand,
     return;
   }
   stage_probes_ += outcome.packets;
-  switch (demand.type) {
-    case probing::ProbeType::kPing:
-      ++result_.probes.ping;
-      break;
-    case probing::ProbeType::kRecordRoute:
-      ++result_.probes.rr;
-      break;
-    case probing::ProbeType::kSpoofedRecordRoute:
-      ++result_.probes.spoofed_rr;
-      break;
-    case probing::ProbeType::kTimestamp:
-      ++result_.probes.ts;
-      break;
-    case probing::ProbeType::kSpoofedTimestamp:
-      ++result_.probes.spoofed_ts;
-      break;
-    case probing::ProbeType::kTraceroute:
-      result_.probes.traceroute_packets += outcome.packets;
-      ++result_.probes.traceroutes;
-      break;
-  }
+  // A non-traceroute demand is one packet, also when an agent refused its
+  // spec and reported none.
+  const bool trace = demand.type == probing::ProbeType::kTraceroute;
+  result_.probes.add(demand.type, trace ? outcome.packets : 1);
+  if (trace) ++result_.probes.traceroutes;
 }
 
 std::span<const sched::ProbeDemand> RequestTask::advance() {
@@ -186,7 +170,7 @@ void RequestTask::step_loop_head() {
   batch_attempts_.clear();
   revealed_.clear();
   ts_candidates_.clear();
-  if (result_.hops.size() >= config().max_reverse_hops) {
+  if (result_.hops.size() >= kMaxReverseHops) {
     finish();  // Undecided loop exit: status stays kUnreachable.
     return;
   }
@@ -218,7 +202,7 @@ bool RequestTask::try_atlas() {
   open_stage("atlas-intersection");
   const auto age = engine_.atlas_.touch(source_, *hit, clock_.now());
   result_.intersected_age_us = age;
-  result_.used_stale_traceroute = age > config().cache_ttl;
+  result_.used_stale_traceroute = age > kCacheTtl;
   annotate_stage("age_us", std::to_string(age));
   if (result_.used_stale_traceroute) annotate_stage("stale", "1");
   const auto suffix = engine_.atlas_.suffix_after(source_, *hit);
@@ -286,7 +270,7 @@ bool RequestTask::append_rr_round(std::span<const Ipv4Addr> revealed,
       engine_.caches_->rr.insert_or_assign(
           rr_key_,
           RrCacheEntry{{rr_reveals_.begin(), rr_reveals_.end()},
-                       clock_.now() + config().cache_ttl});
+                       clock_.now() + kCacheTtl});
     }
   }
   return progressed;
@@ -341,8 +325,7 @@ void RequestTask::begin_spoofed() {
 void RequestTask::setup_attempts(const vpselect::PrefixPlan& plan) {
   attempts_.clear();
   if (config().use_ingress_selection) {
-    const auto planned =
-        vpselect::attempt_plan(plan, config().max_per_ingress);
+    const auto planned = vpselect::attempt_plan(plan);
     attempts_.assign(planned.begin(), planned.end());
   } else {
     // revtr 1.0: try every vantage point in per-prefix set-cover order.
@@ -366,7 +349,7 @@ void RequestTask::step_spoof_emit() {
   open_stage("rr-spoof-batch");
   batch_attempts_.clear();
   while (next_attempt_ < attempts_.size() &&
-         batch_attempts_.size() < config().batch_size) {
+         batch_attempts_.size() < sched::kSpoofBatchSize) {
     const auto& attempt = attempts_[next_attempt_++];
     if (rank_failures_[attempt.ingress_rank] >= 5) continue;  // §4.3.
     batch_attempts_.push_back(attempt);
@@ -412,7 +395,7 @@ void RequestTask::on_spoof_batch(
   }
   // Spoofed replies land at the source; the controller always waits out the
   // batch timeout for stragglers (§5.2.4).
-  clock_.advance(config().spoof_batch_timeout);
+  clock_.advance(kSpoofBatchTimeout);
   ++result_.spoofed_batches;
   annotate_stage("sent", std::to_string(batch_attempts_.size()));
   close_stage();
@@ -495,7 +478,7 @@ void RequestTask::step_after_rr() {
 void RequestTask::step_ts_next() {
   while (ts_index_ < ts_candidates_.size()) {
     const Ipv4Addr adjacent = ts_candidates_[ts_index_++];
-    if (ts_tried_++ >= config().max_ts_adjacencies) break;
+    if (ts_tried_++ >= kMaxTsAdjacencies) break;
     if (adjacent.is_private() || already_in_path(adjacent)) continue;
     ts_adjacent_ = adjacent;
     sched::ProbeDemand demand;
@@ -539,7 +522,7 @@ void RequestTask::step_ts_spoof_emit() {
 
 void RequestTask::on_ts_spoofed(std::span<const sched::ProbeOutcome> outcomes) {
   charge(consumed_[0], outcomes[0]);
-  clock_.advance(config().spoof_batch_timeout / 2);
+  clock_.advance(kSpoofBatchTimeout / 2);
   evaluate_ts(outcomes[0]);
 }
 
@@ -615,7 +598,7 @@ void RequestTask::on_symmetry(std::span<const sched::ProbeOutcome> outcomes) {
   if (config().use_cache) {
     engine_.caches_->tr.insert_or_assign(
         cache_key(current_, source_),
-        TrCacheEntry{penultimate, reached, clock_.now() + config().cache_ttl});
+        TrCacheEntry{penultimate, reached, clock_.now() + kCacheTtl});
   }
   apply_symmetry(penultimate, reached);
 }

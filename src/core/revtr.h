@@ -197,6 +197,15 @@ struct ReverseTraceroute {
   std::vector<net::Ipv4Addr> ip_hops() const;
 };
 
+// The engine's fixed parameters; every preset uses the same values.
+inline constexpr std::size_t kMaxTsAdjacencies = 10;  // Per stuck hop.
+inline constexpr std::size_t kMaxReverseHops = 64;
+// Empirical wait for a spoofed batch's replies (§5.2.4).
+inline constexpr util::SimClock::Micros kSpoofBatchTimeout =
+    10 * util::SimClock::kSecond;
+// Cached RR and traceroute results are reused this long.
+inline constexpr util::SimClock::Micros kCacheTtl = util::SimClock::kDay;
+
 struct EngineConfig {
   bool use_ingress_selection = true;  // Q3 (else revtr 1.0 VP order).
   bool use_cache = true;              // Reuse RR/traceroute results 24 h.
@@ -219,14 +228,6 @@ struct EngineConfig {
   // off. Incompatible with assume_from_unreachable_traceroute, which reads
   // the last hop of a trace that fell short — a scan never learns it.
   bool use_last_hop_traces = true;
-
-  std::size_t batch_size = 3;           // Spoofed RR batch (§5.3).
-  std::size_t max_per_ingress = 5;      // Backup VPs per ingress (§4.3).
-  std::size_t max_ts_adjacencies = 10;  // TS probes per stuck hop.
-  std::size_t max_reverse_hops = 64;
-  util::SimClock::Micros spoof_batch_timeout =
-      10 * util::SimClock::kSecond;  // Empirical timeout (§5.2.4).
-  util::SimClock::Micros cache_ttl = util::SimClock::kDay;
 
   static EngineConfig revtr1();
   static EngineConfig revtr2();
@@ -356,9 +357,6 @@ class RevtrEngine {
   void set_shared_caches(std::shared_ptr<EngineCaches> caches) {
     REVTR_CHECK(caches != nullptr);
     caches_ = std::move(caches);
-  }
-  const std::shared_ptr<EngineCaches>& shared_caches() const noexcept {
-    return caches_;
   }
 
   // Metrics handles; nullptr (default) = no instrumentation. The handles

@@ -192,11 +192,6 @@ std::size_t MetricsRegistry::size() const {
   return entries_.size();
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 // --- Exporters. -------------------------------------------------------------
 
 namespace {

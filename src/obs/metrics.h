@@ -217,10 +217,6 @@ class MetricsRegistry {
   void reset();
   std::size_t size() const;
 
-  // Process-wide default instance for tools that do not thread an explicit
-  // registry; libraries always take the registry explicitly.
-  static MetricsRegistry& global();
-
  private:
   struct Entry {
     std::unique_ptr<Counter> counter;

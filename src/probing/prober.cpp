@@ -61,6 +61,29 @@ ProbeMetrics::ProbeMetrics(obs::MetricsRegistry& registry) {
   settled = &registry.counter("revtr_probes_settled_total{scope=\"offline\"}");
 }
 
+void ProbeCounters::add(ProbeType type, std::uint64_t packets) noexcept {
+  switch (type) {
+    case ProbeType::kPing:
+      ping += packets;
+      break;
+    case ProbeType::kRecordRoute:
+      rr += packets;
+      break;
+    case ProbeType::kSpoofedRecordRoute:
+      spoofed_rr += packets;
+      break;
+    case ProbeType::kTimestamp:
+      ts += packets;
+      break;
+    case ProbeType::kSpoofedTimestamp:
+      spoofed_ts += packets;
+      break;
+    case ProbeType::kTraceroute:
+      traceroute_packets += packets;
+      break;
+  }
+}
+
 ProbeCounters& ProbeCounters::operator+=(const ProbeCounters& other) {
   ping = checked_add(ping, other.ping);
   rr = checked_add(rr, other.rr);
@@ -105,30 +128,8 @@ void Prober::absorb(const Prober& other) {
 }
 
 void Prober::charge(ProbeType type) {
-  const auto bump = [type](ProbeCounters& c) {
-    switch (type) {
-      case ProbeType::kPing:
-        ++c.ping;
-        break;
-      case ProbeType::kRecordRoute:
-        ++c.rr;
-        break;
-      case ProbeType::kSpoofedRecordRoute:
-        ++c.spoofed_rr;
-        break;
-      case ProbeType::kTimestamp:
-        ++c.ts;
-        break;
-      case ProbeType::kSpoofedTimestamp:
-        ++c.spoofed_ts;
-        break;
-      case ProbeType::kTraceroute:
-        ++c.traceroute_packets;
-        break;
-    }
-  };
-  bump(counters_);
-  if (offline()) bump(offline_counters_);
+  counters_.add(type, 1);
+  if (offline()) offline_counters_.add(type, 1);
   if (metrics_ != nullptr) {
     metrics_->probes[static_cast<std::size_t>(type)][offline() ? 1 : 0]->add();
   }
@@ -212,69 +213,6 @@ RrProbeResult Prober::rr_ping(topology::HostId from, Ipv4Addr target,
   if (observer_ != nullptr) event.slots = out.slots;
   notify(event);
   return out;
-}
-
-void Prober::rr_ping_batch(std::span<const RrBatchItem> items,
-                           std::vector<RrProbeResult>& out) {
-  out.resize(items.size());
-  batch_probes_.clear();
-  batch_slots_.clear();
-  batch_events_.resize(items.size());
-
-  // Phase 1, in item order: charge, consult the fault policy, and build the
-  // wire packets. next_id() draws here, so packet ids match what sequential
-  // rr_ping() calls would have used.
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const RrBatchItem& item = items[i];
-    charge(item.spoof_as ? ProbeType::kSpoofedRecordRoute
-                         : ProbeType::kRecordRoute);
-    ProbeEvent& event = batch_events_[i];
-    event = ProbeEvent{};
-    event.type = item.spoof_as ? ProbeType::kSpoofedRecordRoute
-                               : ProbeType::kRecordRoute;
-    event.from = item.from;
-    event.target = item.target;
-    event.spoof_as = item.spoof_as;
-    event.offline = offline();
-    RrProbeResult& result = out[i];
-    result.responded = false;
-    result.slots.clear();
-    result.duration_us = kProbeTimeoutUs;
-    if (vetoed(event)) continue;
-    const auto& sender = topo().host(item.from);
-    const Ipv4Addr src = item.spoof_as.value_or(sender.addr);
-    sim::BatchProbe probe;
-    probe.packet = net::make_echo_request(src, item.target, next_id(), 1);
-    probe.packet.rr = net::RecordRouteOption{};
-    probe.sender = item.from;
-    batch_probes_.push_back(std::move(probe));
-    batch_slots_.push_back(i);
-  }
-
-  // Phase 2: one simulator pass over the whole batch (loss draws happen
-  // inside, in batch order).
-  network_.send_batch(batch_probes_, batch_replies_);
-
-  // Phase 3, in item order: outcomes and observer notifications.
-  for (std::size_t p = 0; p < batch_replies_.size(); ++p) {
-    const sim::SendResult& reply = batch_replies_[p];
-    RrProbeResult& result = out[batch_slots_[p]];
-    result.responded = reply.answered() && reply.reply->rr.has_value();
-    if (result.responded) {
-      // assign() keeps the result's capacity from batch to batch.
-      const auto slots = reply.reply->rr->entries();
-      REVTR_CHECK(slots.size() <= net::RecordRouteOption::kMaxSlots);
-      result.slots.assign(slots.begin(), slots.end());
-      result.duration_us = reply.rtt_us;
-    }
-  }
-  if (observer_ == nullptr) return;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    ProbeEvent& event = batch_events_[i];
-    event.responded = out[i].responded;
-    event.slots = out[i].slots;
-    notify(event);
-  }
 }
 
 TsProbeResult Prober::ts_ping(topology::HostId from, Ipv4Addr target,

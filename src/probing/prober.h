@@ -59,6 +59,9 @@ struct ProbeCounters {
   std::uint64_t total() const noexcept {
     return ping + rr + spoofed_rr + ts + spoofed_ts + traceroute_packets;
   }
+  // Counts `packets` wire packets of `type`. Traceroute heads are not
+  // packets: `traceroutes` is counted apart.
+  void add(ProbeType type, std::uint64_t packets) noexcept;
   ProbeCounters& operator+=(const ProbeCounters& other);
   ProbeCounters operator-(const ProbeCounters& other) const;
   bool operator==(const ProbeCounters&) const = default;
@@ -132,7 +135,8 @@ struct RrProbeResult {
   bool settled = false;
 };
 
-// One probe of an rr_ping_batch call.
+// One probe of a ProbeTransport::execute_batch call: a spoofed-RR batch
+// the scheduler sends from one expected ingress (§4.3).
 struct RrBatchItem {
   topology::HostId from = topology::kInvalidId;
   net::Ipv4Addr target;
@@ -201,16 +205,6 @@ class Prober {
   RrProbeResult rr_ping(topology::HostId from, net::Ipv4Addr target,
                         std::optional<net::Ipv4Addr> spoof_as = std::nullopt,
                         const sim::RrSettle* settle = nullptr);
-
-  // A whole RR batch (the engine's 3-probe spoofed-RR batches) in one call,
-  // stepped through the simulator in a single send_batch pass. Outcomes,
-  // accounting, and observer notifications are byte-identical to calling
-  // rr_ping() per item in order — packet ids, loss draws, and events all
-  // happen in item order — but the batch reuses the prober's and the
-  // simulator's scratch, so steady-state batches do not allocate. `out` is
-  // resized to items.size().
-  void rr_ping_batch(std::span<const RrBatchItem> items,
-                     std::vector<RrProbeResult>& out);
 
   TsProbeResult ts_ping(topology::HostId from, net::Ipv4Addr target,
                         std::span<const net::Ipv4Addr> prespec,
@@ -318,16 +312,10 @@ class Prober {
   const ProbeMetrics* metrics_ = nullptr;
   FaultPolicy fault_policy_;
 
-  // Every single probe's reply lands here (Network::send_into), so a warm
-  // prober forwards without allocating. A Prober serves one worker, and
-  // observers may not probe from their callback, so one is enough.
+  // Every probe's reply lands here (Network::send_into), so a warm prober
+  // forwards without allocating. A Prober serves one worker, and observers
+  // may not probe from their callback, so one is enough.
   sim::SendResult reply_;
-  // rr_ping_batch scratch, reused across batches (a Prober serves one
-  // worker; no synchronization needed).
-  std::vector<sim::BatchProbe> batch_probes_;
-  std::vector<sim::SendResult> batch_replies_;
-  std::vector<std::size_t> batch_slots_;  // item index per sent probe
-  std::vector<ProbeEvent> batch_events_;
 };
 
 }  // namespace revtr::probing

@@ -16,19 +16,19 @@ ProbeReply execute_spec(Prober& prober, const ProbeSpec& spec) {
     }
     case ProbeType::kRecordRoute:
     case ProbeType::kSpoofedRecordRoute: {
-      const auto result = prober.rr_ping(spec.from, spec.target, spec.spoof_as);
+      auto result = prober.rr_ping(spec.from, spec.target, spec.spoof_as);
       reply.responded = result.responded;
-      reply.slots = result.slots;
+      reply.slots = std::move(result.slots);
       reply.duration_us = result.duration_us;
       reply.packets = 1;
       break;
     }
     case ProbeType::kTimestamp:
     case ProbeType::kSpoofedTimestamp: {
-      const auto result =
+      auto result =
           prober.ts_ping(spec.from, spec.target, spec.prespec, spec.spoof_as);
       reply.responded = result.responded;
-      reply.stamped = result.stamped;
+      reply.stamped = std::move(result.stamped);
       reply.duration_us = result.duration_us;
       reply.packets = 1;
       break;

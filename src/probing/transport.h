@@ -65,9 +65,9 @@ class ProbeTransport {
 
   virtual ProbeReply execute(const ProbeSpec& spec) = 0;
 
-  // A whole same-ingress spoofed-RR batch. Must be outcome-equivalent to
-  // execute() per item in order (the local path shares simulator scratch;
-  // remote agents issue singly — Prober::rr_ping_batch pins the equality).
+  // A whole same-ingress spoofed-RR batch; `out` gets one result per item.
+  // Must be outcome-equivalent to execute() per item in order: the batch is
+  // a unit of scheduling and waiting (§5.2.4), not another way to send.
   virtual void execute_batch(std::span<const RrBatchItem> items,
                              std::vector<RrProbeResult>& out) = 0;
 };
@@ -88,7 +88,10 @@ class LocalProbeTransport final : public ProbeTransport {
 
   void execute_batch(std::span<const RrBatchItem> items,
                      std::vector<RrProbeResult>& out) override {
-    prober_.rr_ping_batch(items, out);
+    out.clear();
+    for (const RrBatchItem& item : items) {
+      out.push_back(prober_.rr_ping(item.from, item.target, item.spoof_as));
+    }
   }
 
   Prober& prober() noexcept { return prober_; }

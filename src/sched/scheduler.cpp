@@ -359,8 +359,8 @@ void order_for_issue(std::vector<Claim>& claims) {
 // The execute step of a local pump. Runs with no scheduler lock held and
 // touches nothing but the claims and the caller's transport. Claims must be
 // in issue order; each same-ingress run of spoofed demands goes out in
-// batches of kSpoofBatchSize through the transport's batch path, which is
-// outcome-equivalent to issuing each probe alone (Prober::rr_ping_batch).
+// batches of kSpoofBatchSize through the transport's batch call, which is
+// outcome-equivalent to issuing each probe alone (ProbeTransport).
 // Returns the number of spoofed-RR wire batches.
 std::size_t execute_claims(probing::ProbeTransport& transport,
                            std::vector<Claim>& claims) {

@@ -6,6 +6,12 @@
 
 namespace revtr::server {
 
+namespace {
+// EWMA smoothing for the observed per-request wall latency that feeds the
+// deadline-unmeetable estimate.
+constexpr double kLatencyEwmaAlpha = 0.2;
+}  // namespace
+
 bool TokenBucket::try_take(std::int64_t now_us) {
   if (now_us > last_refill_us_) {
     const double elapsed_sec =
@@ -48,7 +54,7 @@ void AdmissionController::observe_latency(std::int64_t wall_us) {
     ewma_latency_us_ = sample;
     return;
   }
-  ewma_latency_us_ += config_.latency_ewma_alpha * (sample - ewma_latency_us_);
+  ewma_latency_us_ += kLatencyEwmaAlpha * (sample - ewma_latency_us_);
 }
 
 std::int64_t AdmissionController::estimated_wait_us(

@@ -57,9 +57,6 @@ struct AdmissionConfig {
   // sets than this — the queue bound alone cannot see demand the workers
   // have already handed to the scheduler.
   std::size_t sched_backlog_limit = 4096;
-  // EWMA smoothing for the observed per-request wall latency that feeds the
-  // deadline-unmeetable estimate.
-  double latency_ewma_alpha = 0.2;
   std::size_t workers = 2;
 };
 

@@ -57,9 +57,11 @@ std::vector<topology::HostId> RevtrService::add_sources(
     std::span<const topology::HostId> candidates, std::size_t atlas_size,
     util::Rng& rng, std::size_t max_sources) {
   // Step 1: verify each candidate source can receive RR packets — an RR
-  // ping from a vantage point must come back with slots (Appx A bootstrap).
+  // ping from a vantage point must come back with slots (Appx A bootstrap,
+  // offline work like the atlas builds below).
   const auto vps = topo_.vantage_points();
   std::vector<topology::HostId> hosts;
+  const probing::Prober::OfflineScope offline(prober_);
   for (const topology::HostId host : candidates) {
     if (hosts.size() >= max_sources) break;
     for (const topology::HostId vp : vps) {
@@ -167,7 +169,7 @@ std::optional<ServedMeasurement> RevtrService::request_with_options(
   served.reverse = engine_.measure(destination, source, clock_);
   if (!served.reverse.complete()) refund_request(user);
   charge_probes(state, served.reverse);
-  archive(served.reverse);
+  inspect(served.reverse);
   if (options.with_forward_traceroute) {
     served.forward = prober_.traceroute(
         source, topo_.host(destination).addr);
@@ -189,7 +191,7 @@ std::optional<ServedMeasurement> RevtrService::on_ndt_measurement(
   if (metrics_ != nullptr) metrics_->ndt_accepted->add();
   ServedMeasurement served;
   served.reverse = engine_.measure(client, server, clock_);
-  archive(served.reverse);
+  inspect(served.reverse);
   // M-Lab already issues the forward traceroute for every NDT test; our
   // reverse measurement complements it (Appx A).
   served.forward = prober_.traceroute(server, topo_.host(client).addr);
@@ -229,7 +231,7 @@ std::optional<core::ReverseTraceroute> RevtrService::request(
   auto result = engine_.measure(destination, source, clock_);
   if (!result.complete()) refund_request(user);
   charge_probes(state, result);
-  archive(result);
+  inspect(result);
   return result;
 }
 
@@ -258,7 +260,7 @@ CampaignStats RevtrService::run_campaign(
   const auto counters_before = prober_.counters();
   for (const auto& [destination, source] : pairs) {
     const auto result = engine_.measure(destination, source, clock_);
-    archive(result);
+    inspect(result);
     stats.record(result);
   }
   stats.probes = prober_.counters() - counters_before;

@@ -20,7 +20,6 @@
 
 #include "core/revtr.h"
 #include "obs/metrics.h"
-#include "service/archive.h"
 #include "util/sim_clock.h"
 #include "util/stats.h"
 
@@ -29,7 +28,6 @@ namespace revtr::service {
 using UserId = std::uint32_t;
 
 struct UserLimits {
-  std::size_t max_parallel = 8;
   std::size_t daily_limit = 100000;
   // Per-day wire-probe budget. Requests are also metered by the packets
   // they cost, not just their count: a single request can demand hundreds
@@ -150,11 +148,10 @@ class RevtrService {
 
   // --- Users (manual registration in the real system). ---
   UserId add_user(std::string name, UserLimits limits = {});
-  bool known_user(UserId user) const { return users_.contains(user); }
 
   // --- Sources. ---
   // Bootstraps sources from `candidates`, in order: verifies RR packets
-  // reach each candidate (online probes on the service prober) until
+  // reach each candidate (offline probes on the service prober) until
   // `max_sources` have passed, then builds every passing host's atlas from
   // `atlas_size` probe hosts (Q1) and indexes its RR aliases (Q2), both
   // fanned out over the process's CPUs (TracerouteAtlas's list builds).
@@ -227,13 +224,10 @@ class RevtrService {
       topology::HostId client, topology::HostId server);
   const NdtStats& ndt_stats() const noexcept { return ndt_stats_; }
 
-  // --- Archival (Appx A). Not owned; may be nullptr. Every served
-  // measurement (user-driven, campaign, or NDT) is recorded. ---
-  void set_archive(MeasurementArchive* archive) { archive_ = archive; }
-
-  // --- Validation. Every served measurement is also handed to this
-  // inspector before archival (paranoid mode: analysis::ResultValidator
-  // re-checks the invariant catalog and counts violations). ---
+  // --- Validation. Every served measurement (user-driven, campaign, or
+  // NDT) is handed to this inspector (paranoid mode:
+  // analysis::ResultValidator re-checks the invariant catalog and counts
+  // violations). ---
   using ResultInspector = std::function<void(const core::ReverseTraceroute&)>;
   void set_inspector(ResultInspector inspector) {
     inspector_ = std::move(inspector);
@@ -276,16 +270,14 @@ class RevtrService {
   std::unordered_map<UserId, UserState> users_;
   std::unordered_map<topology::HostId, SourceRecord> sources_;
   UserId next_user_ = 1;
-  void archive(const core::ReverseTraceroute& measurement) {
+  void inspect(const core::ReverseTraceroute& measurement) {
     if (inspector_) inspector_(measurement);
-    if (archive_ != nullptr) archive_->record(measurement, clock_.now());
   }
 
   const ServiceMetrics* metrics_ = nullptr;
   std::size_t ndt_budget_ = 1000;
   std::size_t ndt_issued_today_ = 0;
   NdtStats ndt_stats_;
-  MeasurementArchive* archive_ = nullptr;
   ResultInspector inspector_;
 };
 

@@ -263,17 +263,6 @@ SendResult Network::send(const Packet& packet, HostId sender) {
   return result;
 }
 
-void Network::send_batch(std::span<const BatchProbe> probes,
-                         std::vector<SendResult>& results) {
-  // Sequential per probe on purpose: the loss draws must happen in batch
-  // order for outcomes to match per-probe send() calls byte for byte. The
-  // batching win is the reused scratch, not reordered work.
-  results.resize(probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    send_into(probes[i].packet, probes[i].sender, results[i]);
-  }
-}
-
 void Network::send_into(const Packet& packet, HostId sender,
                         SendResult& out, const RrSettle* settle) {
   out.reply.reset();

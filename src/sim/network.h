@@ -49,12 +49,6 @@ struct SendResult {
   bool answered() const noexcept { return reply.has_value(); }
 };
 
-// One probe of a batch handed to Network::send_batch.
-struct BatchProbe {
-  net::Packet packet;
-  topology::HostId sender = topology::kInvalidId;
-};
-
 class Network {
  public:
   static constexpr util::SimClock::Micros kAccessDelayUs = 200;
@@ -82,16 +76,6 @@ class Network {
   // never fills) runs on exactly as without it.
   void send_into(const net::Packet& packet, topology::HostId sender,
                  SendResult& out, const RrSettle* settle = nullptr);
-
-  // Steps a whole probe batch (the engine's 3-probe spoofed-RR batches)
-  // through the topology in one call. Semantically identical to calling
-  // send() per probe in order — the loss-rng draws happen in batch order,
-  // so outcomes are byte-identical either way — but all passes share the
-  // simulator's path/option scratch and `results` reuses its element
-  // capacity across batches, so the steady state forwards packets without
-  // allocating. `results` is resized to probes.size().
-  void send_batch(std::span<const BatchProbe> probes,
-                  std::vector<SendResult>& results);
 
   // True when `sender`'s network permits it to emit packets whose source
   // address it does not own.

@@ -64,14 +64,6 @@ struct TopologyConfig {
   // --- Link delays (microseconds). ---
   std::int64_t intra_delay_min_us = 100, intra_delay_max_us = 2000;
   std::int64_t inter_delay_min_us = 1000, inter_delay_max_us = 30000;
-
-  // Returns a copy scaled to `n` ASes keeping proportions; benches use this
-  // to sweep sizes from the command line.
-  TopologyConfig with_ases(std::size_t n) const {
-    TopologyConfig scaled = *this;
-    scaled.num_ases = n;
-    return scaled;
-  }
 };
 
 }  // namespace revtr::topology

@@ -13,6 +13,9 @@ namespace {
 using net::Ipv4Addr;
 using topology::HostId;
 using topology::PrefixId;
+
+// Hitlist destinations the survey probes per prefix.
+constexpr std::size_t kDestinationsPerPrefix = 2;
 }  // namespace
 
 ReachAnalysis analyze_reach(std::span<const Ipv4Addr> slots,
@@ -147,11 +150,11 @@ IngressDiscovery::Survey IngressDiscovery::probe(
     const auto& host = topo_.host(host_id);
     if (!host.ping_responsive) continue;
     dests.push_back(host.addr);
-    if (dests.size() == options_.destinations_per_prefix) break;
+    if (dests.size() == kDestinationsPerPrefix) break;
   }
-  if (dests.size() < options_.destinations_per_prefix) {
+  if (dests.size() < kDestinationsPerPrefix) {
     for (const auto addr : topo_.addresses_in_prefix(prefix, 32)) {
-      if (dests.size() >= options_.destinations_per_prefix) break;
+      if (dests.size() >= kDestinationsPerPrefix) break;
       if (std::find(dests.begin(), dests.end(), addr) != dests.end()) {
         continue;
       }

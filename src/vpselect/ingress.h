@@ -104,7 +104,6 @@ struct PrefixPlan {
 };
 
 struct DiscoveryOptions {
-  std::size_t destinations_per_prefix = 2;
   bool enable_double_stamp = true;
   bool enable_loop = true;
 };

@@ -825,6 +825,9 @@ TEST(AtlasConcurrency, ServiceBootstrapMatchesAddSourceLoop) {
   EXPECT_TRUE(lab.prober.counters() == loop_lab.prober.counters());
   EXPECT_TRUE(lab.prober.offline_counters() ==
               loop_lab.prober.offline_counters());
+  // Bootstrap is offline work, the sources' RR checks included.
+  EXPECT_GT(lab.prober.counters().rr, 0u);
+  EXPECT_TRUE(lab.prober.counters() == lab.prober.offline_counters());
   EXPECT_EQ(lab.rng(), loop_lab.rng());
 }
 

@@ -451,6 +451,72 @@ std::size_t push_back_blocks(std::size_t n) {
   return count.blocks();
 }
 
+class EventLog final : public ProbeObserver {
+ public:
+  void on_probe(const ProbeEvent& event) override { events.push_back(event); }
+  std::vector<ProbeEvent> events;
+};
+
+// The transport's batch call sends each item as execute() would, in item
+// order: on twin networks with loss, an observer and a stateful fault
+// policy, replies, counters, packet ids and the event streams stay equal.
+TEST_F(ProbingFixture, BatchesEqualSingleProbesUnderLossAndFaults) {
+  constexpr std::uint64_t kSeed = 21;
+  sim::Network batch_net(*topo_, *plane_, kSeed);
+  sim::Network single_net(*topo_, *plane_, kSeed);
+  batch_net.set_loss_rate(0.3);
+  single_net.set_loss_rate(0.3);
+  Prober batch_prober(batch_net);
+  Prober single_prober(single_net);
+  EventLog batch_log;
+  EventLog single_log;
+  batch_prober.set_observer(&batch_log);
+  single_prober.set_observer(&single_log);
+  // Drops every fifth RR probe each prober sees.
+  const auto every_fifth = [] {
+    return [seen = 0](const ProbeEvent&) mutable { return ++seen % 5 == 0; };
+  };
+  batch_prober.set_fault_policy(every_fifth());
+  single_prober.set_fault_policy(every_fifth());
+  LocalProbeTransport batch(batch_prober);
+  LocalProbeTransport single(single_prober);
+
+  util::Rng rng(8);
+  const auto vps = topo_->vantage_points();
+  std::vector<RrBatchItem> items;
+  std::vector<RrProbeResult> replies;
+  std::size_t answered = 0;
+  for (int round = 0; round < 1000; ++round) {
+    items.clear();
+    for (int i = 0; i < 3; ++i) {
+      items.push_back(RrBatchItem{
+          vps[rng.below(vps.size())],
+          topo_->hosts()[rng.below(topo_->num_hosts())].addr,
+          topo_->host(vps[rng.below(vps.size())]).addr});
+    }
+    batch.execute_batch(items, replies);
+    ASSERT_EQ(replies.size(), items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      ProbeSpec spec;
+      spec.type = ProbeType::kSpoofedRecordRoute;
+      spec.from = items[i].from;
+      spec.target = items[i].target;
+      spec.spoof_as = items[i].spoof_as;
+      const ProbeReply want = single.execute(spec);
+      EXPECT_EQ(replies[i].responded, want.responded);
+      EXPECT_EQ(replies[i].slots, want.slots);
+      EXPECT_EQ(replies[i].duration_us, want.duration_us);
+      answered += want.responded;
+    }
+    ASSERT_EQ(batch_prober.last_packet_id(), single_prober.last_packet_id());
+  }
+  EXPECT_GT(answered, 0u);
+  EXPECT_EQ(batch_prober.counters(), single_prober.counters());
+  EXPECT_EQ(batch_prober.counters().spoofed_rr, 3000u);
+  EXPECT_TRUE(batch_log.events == single_log.events);
+  EXPECT_EQ(single_log.events.size(), 3000u);
+}
+
 TEST_F(ProbingFixture, WarmSingleProbesAllocateOnlyTheirResults) {
   // A private network and prober: every allocation below is theirs.
   sim::Network network(*topo_, *plane_, 5);
@@ -483,6 +549,36 @@ TEST_F(ProbingFixture, WarmSingleProbesAllocateOnlyTheirResults) {
   // One block per RR ping whose reply carried slots: the result's slots.
   EXPECT_GT(with_slots, pairs.size() / 4);
   EXPECT_EQ(blocks, with_slots);
+
+  // A transport spec takes over the prober's result instead of copying it:
+  // an RR spec allocates its slots, a TS spec its stamps, nothing more.
+  std::vector<ProbeSpec> specs;
+  for (const auto& [from, target] : pairs) {
+    ProbeSpec spec;
+    spec.type = ProbeType::kRecordRoute;
+    spec.from = from;
+    spec.target = target;
+    specs.push_back(spec);
+    spec.type = ProbeType::kTimestamp;
+    spec.prespec = {target, topo_->host(from).addr};
+    specs.push_back(spec);
+  }
+  for (const ProbeSpec& spec : specs) (void)execute_spec(prober, spec);
+  std::size_t result_blocks = 0;
+  std::size_t stamped = 0;
+  blocks = 0;
+  for (const ProbeSpec& spec : specs) {
+    ProbeReply reply;
+    {
+      const AllocationCount count;
+      reply = execute_spec(prober, spec);
+      blocks += count.blocks();
+    }
+    result_blocks += !reply.slots.empty() + !reply.stamped.empty();
+    stamped += !reply.stamped.empty();
+  }
+  EXPECT_GT(stamped, 0u);
+  EXPECT_EQ(blocks, result_blocks);
 
   std::size_t answered = 0;
   {

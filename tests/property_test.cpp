@@ -47,7 +47,7 @@ TEST_P(BehaviourSweep, EngineSurvivesBehaviourMix) {
       if (hop.source == core::HopSource::kSuspiciousGap) continue;
       EXPECT_TRUE(seen.insert(hop.addr.value()).second);
     }
-    EXPECT_LE(result.hops.size(), lab.engine.config().max_reverse_hops);
+    EXPECT_LE(result.hops.size(), core::kMaxReverseHops);
     EXPECT_FALSE(result.used_interdomain_symmetry);
   }
   EXPECT_EQ(decided, 10u);

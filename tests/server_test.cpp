@@ -399,6 +399,20 @@ TEST(ServerDaemon, StatsReportStartupPhases) {
     ASSERT_TRUE(settled->is_number());
     EXPECT_GT(settled->as_double(), 0.0);
   }
+  // Start-up probes are all offline: no online probe before the first
+  // SUBMIT.
+  std::uint64_t online = 0;
+  std::uint64_t offline = 0;
+  for (const auto& counter : daemon.registry().snapshot().counters) {
+    if (counter.name.starts_with("revtr_probes_total{scope=\"online\"")) {
+      online += counter.value;
+    }
+    if (counter.name.starts_with("revtr_probes_total{scope=\"offline\"")) {
+      offline += counter.value;
+    }
+  }
+  EXPECT_GT(offline, 0u);
+  EXPECT_EQ(online, 0u);
   daemon.stop();
 }
 

@@ -412,6 +412,13 @@ TopologyConfig hazard_config() {
   return config;
 }
 
+// The hazard topology with option-filtering ASes too.
+TopologyConfig settle_config() {
+  TopologyConfig config = hazard_config();
+  config.as_filters_options = 0.1;
+  return config;
+}
+
 // A host address, a router loopback or a link interface address.
 Ipv4Addr random_target(const Topology& topo, util::Rng& rng) {
   switch (rng.below(3)) {
@@ -457,91 +464,118 @@ routing::PacketContext probe_context(const Packet& packet,
   return ctx;
 }
 
-TEST(DifferentialForwarding, PassesMatchFreshDecisionsHopByHop) {
-  const Topology topo = TopologyBuilder::build(hazard_config());
-  const routing::BgpTable bgp(topo);
-  const routing::IntraRouting intra(topo);
-  const routing::ForwardingPlane plane(topo, bgp, intra);
-  constexpr std::uint64_t kSeed = 9;
-  Network network(topo, plane, kSeed);
+// forward_pass drops an optioned packet at the first router of an AS that
+// filters options, after adding that router to the path.
+std::vector<topology::RouterId> cut_at_filter(
+    const Topology& topo, std::vector<topology::RouterId> path) {
+  const auto filtering =
+      std::find_if(path.begin(), path.end(), [&](topology::RouterId hop) {
+        return topo.as_at(topo.router(hop).as_index).filters_ip_options;
+      });
+  if (filtering != path.end()) path.erase(filtering + 1, path.end());
+  return path;
+}
 
-  // The hazards exist in this topology.
-  std::size_t parallel_pairs = 0, neighbour_owned = 0;
-  for (const auto& node : topo.ases()) {
-    for (const auto* neighbours : {&node.providers, &node.peers}) {
-      for (const topology::Asn neighbour : *neighbours) {
-        parallel_pairs += topo.border_links(node.asn, neighbour).size() > 1;
+// On the hazard topology, and on it with option-filtering ASes, where an
+// RR probe's passes end at the first filtering router.
+TEST(DifferentialForwarding, PassesMatchFreshDecisionsHopByHop) {
+  for (const TopologyConfig& config : {hazard_config(), settle_config()}) {
+    SCOPED_TRACE("as_filters_options " +
+                 std::to_string(config.as_filters_options));
+    const Topology topo = TopologyBuilder::build(config);
+    const routing::BgpTable bgp(topo);
+    const routing::IntraRouting intra(topo);
+    const routing::ForwardingPlane plane(topo, bgp, intra);
+    constexpr std::uint64_t kSeed = 9;
+    Network network(topo, plane, kSeed);
+
+    // The hazards exist in this topology.
+    std::size_t parallel_pairs = 0, neighbour_owned = 0;
+    for (const auto& node : topo.ases()) {
+      for (const auto* neighbours : {&node.providers, &node.peers}) {
+        for (const topology::Asn neighbour : *neighbours) {
+          parallel_pairs += topo.border_links(node.asn, neighbour).size() > 1;
+        }
       }
     }
-  }
-  for (const auto& link : topo.links()) {
-    if (!link.interdomain) continue;
-    for (const Ipv4Addr addr : {link.addr_a, link.addr_b}) {
-      const auto owner = topo.interface_at(addr);
-      neighbour_owned += owner && topo.as_of(addr) &&
-                         *topo.as_of(addr) != topo.router(owner->router).asn;
+    for (const auto& link : topo.links()) {
+      if (!link.interdomain) continue;
+      for (const Ipv4Addr addr : {link.addr_a, link.addr_b}) {
+        const auto owner = topo.interface_at(addr);
+        neighbour_owned += owner && topo.as_of(addr) &&
+                           *topo.as_of(addr) != topo.router(owner->router).asn;
+      }
     }
-  }
-  ASSERT_GT(parallel_pairs, 0u);
-  ASSERT_GT(neighbour_owned, 0u);
+    ASSERT_GT(parallel_pairs, 0u);
+    ASSERT_GT(neighbour_owned, 0u);
 
-  util::Rng rng(17);
-  constexpr int kCases = 10'000;
-  std::size_t replies = 0, hazard_hops = 0;
-  for (int i = 0; i < kCases; ++i) {
-    const auto sender =
-        static_cast<HostId>(rng.below(topo.num_hosts()));
-    const Ipv4Addr from = topo.host(sender).addr;
-    const Ipv4Addr to = random_target(topo, rng);
-    const auto flow = static_cast<std::uint16_t>(rng.below(1u << 16));
-    const bool rr = (i & 1) != 0;
-    SCOPED_TRACE("case " + std::to_string(i) + ": " + from.to_string() +
-                 " -> " + to.to_string() + " flow " + std::to_string(flow) +
-                 (rr ? " rr" : ""));
-    const topology::RouterId start = topo.host(sender).attachment;
+    util::Rng rng(17);
+    constexpr int kCases = 10'000;
+    std::size_t replies = 0, hazard_hops = 0, cut = 0;
+    // The walk a pass takes: cut at a filtering AS when the packet carries RR.
+    const auto expected_pass = [&](topology::RouterId start,
+                                   const routing::PacketContext& ctx) {
+      auto path = walk(plane, start, ctx);
+      if (!ctx.has_options) return path;
+      const std::size_t full = path.size();
+      path = cut_at_filter(topo, std::move(path));
+      cut += path.size() < full;
+      return path;
+    };
+    for (int i = 0; i < kCases; ++i) {
+      const auto sender =
+          static_cast<HostId>(rng.below(topo.num_hosts()));
+      const Ipv4Addr from = topo.host(sender).addr;
+      const Ipv4Addr to = random_target(topo, rng);
+      const auto flow = static_cast<std::uint16_t>(rng.below(1u << 16));
+      const bool rr = (i & 1) != 0;
+      SCOPED_TRACE("case " + std::to_string(i) + ": " + from.to_string() +
+                   " -> " + to.to_string() + " flow " + std::to_string(flow) +
+                   (rr ? " rr" : ""));
+      const topology::RouterId start = topo.host(sender).attachment;
 
-    // Oracle ground truth (ground_truth_path's own context).
-    routing::PacketContext truth;
-    truth.src = from;
-    truth.dst = to;
-    truth.flow_key = flow;
-    truth.has_options = rr;
-    truth.packet_salt = flow * 0x9e3779b97f4a7c15ULL + 1;
-    const auto expected_truth = walk(plane, start, truth);
-    ASSERT_EQ(network.ground_truth_path(from, to, flow, rr), expected_truth);
+      // Oracle ground truth (ground_truth_path's own context).
+      routing::PacketContext truth;
+      truth.src = from;
+      truth.dst = to;
+      truth.flow_key = flow;
+      truth.has_options = rr;
+      truth.packet_salt = flow * 0x9e3779b97f4a7c15ULL + 1;
+      const auto expected_truth = walk(plane, start, truth);
+      ASSERT_EQ(network.ground_truth_path(from, to, flow, rr), expected_truth);
 
-    // The probe's request and reply passes. TTL 255 outlasts the hop limit,
-    // so the request pass ends where the walk does.
-    Packet probe = net::make_echo_request(from, to, flow, 1, 255);
-    if (rr) probe.rr = net::RecordRouteOption{};
-    const auto result = network.send(probe, sender);
-    const auto expected_request =
-        walk(plane, start, probe_context(probe, kSeed));
-    ASSERT_EQ(result.request_path, expected_request);
-    for (const topology::RouterId hop : expected_request) {
-      const auto& router = topo.router(hop);
-      hazard_hops += router.per_packet_lb || router.source_sensitive ||
-                     topo.as_at(router.as_index).source_sensitive;
+      // The probe's request and reply passes. TTL 255 outlasts the hop limit,
+      // so the request pass ends where the walk does.
+      Packet probe = net::make_echo_request(from, to, flow, 1, 255);
+      if (rr) probe.rr = net::RecordRouteOption{};
+      const auto result = network.send(probe, sender);
+      const auto expected_request =
+          expected_pass(start, probe_context(probe, kSeed));
+      ASSERT_EQ(result.request_path, expected_request);
+      for (const topology::RouterId hop : expected_request) {
+        const auto& router = topo.router(hop);
+        hazard_hops += router.per_packet_lb || router.source_sensitive ||
+                       topo.as_at(router.as_index).source_sensitive;
+      }
+      if (result.answered()) {
+        ++replies;
+        ASSERT_FALSE(result.reply_path.empty());
+      }
+      // Every reply pass, also one a filtering AS dropped: an echo reply
+      // from the probed address back to the sender.
+      if (result.reply_path.empty()) continue;
+      ASSERT_EQ(result.reply_path,
+                expected_pass(result.reply_path.front(),
+                              probe_context(net::make_echo_reply(probe, to),
+                                            kSeed)));
     }
-    if (!result.answered()) continue;
-    ++replies;
-    ASSERT_FALSE(result.reply_path.empty());
-    ASSERT_EQ(result.reply_path,
-              walk(plane, result.reply_path.front(),
-                   probe_context(*result.reply, kSeed)));
+    EXPECT_GT(replies, static_cast<std::size_t>(kCases) / 4);
+    EXPECT_GT(hazard_hops, static_cast<std::size_t>(kCases));
+    EXPECT_EQ(cut > 0, config.as_filters_options > 0.0);
   }
-  EXPECT_GT(replies, static_cast<std::size_t>(kCases) / 4);
-  EXPECT_GT(hazard_hops, static_cast<std::size_t>(kCases));
 }
 
 // --- Settled offline RR probes (Prober::rr_ping's settle test) ------------
-
-// The hazard topology with option-filtering ASes too.
-TopologyConfig settle_config() {
-  TopologyConfig config = hazard_config();
-  config.as_filters_options = 0.1;
-  return config;
-}
 
 // One settle-test case: a probe and the test one of the two offline
 // callers would pass for it.

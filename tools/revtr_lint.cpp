@@ -40,14 +40,15 @@
 //                    formatting into buffers); tools/, tests/, bench/ and
 //                    examples/ own their stdout and are exempt.
 //   core-probe-issue Direct probe-issuing Prober calls (ping/rr_ping/
-//                    ts_ping/traceroute) inside src/core/: the staged engine
-//                    yields sched::ProbeDemand sets and all wire probes
-//                    funnel through sched::execute_demand, so scheduler
-//                    coalescing and pacing cannot be bypassed. Non-issuing
-//                    Prober methods (offline_counters, OfflineScope) stay
-//                    legal, and so does IngressDiscovery::discover: the
-//                    on-demand survey is offline work on the discovery
-//                    prober, never a wire probe of the request.
+//                    ts_ping/traceroute/last_hop_scan) inside src/core/:
+//                    the staged engine yields sched::ProbeDemand sets and
+//                    all wire probes funnel through sched::execute_demand,
+//                    so scheduler coalescing and pacing cannot be
+//                    bypassed. Non-issuing Prober methods
+//                    (offline_counters, OfflineScope) stay legal, and so
+//                    does IngressDiscovery::discover: the on-demand survey
+//                    is offline work on the discovery prober, never a wire
+//                    probe of the request.
 //   mutex-capability Raw std synchronization types (std::mutex,
 //                    std::shared_mutex, std::lock_guard, std::unique_lock,
 //                    std::shared_lock, std::scoped_lock, plain
@@ -1017,7 +1018,7 @@ class Linter {
     // (prober_, engine_.prober_, a local `probing::Prober& prober`, ...).
     // Non-issuing members (offline_counters, counters) do not match.
     static const std::regex kProbeIssue(
-        R"re((\b\w*[Pp]rober\w*\s*(\.|->)|\bProber\s*::\s*)(ping|rr_ping|ts_ping|traceroute)\s*\()re");
+        R"re((\b\w*[Pp]rober\w*\s*(\.|->)|\bProber\s*::\s*)(ping|rr_ping|ts_ping|traceroute|last_hop_scan)\s*\()re");
     // The stripper blanks string contents, so the include *path* must come
     // from the raw line; the stripped line still proves the directive is
     // not inside a comment.
@@ -2352,6 +2353,13 @@ int run_self_test() {
                        "void g() { engine_.prober_->traceroute(a, b); }\n");
     expect(count_rule(linter, "core-probe-issue") == 2,
            "direct probe call in src/core/ flagged");
+  }
+  {  // The symmetry step's last-hop scan issues probes too.
+    Linter linter{fs::path(".")};
+    linter.lint_source("src/core/x.cpp",
+                       "void f() { prober_.last_hop_scan(a, b); }\n");
+    expect(count_rule(linter, "core-probe-issue") == 1,
+           "last_hop_scan in src/core/ flagged");
   }
   {  // ...but the demand funnel, non-issuing members, and other modules
      // are fine.
