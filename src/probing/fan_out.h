@@ -49,7 +49,10 @@ void offline_fan_out(Prober& owner, std::size_t count, std::size_t threads,
     for (std::size_t i = 0; i < count; ++i) commit(i, measure(i, owner));
     return;
   }
-  struct Lane {
+  // Whole cache lines per lane: the lanes are allocated back to back and
+  // probe on different threads, so one lane's reply scratch must not share
+  // a line with the next lane's network.
+  struct alignas(64) Lane {
     sim::Network network;
     Prober prober;
 

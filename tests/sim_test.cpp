@@ -561,13 +561,14 @@ TEST(DifferentialForwarding, PassesMatchFreshDecisionsHopByHop) {
         ++replies;
         ASSERT_FALSE(result.reply_path.empty());
       }
-      // Every reply pass, also one a filtering AS dropped: an echo reply
-      // from the probed address back to the sender.
+      // Every reply pass: the reply that arrived, or, when a filtering AS or
+      // loss dropped it, an echo reply from the probed address to the sender.
       if (result.reply_path.empty()) continue;
+      const Packet reply =
+          result.answered() ? *result.reply : net::make_echo_reply(probe, to);
       ASSERT_EQ(result.reply_path,
                 expected_pass(result.reply_path.front(),
-                              probe_context(net::make_echo_reply(probe, to),
-                                            kSeed)));
+                              probe_context(reply, kSeed)));
     }
     EXPECT_GT(replies, static_cast<std::size_t>(kCases) / 4);
     EXPECT_GT(hazard_hops, static_cast<std::size_t>(kCases));
